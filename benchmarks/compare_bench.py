@@ -69,9 +69,6 @@ def load_medians(path: str) -> Dict[str, float]:
 KERNEL_PAIRS = (
     ("test_bench_simulation_cycle_kernel",
      "test_bench_simulation_cycles_per_second",
-     "event/cycle  dense 2t"),
-    ("test_bench_simulation_cycle_kernel",
-     "test_bench_simulation_batch_kernel",
      "batch/cycle  dense 2t (worst case)"),
     ("test_bench_uniprocessor_point_cycle_kernel",
      "test_bench_uniprocessor_point_batch_kernel",

@@ -275,10 +275,9 @@ class CacheBank:
             self._wbmem_wait[0].thread_id
         ):
             return now
-        # Hot path (the event kernel calls this every attempt): read the
-        # gather buffers' internals directly instead of going through
-        # occupancy/has_line/wants_retire — property and generator
-        # overhead here is measurable on scan-hostile workloads.
+        # Reads the gather buffers' internals directly, the same reads
+        # the batch kernel's inlined copy (batch_kernel._tick_bank) makes
+        # every bank tick, so the two stay easy to compare.
         sm_limit = self.config.state_machines_per_thread
         sm_count = self._sm_count
         pending_stores = self._pending_stores

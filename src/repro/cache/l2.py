@@ -65,9 +65,6 @@ class SharedL2:
     def busy(self) -> bool:
         return any(bank.busy() for bank in self.banks)
 
-    def next_event(self, now: int) -> int:
-        return min(bank.next_event(now) for bank in self.banks)
-
     # ------------------------------------------------------------------ #
     # Aggregate reporting.
     # ------------------------------------------------------------------ #

@@ -32,6 +32,7 @@ from typing import Iterator, List, Optional
 from repro.common.config import VPCAllocation, baseline_config
 from repro.cpu.isa import TraceItem
 from repro.system.cmp import CMPSystem
+from repro.system.kernel import DEFAULT_KERNEL
 from repro.system.simulator import run_simulation
 from repro.workloads.microbench import MICROBENCHMARKS
 from repro.workloads.phased import parse_phased, phased_trace
@@ -412,7 +413,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             capacity_policy=args.capacity,
             vpc_selection=args.selection,
             telemetry=telemetry,
-            kernel=args.kernel or "event",
+            kernel=args.kernel or DEFAULT_KERNEL,
         )
     if resumed is None and args.cpi_stacks is not None:
         system.attach_cycle_accounting()

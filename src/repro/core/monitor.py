@@ -16,8 +16,8 @@ where the allowance covers non-preemptibility and window-edge effects
 one EDF scheduling lag).  Windows where the bound fails are recorded as
 :class:`ServiceViolation`s.
 
-Because the audit is event-driven it works under the skip-ahead event
-kernel (no per-cycle polling); windows close lazily as event timestamps
+Because the audit is event-driven it works under the batch kernel's
+skip-ahead (no per-cycle polling); windows close lazily as event timestamps
 cross their boundaries, and :meth:`QoSMonitor.finish` flushes the
 windows a run's tail spans.  Use :func:`run_monitored` to drive a
 system with a monitor attached.

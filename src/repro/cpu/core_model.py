@@ -230,7 +230,7 @@ class CoreModel:
         self._outstanding_loads.add(seq)
 
     # ------------------------------------------------------------------ #
-    # Skip-ahead support (event kernel).
+    # Skip-ahead support (batch kernel).
     #
     # ``quiescent`` answers: would ``tick`` leave every piece of state
     # untouched except ``cycles``/``stall_cycles`` and — in the

@@ -207,7 +207,7 @@ class SMTCoreModel:
         return seq * 64 + self.thread_ids.index(ctx.thread_id)
 
     # ------------------------------------------------------------------ #
-    # Skip-ahead support (event kernel).
+    # Skip-ahead support (batch kernel).
     # ------------------------------------------------------------------ #
 
     def _ctx_blocked(self, ctx: _ThreadContext) -> bool:

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.system.cmp import CMPSystem
+from repro.system.kernel import DEFAULT_KERNEL, KERNELS
 from repro.system.simulator import SimulationResult, run_simulation
 from repro.telemetry.events import CAT_RUN, PH_COMPLETE, PH_INSTANT, TraceEvent
 
@@ -79,17 +80,12 @@ _cpi_stacks = False
 # configure() like the observers; None keeps the fast pool path with
 # zero resilience overhead.
 _resilience = None
-# Simulation kernel every point runs under ("cycle" | "event" |
-# "batch").  Sticky like jobs/cache: an execution policy, not an
-# observer.  All kernels are bit-identical (tests/test_kernel_
-# equivalence.py), so the choice affects wall time only — which is also
-# why kernel is deliberately NOT part of SimPoint/cache_key: a cached
-# result is valid under any kernel.
-_kernel = "event"
-# Lane-parallel lockstep driver width (see run_points): K > 1 advances
-# up to K points in one process, interleaved chunk-by-chunk in
-# simulated-cycle order.  Sticky like jobs.
-_lanes = 1
+# Simulation kernel every point runs under ("cycle" | "batch").  Sticky
+# like jobs/cache: an execution policy, not an observer.  The kernels
+# are bit-identical (tests/test_kernel_equivalence.py), so the choice
+# affects wall time only — which is also why kernel is deliberately NOT
+# part of SimPoint/cache_key: a cached result is valid under any kernel.
+_kernel = DEFAULT_KERNEL
 # Host-time orchestration span tracer (repro.telemetry.spans.SpanTracer)
 # for --spans: run_points opens batch/point spans on it and propagates a
 # SpanContext to workers when a live feed exists so their spans travel
@@ -139,7 +135,6 @@ def configure(
     live=None,
     resilience=None,
     kernel: Optional[str] = None,
-    lanes: Optional[int] = None,
     cpi_stacks: bool = False,
     spans=None,
     requests: bool = False,
@@ -176,25 +171,18 @@ def configure(
     point's document.  Like the observers both are reset by every call.
 
     ``kernel`` selects the simulation kernel every point runs under
-    (``cycle``/``event``/``batch`` — bit-identical, wall time only).
-    ``lanes`` enables the in-process lockstep driver: K points advance
-    chunk-by-chunk in simulated-cycle order in this process.  Lanes are
-    an alternative to process fan-out and to the streaming/resilience
-    planes: combining ``lanes > 1`` with ``jobs > 1``, a live feed, or
-    a resilience policy is an error.
+    (``cycle``/``batch`` — bit-identical, wall time only).
 
     ``policy`` ("fcfs"/"vpc"/"lfoc") remaps every multi-thread point's
     arbiter, capacity policy, and QoS controller to one policy family
     before it runs; ``controller`` ("lfoc"/"fairness") attaches a
     :mod:`repro.qos` controller to every multi-thread point, and
     ``epoch`` overrides the controller epoch length.  Solo points (the
-    private-equivalent targets) are never remapped.  Controllers drive
-    the measurement loop's epoch chunking, which the lockstep lane
-    driver does not replicate — combining either with ``lanes > 1`` is
-    an error.  All three reset on every call like the observers.
+    private-equivalent targets) are never remapped.  All three reset on
+    every call like the observers.
     """
     global _jobs, _cache_enabled, _progress, _telemetry, _metrics_window
-    global _live, _resilience, _kernel, _lanes, _cpi_stacks, _spans
+    global _live, _resilience, _kernel, _cpi_stacks, _spans
     global _requests, _slo, _policy, _controller, _epoch
     if jobs is not None:
         if jobs < 0:
@@ -203,25 +191,10 @@ def configure(
     if cache is not None:
         _cache_enabled = cache
     if kernel is not None:
-        from repro.system.kernel import KERNELS
         if kernel not in KERNELS:
             raise ValueError(f"unknown simulation kernel {kernel!r}; "
                              f"choose from {sorted(KERNELS)}")
         _kernel = kernel
-    if lanes is not None:
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        _lanes = lanes
-    if _lanes > 1:
-        if _jobs > 1:
-            raise ValueError("lanes and jobs are alternative parallelism "
-                             "modes; configure one of them")
-        if live is not None:
-            raise ValueError("the lockstep lane driver cannot stream a "
-                             "live feed; drop lanes or --serve")
-        if resilience is not None:
-            raise ValueError("the lockstep lane driver does not journal "
-                             "checkpoints; drop lanes or the run dir")
     if metrics is not None and metrics < 1:
         raise ValueError(f"metrics window must be >= 1 cycle, got {metrics}")
     if live is not None and metrics is None:
@@ -245,9 +218,6 @@ def configure(
                              "it cannot ride the fcfs policy family")
     if epoch is not None and epoch < 1:
         raise ValueError(f"controller epoch must be >= 1 cycle, got {epoch}")
-    if _lanes > 1 and (controller is not None or policy == "lfoc"):
-        raise ValueError("the lockstep lane driver does not fire QoS "
-                         "controller epochs; drop lanes or the controller")
     _progress = progress
     _telemetry = telemetry
     _metrics_window = metrics
@@ -300,12 +270,8 @@ def configured_jobs() -> int:
 
 
 def configured_kernel() -> str:
-    """The simulation kernel points run under ("cycle"/"event"/"batch")."""
+    """The simulation kernel points run under ("cycle"/"batch")."""
     return _kernel
-
-
-def configured_lanes() -> int:
-    return _lanes
 
 
 def configured_cpi_stacks() -> bool:
@@ -431,23 +397,6 @@ def _build_trace(spec: Tuple, thread_id: int):
     raise ValueError(f"unknown trace spec {spec!r}")
 
 
-def _point_system(point: SimPoint, traces, kernel: Optional[str]):
-    """The CMPSystem for a point — shared by run_point and the lockstep
-    lane driver so both construct bit-identical simulations."""
-    kwargs = {}
-    if kernel is not None:
-        kwargs["kernel"] = kernel
-    return CMPSystem(
-        point.config,
-        traces,
-        capacity_policy=point.capacity_policy,
-        intra_thread_row=point.intra_thread_row,
-        vpc_selection=point.vpc_selection,
-        smt_degree=point.smt_degree,
-        **kwargs,
-    )
-
-
 def _point_controller(system, point: SimPoint) -> None:
     """Attach the point's QoS controller, if any (after the observers,
     so the controller's private collector lands on the final bus)."""
@@ -508,8 +457,8 @@ def run_point(
     its run) and this worker's pid.  Observation only — the simulated
     result is bit-identical with or without a feed.
 
-    ``kernel`` picks the simulation kernel ("cycle"/"event"/"batch";
-    ``None`` keeps the system default).  Kernels are bit-identical, so
+    ``kernel`` picks the simulation kernel ("cycle"/"batch"; ``None``
+    keeps the default).  Kernels are bit-identical, so
     it travels to worker processes as an explicit argument but never
     into the point's cache key.
 
@@ -544,7 +493,15 @@ def run_point(
         traces = [
             _build_trace(spec, tid) for tid, spec in enumerate(point.traces)
         ]
-    system = _point_system(point, traces, kernel)
+    system = CMPSystem(
+        point.config,
+        traces,
+        capacity_policy=point.capacity_policy,
+        intra_thread_row=point.intra_thread_row,
+        vpc_selection=point.vpc_selection,
+        smt_degree=point.smt_degree,
+        kernel=kernel or DEFAULT_KERNEL,
+    )
     if cpi_stacks:
         system.attach_cycle_accounting()
     if requests and point.smt_degree == 1:
@@ -613,160 +570,6 @@ def run_point(
         for violation in monitor.violations[violations_sent:]:
             feed.put(("violation", index, os.getpid(), asdict(violation)))
     return result
-
-
-# ---------------------------------------------------------------------- #
-# Lockstep lane driver.
-# ---------------------------------------------------------------------- #
-
-# Lockstep granularity when no metrics window dictates the cadence.
-# Chunked system.run() calls are bit-identical to one call (the
-# kernels' exactness contract), so the value affects interleaving
-# fairness and nothing else.
-_LANE_CHUNK = 4096
-
-
-class _Lane:
-    """One in-flight point's progress through the simulation protocol."""
-
-    __slots__ = ("index", "point", "system", "metrics", "attributor",
-                 "warm_left", "state", "started_us")
-
-
-def _run_lockstep(points, todo, lanes, kernel, metrics_window,
-                  finish, wall_us, cpi_stacks: bool = False,
-                  requests: bool = False, slo_rules: Sequence = ()) -> None:
-    """Advance up to ``lanes`` points chunk-by-chunk in one process.
-
-    Each lane replicates :func:`repro.system.simulator.run_simulation`'s
-    protocol exactly — warm up, capture a :class:`MeasureState`, measure
-    in metrics-window chunks (or :data:`_LANE_CHUNK` when unobserved),
-    finalize from the captured snapshots.  The only difference from
-    ``run_point`` is that ``system.run()`` calls from different lanes
-    interleave; systems share no state, and chunked runs are
-    bit-identical to whole runs, so every lane's result is bit-identical
-    to its serial ``run_point``.
-
-    Scheduling state is one flat :class:`repro.system.soa.WakeTable` of
-    per-lane simulated cycles: the least-advanced lane (``argmin``) runs
-    next, which keeps all K resident systems within one chunk of each
-    other — bounded memory skew and evenly-spread completion.  A lane
-    whose point completes reloads from the remaining queue; drained
-    lanes park at ``NEVER``.
-    """
-    from repro.common.latch import NEVER
-    from repro.system.simulator import MeasureState, _finalize
-    from repro.system.soa import WakeTable
-
-    queue = list(todo)
-    width = min(lanes, len(queue))
-    progress = WakeTable(width)
-    slots: List[Optional[_Lane]] = [None] * width
-
-    def begin_measure(lane: _Lane) -> None:
-        system = lane.system
-        point = lane.point
-        n_threads = point.config.n_threads
-        lane.state = MeasureState(
-            warmup=point.warmup,
-            measure=point.measure,
-            remaining=point.measure,
-            dispatched_before=[
-                system.thread_dispatched(tid) for tid in range(n_threads)
-            ],
-            meter_snaps=[bank.utilization_snapshot()
-                         for bank in system.banks],
-            counter_snaps=[bank.counters.snapshot()
-                           for bank in system.banks],
-        )
-        if system.cycle_accounting is not None:
-            # Mirrors run_simulation's post-warmup rebase so a lane's
-            # stacks cover exactly the measurement interval.
-            system.cycle_accounting.rebase(system.cycle)
-        if system.request_tracer is not None:
-            # Same rebase for request tracing: warmup retirements drop,
-            # in-flight journeys carry over measurement-relative.
-            system.request_tracer.rebase(system.cycle)
-        if lane.metrics is not None:
-            lane.metrics.sample(system)
-
-    def load(slot: int) -> None:
-        if not queue:
-            slots[slot] = None
-            progress.data[slot] = NEVER
-            return
-        index = queue.pop(0)
-        point = points[index]
-        if point.warmup < 0 or point.measure <= 0:
-            raise ValueError("warmup must be >= 0 and measure > 0")
-        if point.controller is not None:
-            raise ValueError(
-                "the lockstep lane driver chunks measurement itself and "
-                "does not fire QoS controller epochs; run controlled "
-                "points without lanes"
-            )
-        lane = _Lane()
-        lane.index = index
-        lane.point = point
-        lane.started_us = wall_us()
-        traces = [
-            _build_trace(spec, tid) for tid, spec in enumerate(point.traces)
-        ]
-        lane.system = _point_system(point, traces, kernel)
-        if cpi_stacks:
-            lane.system.attach_cycle_accounting()
-        if requests and point.smt_degree == 1:
-            lane.system.attach_request_tracing(slo_rules=slo_rules)
-        lane.metrics, lane.attributor = _point_observers(
-            lane.system, point, metrics_window)
-        lane.warm_left = point.warmup
-        lane.state = None
-        slots[slot] = lane
-        progress.data[slot] = 0
-        if lane.warm_left == 0:
-            begin_measure(lane)
-
-    for slot in range(width):
-        load(slot)
-
-    while True:
-        slot = progress.argmin()
-        if progress.data[slot] >= NEVER:
-            return  # every lane drained
-        lane = slots[slot]
-        system = lane.system
-        if lane.warm_left > 0:
-            chunk = min(lane.warm_left, _LANE_CHUNK)
-            system.run(chunk)
-            lane.warm_left -= chunk
-            if lane.warm_left == 0:
-                begin_measure(lane)
-            progress.data[slot] = system.cycle
-            continue
-        state = lane.state
-        window = (lane.metrics.window if lane.metrics is not None
-                  else _LANE_CHUNK)
-        chunk = min(state.remaining, window)
-        system.run(chunk)
-        state.remaining -= chunk
-        if lane.metrics is not None:
-            lane.metrics.sample(system)
-        if state.remaining > 0:
-            progress.data[slot] = system.cycle
-            continue
-        if lane.metrics is not None:
-            lane.metrics.finish(system.cycle)
-        result = _finalize(system, state, lane.metrics)
-        if lane.attributor is not None:
-            lane.attributor.finish(system.cycle)
-            result.metrics["attribution"] = lane.attributor.snapshot()
-            result.metrics["arbiter"] = lane.point.config.arbiter
-            if result.cpi_stacks is not None:
-                result.metrics["cpi_stacks"] = result.cpi_stacks
-            if result.requests is not None:
-                result.metrics["requests"] = result.requests
-        finish(lane.index, result, lane.started_us)
-        load(slot)
 
 
 # ---------------------------------------------------------------------- #
@@ -1006,10 +809,6 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
                 stop_draining.set()
                 drainer.join(timeout=10.0)
                 manager.shutdown()
-    elif _lanes > 1 and len(todo) > 1:
-        _run_lockstep(points, todo, _lanes, _kernel, metrics_window,
-                      finish, wall_us, cpi_stacks=cpi_stacks,
-                      requests=requests, slo_rules=slo)
     else:
         for index in todo:
             span_ctx = None

@@ -45,6 +45,7 @@ from typing import List, Optional
 from repro.experiments import parallel
 from repro.experiments.base import REGISTRY, ExperimentResult
 from repro.resilience.fleet import PointsExcludedError
+from repro.system.kernel import DEFAULT_KERNEL
 from repro.telemetry import RunManifest
 
 
@@ -136,10 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for independent simulation "
                              "points (0 = all CPUs; default 1, serial)")
-    parser.add_argument("--lanes", type=int, default=1, metavar="K",
-                        help="advance up to K points in lockstep in one "
-                             "process (alternative to --jobs; incompatible "
-                             "with --serve and --run-dir/--resume)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk target-IPC result cache")
     parser.add_argument("--progress", action="store_true",
@@ -338,16 +335,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             server.start()
             print(f"serving telemetry on {server.url} "
                   "(/metrics /healthz /snapshot /events)", flush=True)
-    if args.lanes > 1:
-        if args.jobs > 1:
-            parser.error("--lanes and --jobs are alternative parallelism "
-                         "modes; pick one")
-        if live is not None:
-            parser.error("--lanes cannot stream a live feed; drop "
-                         "--serve/--alerts")
-        if run_dir is not None:
-            parser.error("--lanes does not journal checkpoints; drop "
-                         "--run-dir/--resume")
     if args.epoch is not None and args.controller is None \
             and args.policy != "lfoc":
         parser.error("--epoch only applies when a QoS controller runs; "
@@ -357,8 +344,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                            progress=progress, telemetry=telemetry,
                            metrics=metrics_window, live=live,
                            resilience=resilience,
-                           kernel=args.kernel or "event",
-                           lanes=args.lanes, cpi_stacks=args.cpi_stacks,
+                           kernel=args.kernel or DEFAULT_KERNEL,
+                           cpi_stacks=args.cpi_stacks,
                            spans=tracer,
                            requests=args.requests is not None,
                            slo=slo_rules,

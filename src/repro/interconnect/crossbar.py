@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, List
 
 from repro.common.config import CrossbarConfig
-from repro.common.latch import NEVER, DelayLine
+from repro.common.latch import DelayLine
 from repro.common.records import MemoryRequest
 from repro.telemetry.events import CAT_XBAR, PH_COMPLETE, TraceEvent
 
@@ -64,20 +64,3 @@ class Crossbar:
         return any(len(line) for line in self._requests) or any(
             len(line) for line in self._responses
         )
-
-    def next_event(self, now: int) -> int:
-        """Earliest cycle at or after ``now`` with a deliverable item.
-
-        Delay lines are FIFO, so the head of each lane bounds every item
-        behind it; ``NEVER`` when all lanes are empty.
-        """
-        nxt = NEVER
-        for lane in self._requests:
-            items = lane._items
-            if items and items[0][0] < nxt:
-                nxt = items[0][0]
-        for lane in self._responses:
-            items = lane._items
-            if items and items[0][0] < nxt:
-                nxt = items[0][0]
-        return nxt if nxt > now else now

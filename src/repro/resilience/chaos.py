@@ -140,10 +140,9 @@ def corrupt_file(path, rng: random.Random) -> None:
         if size > 128 and rng.random() < 0.5:
             fh.truncate(rng.randrange(size // 2, size - 1))
             return
-        for _ in range(rng.randrange(1, 4)):
-            offset = rng.randrange(0, max(1, size))
+        # Distinct offsets: flipping one byte twice would restore it.
+        for offset in rng.sample(range(size), min(rng.randrange(1, 4), size)):
             fh.seek(offset)
             byte = fh.read(1)
-            if byte:
-                fh.seek(offset)
-                fh.write(bytes([byte[0] ^ 0xFF]))
+            fh.seek(offset)
+            fh.write(bytes([byte[0] ^ 0xFF]))

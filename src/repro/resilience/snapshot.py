@@ -5,10 +5,10 @@ A checkpoint captures everything a mid-measurement run needs to continue
 bit-identically in a *different process on a different day*:
 
 * the entire :class:`~repro.system.cmp.CMPSystem` object graph — caches,
-  MSHRs, arbiter virtual-time registers, in-flight requests, the
-  skip-ahead kernel's adaptive state — via one ``pickle`` (shared
-  references, e.g. the telemetry bus and its attached metrics collector,
-  are preserved by the pickle memo);
+  MSHRs, arbiter virtual-time registers, in-flight requests, the kernel
+  name — via one ``pickle`` (shared references, e.g. the telemetry bus
+  and its attached metrics collector, are preserved by the pickle memo;
+  kernels keep no state of their own between ``run()`` calls);
 * every workload cursor: traces are wrapped in :class:`ResumableTrace`,
   which records its declarative spec plus the number of items consumed
   and replays the seeded generator forward on unpickle (generators
@@ -266,6 +266,13 @@ class ResumedRun:
 
     def __init__(self, payload: dict) -> None:
         self.system = payload["system"]
+        if self.system.kernel == "event":
+            # Written while the retired skip-ahead "event" kernel was the
+            # default.  batch is bit-identical, so the run continues
+            # unchanged; the event kernel's adapter state is dropped.
+            self.system.kernel = "batch"
+            vars(self.system).pop("_skip_sleep", None)
+            vars(self.system).pop("_skip_penalty", None)
         self.state = payload["state"]
         self.metrics = None
         self.attributor = None

@@ -1,14 +1,13 @@
 """Batched structure-of-arrays kernel: per-component selective
 activation with lazy bulk settling.
 
-``run_batch`` is the third simulation kernel (after ``run_cycle`` and
-``run_event``) and must be **bit-identical** to both — every counter,
-IPC, utilization, trace-visible request timestamp, and metrics window
-(``tests/test_kernel_equivalence.py``).  Where the event kernel only
-skips *globally* quiescent cycles (every core stalled), this kernel
-tracks each component's next possible state change in a flat wake
-array (:mod:`repro.system.soa`) and, inside every executed cycle, runs
-only the components that are due:
+``run_batch`` is the default simulation kernel and must be
+**bit-identical** to the ``run_cycle`` oracle — every counter, IPC,
+utilization, trace-visible request timestamp, and metrics window
+(``tests/test_kernel_equivalence.py``).  It tracks each component's
+next possible state change in flat per-run lists (one wake cycle per
+bank, one sleep flag and settle cycle per core) and, inside every
+executed cycle, runs only the components that are due:
 
 * **cores** sleep individually the moment they report
   :meth:`~repro.cpu.core_model.CoreModel.quiescent`, and are settled in
@@ -22,9 +21,9 @@ only the components that are due:
   the exact no-op guard ``next_event`` documents for it, so a bank
   whose tag meter is busy for 4 cycles pays zero for the three
   guaranteed-``None`` grants the full tick would attempt;
-* **whole cycles** are jumped (as in the event kernel) when every core
-  sleeps, to the minimum over the wake array and the crossbar lane
-  heads.
+* **whole cycles** are jumped when every core sleeps, to the minimum
+  over the wake list, the crossbar lane heads, and memory/L3's next
+  event.
 
 The hot loop trades indirection for flat state: every stable component
 reference (event heaps, queues, gather buffers, arbiter/meter pairs —
@@ -40,14 +39,14 @@ component *early* is always safe — an un-due tick is exactly the no-op
 the cycle kernel would have executed — so wake entries only need to be
 true lower bounds, and every rule below only ever *lowers* them.  The
 dangerous direction, missing a state-changing tick, is excluded by the
-same per-component ``next_event`` contracts the event kernel relies
-on, plus two cross-component edges handled explicitly: an L3/memory
-tick can push a completion into a bank's event heap or free transaction
--buffer capacity a bank's ``_mem_wait`` head is blocked on, so after
-any effective L3/memory tick the waiting banks' wake entries are
+``next_event`` contract documented at each component, plus two
+cross-component edges handled explicitly: an L3/memory tick can push a
+completion into a bank's event heap or free transaction-buffer
+capacity a bank's ``_mem_wait`` head is blocked on, so after any
+effective L3/memory tick the waiting banks' wake entries are
 re-lowered from the post-tick state.
 
-The SoA wake state is **ephemeral**: rebuilt from the object graph at
+The wake state is **ephemeral**: rebuilt from the object graph at
 every ``run()`` entry and fully settled back at exit (all sleeping
 cores fast-forwarded to the end cycle).  At ``run()`` boundaries the
 system object graph is therefore bit-identical to what the cycle
@@ -61,7 +60,6 @@ from __future__ import annotations
 from heapq import heappop
 
 from repro.common.latch import NEVER
-from repro.system.soa import make_wake_list
 from repro.telemetry.events import CAT_KERNEL, PH_INSTANT, TraceEvent
 
 
@@ -236,7 +234,7 @@ def run_batch(system, cycles: int) -> None:
     ]
     crossbar = system.crossbar
     # Lane deques are drained directly (FIFO, so the head bounds the
-    # lane) — same internals-for-speed idiom as Crossbar.next_event.
+    # lane) rather than through Crossbar's generator methods.
     resp_lanes = [crossbar._responses[tid]._items for tid in range(n_threads)]
     req_lanes = [crossbar._requests[tid]._items for tid in range(n_threads)]
     l2 = system.l2
@@ -265,16 +263,14 @@ def run_batch(system, cycles: int) -> None:
     # synchronized exactly when something can observe it.
     sync_clock = trace is not None
 
-    # SoA scheduling state — ephemeral, rebuilt every run() (see module
+    # Scheduling state — ephemeral, rebuilt every run() (see module
     # docstring).  Sleep flags seed from the (sticky) quiescence memo;
     # settled[ci] is the first cycle core ci has not yet accounted.
     sleeping = [core.quiescent() for core in cores]
     settled = [start] * n_cores
     awake = n_cores - sum(sleeping)
     bank_ctx = [_bank_context(bank, memory) for bank in banks]
-    bank_wake = make_wake_list(n_banks)
-    for index in range(n_banks):
-        bank_wake[index] = banks[index].next_event(start)
+    bank_wake = [bank.next_event(start) for bank in banks]
 
     tid_range = range(n_threads)
     core_range = range(n_cores)
@@ -336,8 +332,8 @@ def run_batch(system, cycles: int) -> None:
             if bank_wake[index] <= now:
                 bank_wake[index] = _tick_bank(bank_ctx[index], now)
 
-        # 5. L3 and memory — same gating as the event kernel's lean
-        # step (memory's tick guards per-channel on `pending`).
+        # 5. L3 and memory — the L3 ticks only when its next_event is
+        # due, and each memory channel only while it has work pending.
         l3_did = False
         if l3 is not None and l3.next_event(now) <= now:
             l3.tick(now)
@@ -381,8 +377,8 @@ def run_batch(system, cycles: int) -> None:
                         bank_wake[index] = head if head > now else nxt
 
         # 7. Advance — jump over whole cycles while every core sleeps
-        # (the event kernel's global-quiescence skip, reusing the wake
-        # array instead of rescanning every component).
+        # (global quiescence), reusing the wake list instead of
+        # rescanning every bank.
         if awake:
             now += 1
             continue

@@ -32,7 +32,7 @@ from repro.cpu.core_model import CoreModel
 from repro.cpu.isa import TraceItem
 from repro.interconnect.crossbar import Crossbar
 from repro.memory.controller import MemoryController
-from repro.system.kernel import KERNELS
+from repro.system.kernel import DEFAULT_KERNEL, KERNELS
 from repro.telemetry import RequestLogSink, TelemetryBus
 from repro.telemetry.events import CAT_REQUEST, PH_END, TraceEvent
 
@@ -49,7 +49,7 @@ class CMPSystem:
         vpc_selection: str = "finish",
         record_requests: bool = False,
         smt_degree: int = 1,
-        kernel: str = "event",
+        kernel: str = DEFAULT_KERNEL,
         telemetry: Optional[TelemetryBus] = None,
     ) -> None:
         config.validate()
@@ -70,10 +70,6 @@ class CMPSystem:
         self.skipped_cycles = 0
         self.skip_attempts = 0
         self.skips_taken = 0
-        # Event-kernel profitability adapter state (see kernel.run_event):
-        # epochs left to sleep scanning, and the next sleep length.
-        self._skip_sleep = 0
-        self._skip_penalty = 1
         self.intra_thread_row = intra_thread_row
         self.vpc_selection = vpc_selection
         self.record_requests = record_requests
@@ -434,24 +430,6 @@ class CMPSystem:
 
     def run(self, cycles: int) -> None:
         KERNELS[self.kernel](self, cycles)
-
-    def busy(self) -> bool:
-        """True while any request is in flight anywhere in the machine."""
-        if self.crossbar.busy() or self.l2.busy() or self.memory.busy():
-            return True
-        return self.l3 is not None and self.l3.busy()
-
-    def next_component_event(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which any non-core component
-        could act (``NEVER`` when the machine is fully drained)."""
-        nxt = min(
-            self.crossbar.next_event(now),
-            self.l2.next_event(now),
-            self.memory.next_event(now),
-        )
-        if self.l3 is not None:
-            nxt = min(nxt, self.l3.next_event(now))
-        return nxt
 
     # ------------------------------------------------------------------ #
     # Reporting helpers (interval-aware reporting lives in simulator.py).

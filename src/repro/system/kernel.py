@@ -1,40 +1,15 @@
-"""Simulation kernels: the cycle-by-cycle stepper and a skip-ahead
-discrete-event kernel (the batched SoA kernel lives in
-:mod:`repro.system.batch_kernel`).
+"""Simulation kernels: the cycle-by-cycle stepper (the oracle) and the
+batched kernel (:mod:`repro.system.batch_kernel`, the default).
 
-Every kernel advances a :class:`~repro.system.cmp.CMPSystem` and must
-produce **bit-identical** results — every counter, IPC, and utilization
+Both advance a :class:`~repro.system.cmp.CMPSystem` and must produce
+**bit-identical** results — every counter, IPC, and utilization
 (guarded by ``tests/test_kernel_equivalence.py``).  The cycle kernel is
 the reference: it calls ``system.step()`` once per processor cycle.
-
-The event kernel exploits two provable no-op patterns:
-
-* **Global quiescence** — when every core reports
-  :meth:`~repro.cpu.core_model.CoreModel.quiescent` (its next tick
-  cannot dispatch or change state except per-cycle counters), the only
-  thing that can wake the machine is a component event: a crossbar
-  delivery, a bank event/resource free-up, an L3 event, or a DRAM issue.
-  ``next_event(now)`` on each component lower-bounds that cycle, so the
-  kernel jumps straight to the earliest one and settles the cores'
-  per-cycle accounting in bulk via ``fast_forward``.
-* **Idle components** — a bank or L3 whose ``next_event(now)`` is in
-  the future would tick without touching any state (its arbiters are
-  empty or its resources busy, its queues empty, no event due), so the
-  per-cycle stepper inside the event kernel skips those ticks.
-
-Exactness relies on component invariants documented at each
-``next_event`` implementation: no arbiter ``select`` call is elided
-(selects only happen when a resource meter is free), no per-cycle side
-effect goes unaccounted (the cores' L1 retry probes are replayed by
-``fast_forward``), and all event queues are only populated with cycles
->= the push time.
 """
 
 from __future__ import annotations
 
-from repro.common.latch import NEVER
 from repro.system.batch_kernel import run_batch
-from repro.telemetry.events import CAT_KERNEL, PH_INSTANT, TraceEvent
 
 
 def run_cycle(system, cycles: int) -> None:
@@ -43,190 +18,8 @@ def run_cycle(system, cycles: int) -> None:
         system.step()
 
 
-def _step_lean(system, now: int, bank_next=None) -> None:
-    """One cycle in ``system.step()``'s exact order, skipping the tick of
-    any bank/L3 whose ``next_event`` proves it a no-op this cycle.
+KERNELS = {"cycle": run_cycle, "batch": run_batch}
 
-    ``bank_next`` optionally carries per-bank ``next_event`` values the
-    caller already computed this cycle, so they are not recomputed.  The
-    core ticks in between cannot invalidate them: cores only feed banks
-    through the crossbar's request delay line, never same-cycle.
-
-    Must mirror :meth:`~repro.system.cmp.CMPSystem.step`; the
-    cross-kernel equivalence test guards the pairing.
-    """
-    crossbar = system.crossbar
-    for tid in range(system.config.n_threads):
-        core = system._core_of_thread[tid]
-        for response in crossbar.deliver_responses(tid, now):
-            core.on_response(response, now)
-    for core in system.cores:
-        core.tick(now)
-    delivered = False
-    for core_id in range(system.config.n_threads):
-        for request in crossbar.deliver_requests(core_id, now):
-            system.l2.accept(request, now)
-            delivered = True
-    if delivered or bank_next is None:
-        for bank in system.banks:
-            bank.tick(now)
-    else:
-        for bank, nxt in zip(system.banks, bank_next):
-            if nxt <= now:
-                bank.tick(now)
-    l3 = system.l3
-    if l3 is not None and l3.next_event(now) <= now:
-        l3.tick(now)
-    system.memory.tick(now)  # already guards per-channel on `pending`
-    system.cycle = now + 1
-
-
-# Skip-profitability review interval (simulated cycles) and the cap on
-# how many consecutive epochs scanning may be put to sleep.
-_EPOCH = 4096
-_MAX_PENALTY = 16
-
-
-def _run_scanning(system, end: int) -> int:
-    """The skip-ahead inner loop, bounded by ``end``.  Returns the number
-    of *failed* component scans (the adapter's cost proxy).
-
-    A skip attempt is a core quiescence check followed by a component
-    ``next_event`` scan.  Attempts that will fail must be cheap — active
-    phases fail one every cycle — so both scans *fail fast*: each keeps a
-    "hot" pointer to the core/bank that vetoed the last attempt and
-    probes it first (active cores and busy banks are sticky, so the next
-    veto is almost always the same one), and the component scan aborts
-    the moment any ``next_event`` is ``<= now`` instead of computing the
-    full minimum.  A fully drained machine needs no special case: every
-    component then reports ``NEVER``, so the minimum clamps to ``end``
-    and the rest of the interval is one skip.
-    """
-    cores = system.cores
-    banks = system.banks
-    crossbar = system.crossbar
-    memory = system.memory
-    l3 = system.l3
-    trace = system.telemetry
-    n_cores = len(cores)
-    n_banks = len(banks)
-    hot_core = 0  # the core that most recently vetoed an attempt
-    hot_bank = 0  # the bank that most recently vetoed an attempt
-    fails = 0
-    attempts = 0  # component scans reached (all cores quiescent)
-    taken = 0     # scans that actually fast-forwarded
-    while system.cycle < end:
-        now = system.cycle
-        quiet = True
-        for i in range(n_cores):
-            idx = hot_core + i
-            if idx >= n_cores:
-                idx -= n_cores
-            if not cores[idx].quiescent():
-                hot_core = idx
-                quiet = False
-                break
-        if not quiet:
-            _step_lean(system, now)
-            continue
-        # Every core is provably stalled until a component acts; jump to
-        # the earliest component event.  Scan order is cheapest-first and
-        # most-likely-veto-first so failed scans stay near-free.
-        attempts += 1
-        target = end
-        scan_ok = True
-        for i in range(n_banks):
-            idx = hot_bank + i
-            if idx >= n_banks:
-                idx -= n_banks
-            nxt = banks[idx].next_event(now)
-            if nxt <= now:
-                hot_bank = idx
-                scan_ok = False
-                break
-            if nxt < target:
-                target = nxt
-        if scan_ok:
-            nxt = crossbar.next_event(now)
-            if nxt <= now:
-                scan_ok = False
-            else:
-                if nxt < target:
-                    target = nxt
-                nxt = memory.next_event(now)
-                if nxt <= now:
-                    scan_ok = False
-                elif nxt < target:
-                    target = nxt
-                if scan_ok and l3 is not None:
-                    nxt = l3.next_event(now)
-                    if nxt <= now:
-                        scan_ok = False
-                    elif nxt < target:
-                        target = nxt
-        if not scan_ok:
-            fails += 1
-            _step_lean(system, now)
-            continue
-        delta = target - now
-        for core in cores:
-            core.fast_forward(delta, now)
-        system.cycle = target
-        system.skipped_cycles += delta
-        taken += 1
-        if trace is not None:
-            trace.emit(TraceEvent(
-                ts=now, phase=PH_INSTANT, category=CAT_KERNEL,
-                name="skip", track="kernel", dur=delta,
-                args={"to": target,
-                      "skipped_total": system.skipped_cycles},
-            ))
-    system.skip_attempts += attempts
-    system.skips_taken += taken
-    return fails
-
-
-def run_event(system, cycles: int) -> None:
-    """Skip-ahead kernel: fast-forward over globally quiescent windows.
-
-    Skipping only pays when the cycles it removes are worth more than
-    the scans it performs.  Some workloads stall in long windows (DRAM
-    round trips) where skipping wins big; others stall in 1–3 cycle
-    resource bubbles where a scan costs about as much as the idle step
-    it saves.  The kernel reviews profitability every ``_EPOCH``
-    simulated cycles using an exact cycle-count proxy (cycles skipped
-    vs. failed scans — an idle step costs several times a failed scan,
-    so break-even is conservative) and puts scanning to sleep for a
-    geometrically growing number of epochs while it is not paying.
-    Stepping is always exact, so adaptation changes only *which* cycles
-    are skipped — never any simulated counter; the adaptive state lives
-    on the system so repeated ``run`` calls keep what was learned.
-    """
-    end = system.cycle + cycles
-    while system.cycle < end:
-        if system._skip_sleep > 0:
-            span_end = system.cycle + _EPOCH
-            if span_end > end:
-                span_end = end
-            while system.cycle < span_end:
-                _step_lean(system, system.cycle)
-            system._skip_sleep -= 1
-            continue
-        epoch_end = system.cycle + _EPOCH
-        full_epoch = epoch_end <= end
-        if not full_epoch:
-            epoch_end = end
-        skipped_before = system.skipped_cycles
-        fails = _run_scanning(system, epoch_end)
-        if full_epoch:
-            gained = system.skipped_cycles - skipped_before
-            if gained <= fails:
-                system._skip_sleep = system._skip_penalty
-                system._skip_penalty = min(
-                    system._skip_penalty * 2, _MAX_PENALTY
-                )
-            else:
-                system._skip_penalty = 1
-
-
-KERNELS = {"cycle": run_cycle, "event": run_event, "batch": run_batch}
+#: The kernel every system, point, and CLI runs under unless told
+#: otherwise.
+DEFAULT_KERNEL = "batch"

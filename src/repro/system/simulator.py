@@ -105,10 +105,10 @@ def run_simulation(
     ``metrics`` is an optional :class:`repro.telemetry.metrics
     .MetricsCollector`; when given, the measurement phase runs in
     window-sized chunks with a gauge sample pulled at every boundary.
-    Chunked ``run()`` calls are bit-identical to one call (the
-    skip-ahead kernel's exactness contract — adaptation changes which
-    cycles are *skipped*, never any simulated state), so sampling does
-    not perturb the result.
+    Chunked ``run()`` calls are bit-identical to one call (the batch
+    kernel's exactness contract — its wake state is rebuilt at every
+    ``run()`` entry and settled at exit), so sampling does not perturb
+    the result.
 
     ``on_window`` is an optional callback fired with the current cycle
     after each window boundary's gauge sample — the streaming hook the
@@ -122,7 +122,7 @@ def run_simulation(
     (``CMPSystem.attach_qos_controller``) likewise runs the measurement
     chunked, stopping at every controller epoch boundary to fire
     ``on_epoch`` — the control loop rides the same exactness contract,
-    so all three kernels agree bit for bit with a controller attached.
+    so both kernels agree bit for bit with a controller attached.
 
     ``checkpoint`` is an optional :class:`repro.resilience.snapshot
     .Checkpointer`; when given, the measurement also runs chunked (at

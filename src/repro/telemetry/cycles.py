@@ -12,13 +12,13 @@ will consume.
 
 Conservation contract (enforced by ``verify_stack`` and the property
 tests): for every thread, the bucket sums equal the measured cycles
-**bit-for-bit**, on all three kernels (cycle, event, batch).
+**bit-for-bit**, on both kernels (cycle and batch).
 
 Design — lazy spans, not per-cycle sampling
 -------------------------------------------
 A per-cycle "where is this thread stalled" sample would break the
-skipping kernels (a batch-kernel core sleeps while banks and DRAM keep
-running, so nobody is there to sample).  Instead each thread carries an
+batch kernel (its cores sleep while banks and DRAM keep running, so
+nobody is there to sample).  Instead each thread carries an
 always-open span ``[mark, now)`` presumed charged to its current
 bucket:
 
@@ -34,7 +34,7 @@ bucket:
   changes — at the exact cycle the component acts, whether or not the
   core is awake.
 
-Because every hook fires at the same ``(thread, cycle)`` in all three
+Because every hook fires at the same ``(thread, cycle)`` in both
 kernels (components tick at identical cycles; a quiescent core's
 reason is frozen until a response wakes it), the buckets are
 kernel-identical *by construction* — ``fast_forward`` needs no hook at

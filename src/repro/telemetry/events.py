@@ -28,7 +28,7 @@ PH_COUNTER = "C"    # a sampled counter value
 CAT_REQUEST = "request"      # memory-request lifecycles (per-thread tracks)
 CAT_RESOURCE = "resource"    # tag/data/bus occupancy (per-bank tracks)
 CAT_ARBITER = "arbiter"      # VPC arbiter enqueue/grant + virtual time
-CAT_KERNEL = "kernel"        # event-kernel skip decisions
+CAT_KERNEL = "kernel"        # batch-kernel skip decisions
 CAT_MSHR = "mshr"            # per-core MSHR occupancy
 CAT_SGB = "sgb"              # store-gather merges
 CAT_DRAM = "dram"            # DRAM data-bus occupancy

@@ -5,7 +5,7 @@ fixed-cycle-window time series — the layer between "I have a Perfetto
 trace" and "I can alert on a thread's slowdown":
 
 * **event-derived series** (no polling; windows are resolved lazily from
-  event timestamps, so the skip-ahead kernel needs no changes): per-
+  event timestamps, so the batch kernel needs no changes): per-
   resource granted service cycles by thread, per-resource busy/
   utilization, arbiter queue-depth high-water marks, MSHR occupancy,
   capacity-manager Condition-1/Condition-2 victimizations, loads retired

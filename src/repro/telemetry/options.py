@@ -3,7 +3,7 @@
 ``repro.cli`` (single runs) and ``repro.experiments.runner`` (paper
 experiments) grew the same observability surface one PR at a time, each
 copy-pasting the other's flags — by PR 7 the two copies had drifted:
-``--kernel`` defaulted differently (``None`` vs ``"event"``), and the
+``--kernel`` defaulted differently (``None`` vs a kernel name), and the
 ``--serve-linger``/``--stale-after`` help text disagreed about what it
 applied to.  This module is the single source of truth: one *parent*
 parser (argparse's composition mechanism — ``add_help=False``, passed
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 
+from repro.system.kernel import DEFAULT_KERNEL, KERNELS
+
 
 def telemetry_options() -> argparse.ArgumentParser:
     """The parent parser carrying every shared observability flag.
@@ -32,9 +34,9 @@ def telemetry_options() -> argparse.ArgumentParser:
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("observability")
-    group.add_argument("--kernel", default=None,
-                       choices=("cycle", "event", "batch"),
-                       help="simulation kernel (default: event; all three "
+    group.add_argument("--kernel", default=None, choices=tuple(KERNELS),
+                       help=f"simulation kernel (default: {DEFAULT_KERNEL}; "
+                            "cycle is the cycle-by-cycle reference; both "
                             "produce bit-identical results, wall time "
                             "only — see tests/test_kernel_equivalence.py)")
     group.add_argument("--profile", default=None, metavar="PATH",

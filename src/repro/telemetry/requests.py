@@ -7,7 +7,7 @@ demand load's end-to-end latency is decomposed into per-stage segments
 queues, L2 service, DRAM queueing and DRAM service — the same taxonomy
 names as the PR 7 CPI-stack buckets), with the conservation contract
 that the segments of every traced request sum **exactly** to its
-issue→critical-word latency, on all three kernels.
+issue→critical-word latency, on both kernels.
 
 Three consumers ride on the per-request journeys:
 
@@ -26,8 +26,8 @@ Three consumers ride on the per-request journeys:
 Hook discipline is the telemetry layer's usual contract: components
 hold a ``_rtrace`` attribute that defaults to ``None``; every hook site
 is one ``is not None`` test, so disabled tracing is free.  Hooks fire
-at component action sites shared verbatim by the cycle, event, and
-batch kernels, so journeys are kernel-identical by construction.
+at component action sites shared verbatim by the cycle and batch
+kernels, so journeys are kernel-identical by construction.
 """
 
 from __future__ import annotations

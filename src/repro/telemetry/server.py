@@ -27,7 +27,7 @@ Cost discipline: the plane follows the telemetry layer's None-guard
 contract — nothing here is constructed unless ``--serve`` is given, and
 the producers' disabled path stays a single ``is not None`` test (see
 ``benchmarks/test_bench_engine.py::
-test_serve_disabled_overhead_under_two_percent``).
+test_disabled_overhead_under_two_percent[serve]``).
 
 The feed protocol is deliberately dumb so it crosses the
 ``multiprocessing`` boundary as plain tuples (see
@@ -92,7 +92,7 @@ class LiveRun:
         self.alert_engine = None
         self._alert_lock = threading.Lock()
         self.run_label = ""
-        self.run_kernel = ""      # simulation kernel ("cycle"/"event"/...)
+        self.run_kernel = ""      # simulation kernel ("cycle"/"batch")
         self.total = 0
         self.done = 0
         self.violations = 0

@@ -31,7 +31,7 @@ parent's monotonic clock — see server.py).  The producers follow the
 telemetry layer's None-guard contract: with no tracer configured the
 orchestration hot paths pay one ``is not None`` test (enforced by
 ``benchmarks/test_bench_engine.py::
-test_spans_alerts_disabled_overhead_under_two_percent``).
+test_disabled_overhead_under_two_percent[spans-alerts]``).
 """
 
 from __future__ import annotations

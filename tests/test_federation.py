@@ -72,13 +72,13 @@ def _finished_live(label: str, points) -> LiveRun:
     """A LiveRun that ran the given points and serves their aggregate."""
     live = LiveRun()
     parallel.configure(jobs=1, cache=False, metrics=WINDOW, live=live)
-    live.begin_run(label, kernel="event")
+    live.begin_run(label, kernel="batch")
     results = run_points(points)
     snapshots = [result.metrics for result in results]
     aggregate = merge_snapshots(snapshots)
     aggregate["attribution"] = merge_attribution(
         [snap.get("attribution") for snap in snapshots])
-    aggregate["kernel"] = "event"
+    aggregate["kernel"] = "batch"
     live.finish_run(aggregate)
     return live
 
@@ -115,7 +115,7 @@ def test_merge_fleet_flattens_in_worker_order():
     assert fleet["points"] == 2
     assert fleet["per_point"] == expected["per_point"]
     assert fleet["totals"] == expected["totals"]
-    assert fleet["kernel"] == "event"  # unanimous fleet
+    assert fleet["kernel"] == "batch"  # unanimous fleet
     assert validate_metrics_json(fleet) == []
 
 

@@ -1,21 +1,21 @@
-"""Cross-kernel equivalence: every kernel must reproduce the
+"""Cross-kernel equivalence: the batch kernel must reproduce the
 cycle-by-cycle stepper bit for bit.
 
-Three kernels share one state-transition model (``repro.system.kernel``,
+Both kernels share one state-transition model (``repro.system.kernel``,
 ``repro.system.batch_kernel``): ``cycle`` steps every component every
-cycle and is the oracle; ``event`` skips globally-quiescent stretches;
-``batch`` activates components selectively and jumps between wake
-cycles.  Every field of
+cycle and is the oracle; ``batch`` activates components selectively and
+jumps between wake cycles.  Every field of
 :class:`~repro.system.simulator.SimulationResult` — IPCs, instruction
 counts, utilizations, all L2 counters, and (when collected) the full
 metrics snapshot — is compared with exact equality, no tolerances: the
-skipping kernels only elide cycles they can prove are no-ops, so any
+batch kernel only elides cycles it can prove are no-ops, so any
 divergence is a bug.
 
 The matrix also covers the surfaces that historically break exactness
 claims: telemetry attachment (replacement-policy clocks read
 ``system.cycle`` mid-cycle), metrics windows (chunked ``run()`` calls),
-checkpoint/resume mid-measurement, and the lockstep lane driver.
+and checkpoint/resume mid-measurement, including checkpoints written
+under the retired ``event`` kernel.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
 from repro.workloads.microbench import loads_trace, stores_trace
 from repro.workloads.profiles import HETEROGENEOUS_MIXES, spec_trace
-
-SKIPPING_KERNELS = ("event", "batch")
 
 
 def _run(config, trace_factories, kernel, warmup, measure, metrics=False,
@@ -52,36 +50,33 @@ def _run(config, trace_factories, kernel, warmup, measure, metrics=False,
 
 def _assert_equivalent(config, trace_factories, warmup=6_000, measure=4_000,
                        metrics=False, **kwargs):
-    """Run cycle as the oracle, then each skipping kernel; bit-compare."""
+    """Run cycle as the oracle, then batch; bit-compare.  Returns the
+    batch-kernel system."""
     ref_system, reference = _run(config, trace_factories, "cycle", warmup,
                                  measure, metrics=metrics, **kwargs)
     # The cycle kernel never scans for skips.
     assert ref_system.skip_attempts == 0
     assert ref_system.skips_taken == 0
     assert ref_system.skipped_cycles == 0
-    systems = {}
-    for kernel in SKIPPING_KERNELS:
-        system, result = _run(config, trace_factories, kernel, warmup,
-                              measure, metrics=metrics, **kwargs)
-        assert asdict(result) == asdict(reference), kernel
-        # Skip accounting must be internally consistent: no more takes
-        # than attempts, and every taken skip removed at least one cycle.
-        assert system.skip_attempts >= system.skips_taken, kernel
-        assert system.skipped_cycles >= system.skips_taken, kernel
-        if system.skipped_cycles:
-            assert system.skips_taken > 0, kernel
-        systems[kernel] = system
-    return systems
+    system, result = _run(config, trace_factories, "batch", warmup,
+                          measure, metrics=metrics, **kwargs)
+    assert asdict(result) == asdict(reference)
+    # Skip accounting must be internally consistent: no more takes than
+    # attempts, and every taken skip removed at least one cycle.
+    assert system.skip_attempts >= system.skips_taken
+    assert system.skipped_cycles >= system.skips_taken
+    if system.skipped_cycles:
+        assert system.skips_taken > 0
+    return system
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("arbiter", ["vpc", "fcfs", "row-fcfs"])
     def test_two_thread_loads_stores(self, arbiter):
         config = baseline_config(n_threads=2, arbiter=arbiter)
-        systems = _assert_equivalent(config, [loads_trace, stores_trace])
-        # The matrix is vacuous unless the skipping kernels skipped.
-        for kernel, system in systems.items():
-            assert system.skipped_cycles > 0, kernel
+        system = _assert_equivalent(config, [loads_trace, stores_trace])
+        # The matrix is vacuous unless the batch kernel skipped.
+        assert system.skipped_cycles > 0
 
     def test_lru_capacity_policy(self):
         config = baseline_config(n_threads=2, arbiter="fcfs")
@@ -94,10 +89,9 @@ class TestKernelEquivalence:
             (lambda tid, name=name: spec_trace(name, tid)) for name in names
         ]
         config = baseline_config(n_threads=4, arbiter="vpc")
-        systems = _assert_equivalent(config, factories,
-                                     warmup=5_000, measure=3_000)
-        for kernel, system in systems.items():
-            assert system.skipped_cycles > 0, kernel
+        system = _assert_equivalent(config, factories,
+                                    warmup=5_000, measure=3_000)
+        assert system.skipped_cycles > 0
 
     def test_smt_core_pair(self):
         config = baseline_config(n_threads=2, arbiter="vpc")
@@ -111,10 +105,9 @@ class TestKernelEquivalence:
             return itertools.islice(loads_trace(tid), 200)
 
         config = baseline_config(n_threads=2, arbiter="vpc")
-        systems = _assert_equivalent(config, [short, short],
-                                     warmup=1_000, measure=2_000)
-        for kernel, system in systems.items():
-            assert system.skipped_cycles > 1_000, kernel
+        system = _assert_equivalent(config, [short, short],
+                                    warmup=1_000, measure=2_000)
+        assert system.skipped_cycles > 1_000
 
     def test_with_telemetry_and_metrics_windows(self):
         # Telemetry wires the replacement-policy clock to system.cycle
@@ -125,21 +118,26 @@ class TestKernelEquivalence:
         _, reference = _run(config, [loads_trace, stores_trace], "cycle",
                             6_000, 4_000, metrics=True)
         ref_json = json.dumps(reference.metrics, indent=2, sort_keys=True)
-        for kernel in SKIPPING_KERNELS:
-            _, result = _run(config, [loads_trace, stores_trace], kernel,
-                             6_000, 4_000, metrics=True)
-            assert asdict(result) == asdict(reference), kernel
-            assert json.dumps(result.metrics, indent=2,
-                              sort_keys=True) == ref_json, kernel
+        _, result = _run(config, [loads_trace, stores_trace], "batch",
+                         6_000, 4_000, metrics=True)
+        assert asdict(result) == asdict(reference)
+        assert json.dumps(result.metrics, indent=2,
+                          sort_keys=True) == ref_json
 
-    @pytest.mark.parametrize("kernel", SKIPPING_KERNELS)
+    @pytest.mark.parametrize("kernel", ["batch", "event"])
     def test_checkpoint_roundtrip_mid_run(self, tmp_path, kernel):
         # A run checkpointed mid-measurement and resumed "in another
         # process" must land on the uninterrupted cycle-kernel result.
+        # "event" is a legacy checkpoint: one written while the retired
+        # event kernel was the default, carrying its name and adapter
+        # state, which must resume on the batch kernel.
         from repro.resilience import (
             Checkpointer,
             ResumableTrace,
+            ResumedRun,
+            load_checkpoint,
             resume_simulation,
+            write_checkpoint,
         )
         config = baseline_config(n_threads=2, arbiter="vpc")
         specs = (("loads",), ("stores",))
@@ -152,61 +150,39 @@ class TestKernelEquivalence:
         system = CMPSystem(
             config,
             [ResumableTrace(spec, tid) for tid, spec in enumerate(specs)],
-            kernel=kernel,
+            kernel="batch",
         )
         checkpointer = Checkpointer(ckpt, every=1_000, point_key=kernel)
         chunked = run_simulation(system, warmup=6_000, measure=4_000,
                                  checkpoint=checkpointer)
         assert asdict(chunked) == asdict(reference)
         assert checkpointer.saved >= 2
+        if kernel == "event":
+            payload = load_checkpoint(ckpt)
+            legacy = payload["system"]
+            legacy.kernel = "event"
+            legacy._skip_sleep = 2
+            legacy._skip_penalty = 4
+            write_checkpoint(ckpt, legacy, payload["state"], point_key=kernel)
         resumed = resume_simulation(ckpt)
         assert asdict(resumed) == asdict(reference)
+        revived = ResumedRun(load_checkpoint(ckpt)).system
+        assert revived.kernel == "batch"
+        assert not hasattr(revived, "_skip_sleep")
 
     def test_skip_counters_account_for_fast_forwards(self):
         config = baseline_config(n_threads=2, arbiter="vpc")
-        for kernel in SKIPPING_KERNELS:
-            system, _ = _run(config, [loads_trace, stores_trace], kernel,
-                             warmup=6_000, measure=4_000)
-            # loads+stores stalls on DRAM round trips, so the kernel must
-            # both attempt and take skips here, and the cycles it removed
-            # must be attributable to those takes.
-            assert system.skip_attempts >= system.skips_taken > 0, kernel
-            assert system.skipped_cycles >= system.skips_taken, kernel
+        system, _ = _run(config, [loads_trace, stores_trace], "batch",
+                         warmup=6_000, measure=4_000)
+        # loads+stores stalls on DRAM round trips, so the kernel must both
+        # attempt and take skips here, and the cycles it removed must be
+        # attributable to those takes.
+        assert system.skip_attempts >= system.skips_taken > 0
+        assert system.skipped_cycles >= system.skips_taken
 
     def test_unknown_kernel_rejected(self):
         config = baseline_config(n_threads=1, arbiter="row-fcfs")
-        with pytest.raises(ValueError):
-            CMPSystem(config, [loads_trace(0)], kernel="warp")
-
-
-class TestLockstepLanes:
-    def test_lane_driver_matches_serial_run_point(self):
-        """K points interleaved in one process are bit-identical to the
-        same points run serially (and under a different kernel)."""
-        from repro.experiments import parallel
-        from repro.experiments.parallel import SimPoint
-
-        points = [
-            SimPoint(
-                config=baseline_config(n_threads=2, arbiter=arbiter),
-                traces=(("loads",), ("stores",)),
-                warmup=2_000,
-                measure=2_000,
-            )
-            for arbiter in ("vpc", "fcfs", "row-fcfs", "vpc")
-        ]
-        serial = [parallel.run_point(p, kernel="event") for p in points]
-        try:
-            parallel.configure(lanes=3, kernel="batch")
-            laned = parallel.run_points(points)
-        finally:
-            parallel.configure(lanes=1, kernel="event", jobs=1, cache=True)
-        assert [asdict(r) for r in laned] == [asdict(r) for r in serial]
-
-    def test_lanes_reject_conflicting_modes(self):
-        from repro.experiments import parallel
-        try:
+        # "event" named the retired skip-ahead kernel.
+        for kernel in ("warp", "event"):
             with pytest.raises(ValueError):
-                parallel.configure(lanes=2, jobs=4)
-        finally:
-            parallel.configure(lanes=1, jobs=1, cache=True)
+                CMPSystem(config, [loads_trace(0)], kernel=kernel)

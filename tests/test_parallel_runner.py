@@ -149,7 +149,7 @@ def test_run_experiment_attaches_manifest(monkeypatch):
     result = runner.run_experiment("dummy", fast=True)
     manifest = result.manifest
     assert manifest is not None
-    assert manifest.kernel == "event"
+    assert manifest.kernel == "batch"
     assert manifest.cache == {"hits": 0, "misses": 1}
     assert manifest.git_sha
     assert manifest.wall_time_s >= 0

@@ -39,8 +39,6 @@ from repro.workloads.profiles import (
     spec_trace,
 )
 
-KERNELS = ("cycle", "event", "batch")
-
 
 def _signals(ipcs, loads, latency, cycles=5_000, cycle=5_000, ways=None):
     n = len(ipcs)
@@ -316,8 +314,7 @@ class TestKernelBitIdentityWithController:
 
         reference = run("cycle")
         assert reference.qos["epochs"] == 4
-        for kernel in ("event", "batch"):
-            assert asdict(run(kernel)) == asdict(reference), kernel
+        assert asdict(run("batch")) == asdict(reference)
 
 
 class TestTelemetry:
@@ -444,7 +441,7 @@ class TestPolicyRemap:
             assert solo.controller is None
             assert solo.config.arbiter == "vpc"
         finally:
-            parallel.configure(jobs=1, cache=True, lanes=1)
+            parallel.configure(jobs=1, cache=True)
 
     def test_configure_validation(self):
         from repro.experiments import parallel
@@ -457,23 +454,8 @@ class TestPolicyRemap:
                 parallel.configure(policy="fcfs", controller="lfoc")
             with pytest.raises(ValueError):
                 parallel.configure(controller="lfoc", epoch=0)
-            with pytest.raises(ValueError):
-                parallel.configure(lanes=2, controller="lfoc")
         finally:
-            parallel.configure(jobs=1, cache=True, lanes=1)
-
-    def test_lockstep_lanes_reject_controller_points(self):
-        from repro.experiments import parallel
-        point = self._point()
-        point = point.__class__(**{**asdict(point), "controller": "lfoc",
-                                   "config": point.config,
-                                   "traces": point.traces})
-        try:
-            parallel.configure(lanes=2)
-            with pytest.raises(ValueError):
-                parallel.run_points([point, self._point()])
-        finally:
-            parallel.configure(jobs=1, cache=True, lanes=1)
+            parallel.configure(jobs=1, cache=True)
 
 
 class TestAcceptance:

@@ -4,7 +4,7 @@ identity, and the tail-latency surfaces.
 The contract under test (docs/ARCHITECTURE.md "Request tracing"):
 every completed demand load's end-to-end latency decomposes into
 per-stage segments that sum *exactly* to its issue-to-critical-word
-latency — on all three kernels, which must produce byte-identical
+latency — on both kernels, which must produce byte-identical
 documents because the hooks fire at identical (thread, cycle) points.
 On top of the invariant sit the surfaces: exact streaming quantiles
 that match the list-based ``analysis.latency`` convention, the bounded
@@ -45,7 +45,7 @@ from repro.telemetry.requests import (
 )
 from repro.workloads.profiles import spec_trace
 
-KERNELS = ("cycle", "event", "batch")
+KERNELS = ("cycle", "batch")
 WORKLOADS = ("art", "mcf", "mesa", "equake", "swim", "ammp", "crafty")
 
 # Positional indices of the L2-arbiter-queue segments in SEGMENTS.
@@ -71,9 +71,9 @@ def _traced_run(names, arbiter, kernel, exemplar_k=8, slo_rules=(),
     arbiter=st.sampled_from(["fcfs", "vpc"]),
 )
 def test_conservation_and_kernel_identity(names, arbiter):
-    """Random mixes x {fcfs, vpc} x all three kernels: every exemplar's
+    """Random mixes x {fcfs, vpc} x both kernels: every exemplar's
     segments sum exactly to its latency, the document re-validates, and
-    the skipping kernels reproduce the cycle kernel's quantiles and
+    the batch kernel reproduces the cycle kernel's quantiles and
     exemplars byte for byte."""
     docs = {}
     for kernel in KERNELS:
@@ -85,7 +85,6 @@ def test_conservation_and_kernel_identity(names, arbiter):
             for exemplar in row["exemplars"]:
                 assert sum(exemplar["segments"]) == exemplar["latency"]
         docs[kernel] = json.dumps(doc, sort_keys=True)
-    assert docs["event"] == docs["cycle"]
     assert docs["batch"] == docs["cycle"]
 
 
@@ -96,7 +95,7 @@ def test_every_load_conserves_and_matches_the_request_log():
     a sub-multiset of what the tracer saw (retirement follows the
     critical word, so the tracer can only know *more* loads)."""
     system, result = _traced_run(
-        ["art", "mcf"], "vpc", "event", exemplar_k=50_000,
+        ["art", "mcf"], "vpc", "batch", exemplar_k=50_000,
         warmup=0, measure=2_000, record_requests=True,
     )
     doc = result.requests
@@ -121,7 +120,7 @@ def test_streaming_quantiles_match_list_convention():
     """The tracer's exact streaming quantiles must agree with the
     sorted-list convention ``analysis.latency.LatencySummary`` uses —
     checked against the full population (reservoir covers every load)."""
-    _, result = _traced_run(["art", "mcf", "swim"], "fcfs", "event",
+    _, result = _traced_run(["art", "mcf", "swim"], "fcfs", "batch",
                             exemplar_k=50_000, warmup=0, measure=2_000)
     for row in result.requests["threads"]:
         if not row["loads"]:
@@ -204,7 +203,7 @@ def test_load_slo_shorthand_and_files(tmp_path):
 def test_slo_attainment_burn_and_rendering():
     rules = (SLORule("tight", 1, target=0.99),
              SLORule("loose", 10_000_000, target=0.5))
-    _, result = _traced_run(["art", "mcf"], "vpc", "event",
+    _, result = _traced_run(["art", "mcf"], "vpc", "batch",
                             slo_rules=rules)
     doc = result.requests
     assert verify_requests(doc) == []
@@ -223,7 +222,7 @@ def test_slo_attainment_burn_and_rendering():
 def test_slo_burn_alert_signal_fires():
     from repro.telemetry.alerts import AlertEngine, AlertRule
     rules = (SLORule("tight", 1, target=0.99),)
-    _, result = _traced_run(["art", "mcf"], "fcfs", "event",
+    _, result = _traced_run(["art", "mcf"], "fcfs", "batch",
                             slo_rules=rules)
     engine = AlertEngine([AlertRule(name="burning", signal="slo_burn",
                                     threshold=1.0, op=">=")])
@@ -236,7 +235,7 @@ def test_slo_burn_alert_signal_fires():
 
 def test_validate_cli_accepts_docs_and_rejects_broken_segments(tmp_path):
     from repro.telemetry.validate import main as validate_main
-    _, result = _traced_run(["art", "mcf"], "vpc", "event")
+    _, result = _traced_run(["art", "mcf"], "vpc", "batch")
     doc = result.requests
     path = tmp_path / "run.requests.json"
     write_requests(str(path), doc)

@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import baseline_config
@@ -223,6 +223,8 @@ class TestSnapshotRoundTripProperties:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # Drew the same offset twice, which once left the file unchanged.
+    @example(seed=66875)
     def test_chaos_corruption_always_detected(self, seed):
         import random
         system = _TinySystem(cycle=5)

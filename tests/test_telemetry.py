@@ -52,7 +52,7 @@ def _event(**overrides) -> TraceEvent:
     return TraceEvent(**params)
 
 
-def _traced_system(record_requests=False, kernel="event"):
+def _traced_system(record_requests=False, kernel="batch"):
     config = baseline_config(n_threads=2, arbiter="vpc")
     traces = [loads_trace(0), stores_trace(1)]
     bus = TelemetryBus()
@@ -175,8 +175,8 @@ class TestRequestLifecycles:
         cats = {r.get("cat") for r in records}
         assert CAT_RESOURCE in cats and CAT_ARBITER in cats
 
-    def test_kernel_skip_markers_present_under_event_kernel(self):
-        system, ring = _traced_system(kernel="event")
+    def test_kernel_skip_markers_present_under_batch_kernel(self):
+        system, ring = _traced_system(kernel="batch")
         system.run(8_000)
         skips = [e for e in ring if e.category == CAT_KERNEL]
         assert system.skips_taken > 0
@@ -294,7 +294,7 @@ class TestManifest:
     def test_collect_fills_provenance(self):
         config = baseline_config(n_threads=2)
         manifest = RunManifest.collect(
-            config=config, kernel="event", seeds=[1, 2],
+            config=config, kernel="batch", seeds=[1, 2],
             cache={"hits": 3, "misses": 1}, wall_time_s=0.5, note="x")
         assert manifest.config_hash == config_hash(config)
         assert len(manifest.config_hash) == 16
@@ -363,7 +363,7 @@ class TestCLI:
         payload = json.loads(trace.read_text())
         assert validate_chrome_trace(payload) == []
         doc = json.loads(manifest.read_text())
-        assert doc["kernel"] == "event"
+        assert doc["kernel"] == "batch"
         assert doc["config_hash"]
         assert doc["extra"]["workloads"] == ["loads", "stores"]
 
