@@ -119,36 +119,19 @@ def _force_untraced(system):
     return system
 
 
-def _force_unaccounted(system):
-    """Strip every cycle-accounting hook, mirroring
-    ``attach_cycle_accounting``."""
+def _force_unprobed(system):
+    """Strip every lifecycle-probe hook (CPI stacks and request
+    tracing), mirroring ``CMPSystem._attach_view``."""
     system.cycle_accounting = None
-    for arbiters in system._vpc_arbiters.values():
-        for arbiter in arbiters:
-            arbiter._acct = None
-    for bank in system.banks:
-        bank._acct = None
-    for core in system.cores:
-        core._acct = None
-        core.mshrs._acct = None
-    for channel in system.memory.channels:
-        channel._acct = None
-    return system
-
-
-def _force_untraced_requests(system):
-    """Strip every request-tracing hook, mirroring
-    ``attach_request_tracing``."""
     system.request_tracer = None
-    for arbiters in system._vpc_arbiters.values():
-        for arbiter in arbiters:
-            arbiter._rtrace = None
+    system._probe = None
     for bank in system.banks:
-        bank._rtrace = None
+        bank._probe = None
     for core in system.cores:
-        core._rtrace = None
+        core._probe = None
+        core.mshrs._probe = None
     for channel in system.memory.channels:
-        channel._rtrace = None
+        channel._probe = None
     return system
 
 
@@ -210,8 +193,7 @@ def _spans_alerts_disabled_step(system, cycles, span_ctx=None, engine=None):
 #: compare their disabled control flow against a bare ``run()``.
 DISABLED_PATHS = {
     "trace": (_force_untraced, _bare_step),
-    "accounting": (_force_unaccounted, _bare_step),
-    "requests": (_force_untraced_requests, _bare_step),
+    "probe": (_force_unprobed, _bare_step),
     "serve": (_as_is, _serve_disabled_step),
     "resilience": (_as_is, _resilience_disabled_step),
     "controller": (_as_is, _controller_disabled_step),

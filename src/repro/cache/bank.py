@@ -198,10 +198,10 @@ class CacheBank:
         self.counters = Counters()
         # Telemetry (repro.telemetry): None = disabled = free.
         self._trace = None
-        # Cycle accounting (repro.telemetry.cycles): same contract.
-        self._acct = None
-        # Request-scope tracer (repro.telemetry.requests): same contract.
-        self._rtrace = None
+        # Lifecycle probe (repro.telemetry.probe): same contract.  The
+        # bank holds the state machines, so it reports their arbiter
+        # queue entries and grants.
+        self._probe = None
 
     # ------------------------------------------------------------------ #
     # Input side (called by the L2 when the crossbar delivers a request).
@@ -221,10 +221,8 @@ class CacheBank:
         if request.access is AccessType.WRITE:
             self._pending_stores[request.thread_id].append(request)
         else:
-            if self._acct is not None:
-                self._acct.bank_accepted(request.thread_id, now)
-            if self._rtrace is not None:
-                self._rtrace.bank_accepted(request, now)
+            if self._probe is not None:
+                self._probe.accepted(request, now)
             self._load_q[request.thread_id].append(request)
 
     # ------------------------------------------------------------------ #
@@ -428,6 +426,8 @@ class CacheBank:
             service_quanta=quanta,
         )
         resource.arbiter.enqueue(entry, now)
+        if self._probe is not None:
+            self._probe.queued(resource.name, sm, now)
 
     def _grant(self, resource: _Resource, now: int) -> None:
         entry = resource.grant(now)
@@ -442,6 +442,8 @@ class CacheBank:
         arbiter non-empty before selecting — can skip ``grant``'s
         re-checks while sharing this logic verbatim."""
         sm: StateMachine = entry.payload
+        if self._probe is not None:
+            self._probe.granted(resource.name, sm, now)
         duration = resource.base_latency * entry.service_quanta
         if resource is self.tag:
             if sm.state == SMState.TAG_WAIT:
@@ -502,10 +504,8 @@ class CacheBank:
         elif kind == _MISSTAG_DONE:
             sm.state = SMState.MEM_WAIT
             self._mem_wait.append(sm)
-            if self._acct is not None and sm.request.is_read:
-                self._acct.mem_queued(sm.thread_id, now)
-            if self._rtrace is not None and sm.request.is_read:
-                self._rtrace.mem_queued(sm.request, now)
+            if self._probe is not None and sm.request.is_read:
+                self._probe.mem_queued(sm.request, now)
         else:
             raise RuntimeError(f"unknown bank event kind {kind}")
 
@@ -526,10 +526,8 @@ class CacheBank:
         else:
             sm.state = SMState.MEM_WAIT
             self._mem_wait.append(sm)
-            if self._acct is not None and sm.request.is_read:
-                self._acct.mem_queued(sm.thread_id, now)
-            if self._rtrace is not None and sm.request.is_read:
-                self._rtrace.mem_queued(sm.request, now)
+            if self._probe is not None and sm.request.is_read:
+                self._probe.mem_queued(sm.request, now)
 
     def _data_done(self, sm: StateMachine, now: int) -> None:
         sm.request.data_done_cycle = now

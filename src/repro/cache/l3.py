@@ -111,9 +111,9 @@ class SharedL3:
         self, thread_id: int, line: int,
         notify: Callable[[int], None], now: int, tracked: bool = False,
     ) -> None:
-        # ``tracked`` (cycle accounting) is accepted for interface parity
-        # with the memory controller and ignored: with an L3 configured,
-        # all below-L2 time is accounted as dram_queue.
+        # ``tracked`` (the lifecycle probe) is accepted for interface
+        # parity with the memory controller and ignored: with an L3
+        # configured, all below-L2 time is one dram_queue stage.
         self._admit(_L3Access(thread_id, line, notify, False), now)
 
     def enqueue_write(self, thread_id: int, line: int, now: int) -> None:

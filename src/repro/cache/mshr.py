@@ -25,7 +25,7 @@ class MSHREntry:
 class MSHRFile:
     """Fixed-capacity MSHR file keyed by line address."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, thread_id: int = -1) -> None:
         if capacity < 1:
             raise ValueError("MSHR file needs at least one entry")
         self.capacity = capacity
@@ -35,10 +35,11 @@ class MSHRFile:
         # Telemetry (repro.telemetry): None = disabled = free.
         self._trace = None
         self.trace_name = "mshrs"
-        # Cycle accounting: the owning thread's census gains/loses an
-        # in-flight line at primary allocate/complete.
-        self._acct = None
-        self.acct_tid = -1
+        # Lifecycle probe (repro.telemetry.probe): the owning thread's
+        # reads enter the lifecycle at primary allocate and leave it at
+        # complete.
+        self._probe = None
+        self.thread_id = thread_id
 
     def _emit_occupancy(self, now: int, what: str, line: int) -> None:
         # Counter events carry numeric series only (Perfetto renders each
@@ -81,8 +82,8 @@ class MSHRFile:
         self.primary_misses += 1
         if self._trace is not None and now >= 0:
             self._emit_occupancy(now, "allocate", line)
-        if self._acct is not None and now >= 0:
-            self._acct.mshr_allocated(self.acct_tid, now)
+        if self._probe is not None and now >= 0:
+            self._probe.mshr_allocated(self.thread_id, now)
         return True
 
     def complete(self, line: int, now: int = -1) -> "MSHREntry":
@@ -93,8 +94,8 @@ class MSHRFile:
             raise KeyError(f"no MSHR outstanding for line {line:#x}")
         if self._trace is not None and now >= 0:
             self._emit_occupancy(now, "retire", line)
-        if self._acct is not None and now >= 0:
-            self._acct.mshr_completed(self.acct_tid, now)
+        if self._probe is not None and now >= 0:
+            self._probe.mshr_completed(self.thread_id, now)
         return entry
 
     @property

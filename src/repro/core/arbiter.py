@@ -68,7 +68,7 @@ class Arbiter(ABC):
     """
 
     __slots__ = ("n_threads", "service_latency", "grants", "_trace",
-                 "trace_name", "_acct", "acct_stage", "_rtrace")
+                 "trace_name")
 
     def __init__(self, n_threads: int, service_latency: int = 1) -> None:
         if n_threads < 1:
@@ -82,12 +82,6 @@ class Arbiter(ABC):
         self.grants = 0
         self._trace = None
         self.trace_name = "arbiter"
-        # Cycle-accounting sink + resource kind ("tag"/"data"/"bus");
-        # None when disabled, like _trace.
-        self._acct = None
-        self.acct_stage = ""
-        # Request-scope tracer (repro.telemetry.requests): same contract.
-        self._rtrace = None
 
     @abstractmethod
     def enqueue(self, entry: ArbiterEntry, now: int) -> None:
@@ -140,10 +134,6 @@ class FCFSArbiter(Arbiter):
         self._pending[entry.thread_id] += 1
         if self._trace is not None:
             self._emit_enqueue(entry, now, self._pending[entry.thread_id])
-        if self._acct is not None:
-            self._acct.arbiter_queued(self.acct_stage, entry, now)
-        if self._rtrace is not None:
-            self._rtrace.arbiter_queued(self.acct_stage, entry, now)
 
     def select(self, now: int) -> Optional[ArbiterEntry]:
         if not self._queue:
@@ -153,10 +143,6 @@ class FCFSArbiter(Arbiter):
         self._pending[entry.thread_id] -= 1
         if self._trace is not None:
             self._emit_grant(entry, now, self._pending[entry.thread_id])
-        if self._acct is not None:
-            self._acct.arbiter_granted(self.acct_stage, entry, now)
-        if self._rtrace is not None:
-            self._rtrace.arbiter_granted(self.acct_stage, entry, now)
         return entry
 
     def __len__(self) -> int:
@@ -192,10 +178,6 @@ class RoWFCFSArbiter(Arbiter):
         self._pending[entry.thread_id] += 1
         if self._trace is not None:
             self._emit_enqueue(entry, now, self._pending[entry.thread_id])
-        if self._acct is not None:
-            self._acct.arbiter_queued(self.acct_stage, entry, now)
-        if self._rtrace is not None:
-            self._rtrace.arbiter_queued(self.acct_stage, entry, now)
 
     def select(self, now: int) -> Optional[ArbiterEntry]:
         if self._reads:
@@ -208,10 +190,6 @@ class RoWFCFSArbiter(Arbiter):
         self._pending[entry.thread_id] -= 1
         if self._trace is not None:
             self._emit_grant(entry, now, self._pending[entry.thread_id])
-        if self._acct is not None:
-            self._acct.arbiter_granted(self.acct_stage, entry, now)
-        if self._rtrace is not None:
-            self._rtrace.arbiter_granted(self.acct_stage, entry, now)
         return entry
 
     def __len__(self) -> int:

@@ -158,10 +158,6 @@ class VPCArbiter(Arbiter):
                 args={"pending": len(self._buffers[tid]),
                       "vstart": self._r_s[tid]},
             ))
-        if self._acct is not None:
-            self._acct.arbiter_queued(self.acct_stage, entry, now)
-        if self._rtrace is not None:
-            self._rtrace.arbiter_queued(self.acct_stage, entry, now)
 
     def select(self, now: int) -> Optional[ArbiterEntry]:
         # Hot path: this runs on every grant of every shared resource.
@@ -232,10 +228,6 @@ class VPCArbiter(Arbiter):
                 args={"pending": len(self._buffers[best_tid]),
                       "vfinish": best_finish},
             ))
-        if self._acct is not None:
-            self._acct.arbiter_granted(self.acct_stage, best_entry, now)
-        if self._rtrace is not None:
-            self._rtrace.arbiter_granted(self.acct_stage, best_entry, now)
         return best_entry
 
     def _pick_within_thread(self, buffer: Deque[ArbiterEntry]) -> ArbiterEntry:

@@ -46,7 +46,7 @@ class CoreModel:
         self.core_id = core_id
         self.config = config
         self.l1 = L1Cache(l1_config)
-        self.mshrs = MSHRFile(l1_config.mshrs)
+        self.mshrs = MSHRFile(l1_config.mshrs, thread_id=core_id)
         self._trace = iter(trace)
         self._send = send_request
         self._line_size = l1_config.line_size
@@ -64,10 +64,8 @@ class CoreModel:
         # quiescent state can only be left via on_response (which clears
         # this), so repeated per-cycle checks cost one attribute read.
         self._quiet = False
-        # Cycle-accounting sink (None when disabled; see telemetry.cycles).
-        self._acct = None
-        # Request-scope tracer (None when disabled; telemetry.requests).
-        self._rtrace = None
+        # Lifecycle probe (None when disabled; see telemetry.probe).
+        self._probe = None
         # Prefetch statistics (prefetching is off unless configured).
         self.prefetches_issued = 0
         self.prefetches_useful = 0
@@ -113,11 +111,11 @@ class CoreModel:
             progressed = True
         if not progressed and not self.done:
             self.stall_cycles += 1
-        if self._acct is not None:
+        if self._probe is not None:
             if progressed:
-                self._acct.progress(self.core_id, now, self._stall_reason())
+                self._probe.progress(self.core_id, now, self._stall_reason())
             else:
-                self._acct.stall(self.core_id, now, self._stall_reason())
+                self._probe.stall(self.core_id, now, self._stall_reason())
 
     def _stall_reason(self) -> int:
         """Classify why the *next* tick would stall (mirrors ``tick``'s
@@ -183,8 +181,6 @@ class CoreModel:
             request = make_request(
                 self.core_id, addr, AccessType.READ, self._line_size, seq, now
             )
-            if self._rtrace is not None:
-                self._rtrace.issued(request, now)
             self._send(self.core_id, request, now)
             if self.config.prefetch_enabled:
                 self._issue_prefetches(line, now)

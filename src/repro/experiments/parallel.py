@@ -462,10 +462,11 @@ def run_point(
     it travels to worker processes as an explicit argument but never
     into the point's cache key.
 
-    ``cpi_stacks`` attaches per-thread cycle accounting; the stack
-    document returns on ``SimulationResult.cpi_stacks`` and — when
-    metrics are also collected — is mirrored into the metrics snapshot
-    as ``"cpi_stacks"`` so experiment aggregates carry it per point.
+    ``cpi_stacks`` attaches per-thread cycle accounting (skipped for SMT
+    points, like ``requests``); the stack document returns on
+    ``SimulationResult.cpi_stacks`` and — when metrics are also
+    collected — is mirrored into the metrics snapshot as
+    ``"cpi_stacks"`` so experiment aggregates carry it per point.
 
     ``span_ctx`` is a :class:`repro.telemetry.spans.SpanContext`
     (requires ``feed``): the point's simulation is wrapped in a worker-
@@ -502,10 +503,13 @@ def run_point(
         smt_degree=point.smt_degree,
         kernel=kernel or DEFAULT_KERNEL,
     )
-    if cpi_stacks:
-        system.attach_cycle_accounting()
-    if requests and point.smt_degree == 1:
-        system.attach_request_tracing(slo_rules=slo_rules)
+    if point.smt_degree == 1:
+        # Both views assume one hardware thread per core; SMT points
+        # run without them.
+        if cpi_stacks:
+            system.attach_cycle_accounting()
+        if requests:
+            system.attach_request_tracing(slo_rules=slo_rules)
     metrics, attributor = _point_observers(system, point, metrics_window)
     _point_controller(system, point)
     on_window = None

@@ -69,9 +69,10 @@ class MemoryController:
             )
             self.channels: List = [self._shared]
         else:
+            per_thread = config.channels_per_thread
             self.channels = [
-                DRAMChannel(config)
-                for _ in range(n_threads * config.channels_per_thread)
+                DRAMChannel(config, thread_id=index // per_thread)
+                for index in range(n_threads * per_thread)
             ]
 
     def attach_trace(self, bus) -> None:
@@ -80,23 +81,6 @@ class MemoryController:
             channel._trace = bus
             if self._shared is None:
                 channel.trace_name = f"dram.ch{index}"
-                channel.trace_tid = index // self.config.channels_per_thread
-
-    def attach_acct(self, acct) -> None:
-        """Point every channel at the cycle-accounting sink (cycles.py)."""
-        for index, channel in enumerate(self.channels):
-            channel._acct = acct
-            if self._shared is None:
-                channel.acct_tid = index // self.config.channels_per_thread
-
-    def attach_rtrace(self, rtrace) -> None:
-        """Point every channel at the request tracer (requests.py).
-        Reuses ``acct_tid`` — the owning-thread index has identical
-        semantics for both sinks."""
-        for index, channel in enumerate(self.channels):
-            channel._rtrace = rtrace
-            if self._shared is None:
-                channel.acct_tid = index // self.config.channels_per_thread
 
     def _channel(self, thread_id: int) -> DRAMChannel:
         if not 0 <= thread_id < self.n_threads:

@@ -27,14 +27,16 @@ class _PendingAccess:
     line: int
     notify: Optional[Callable[[int], None]]   # called with data-return cycle
     enqueued: int
-    tracked: bool = False  # census-tracked demand/prefetch read (cycles.py)
+    tracked: bool = False  # a read the lifecycle probe follows (probe.py)
 
 
 class DRAMChannel:
     """One private DDR2 channel with banked timing."""
 
-    def __init__(self, config: MemoryConfig) -> None:
+    def __init__(self, config: MemoryConfig, thread_id: int = -1) -> None:
         self.config = config
+        # The private channel's owning thread (set by the controller).
+        self.thread_id = thread_id
         self.n_banks = config.ranks_per_channel * config.banks_per_rank
         self._bank_free = [0] * self.n_banks
         self._bus_free = 0
@@ -46,12 +48,8 @@ class DRAMChannel:
         # Telemetry (repro.telemetry): None = disabled = free.
         self._trace = None
         self.trace_name = "dram"
-        self.trace_tid = -1
-        # Cycle accounting (private channel => one owning thread).
-        self._acct = None
-        self.acct_tid = -1
-        # Request-scope tracer (repro.telemetry.requests): same contract.
-        self._rtrace = None
+        # Lifecycle probe (repro.telemetry.probe): same contract.
+        self._probe = None
 
     # ------------------------------------------------------------------ #
     # Admission (capacity checks model the controller's buffers).
@@ -116,14 +114,12 @@ class DRAMChannel:
             self._trace.emit(TraceEvent(
                 ts=data_start, phase=PH_COMPLETE, category=CAT_DRAM,
                 name="write" if is_write else "read",
-                track=self.trace_name, tid=self.trace_tid,
+                track=self.trace_name, tid=self.thread_id,
                 dur=cfg.burst_cycles * d,
                 args={"line": access.line, "bank": bank},
             ))
-        if self._acct is not None and not is_write and access.tracked:
-            self._acct.dram_issued(self.acct_tid, now)
-        if self._rtrace is not None and not is_write and access.tracked:
-            self._rtrace.dram_issued(self.acct_tid, access.line, now)
+        if self._probe is not None and not is_write and access.tracked:
+            self._probe.dram_issued(self.thread_id, access.line, now)
         if access.notify is not None:
             access.notify(data_end)
         return True

@@ -37,7 +37,7 @@ class _PendingAccess:
     notify: Optional[Callable[[int], None]]
     enqueued: int
     is_write: bool
-    tracked: bool = False  # census-tracked demand/prefetch read (cycles.py)
+    tracked: bool = False  # a read the lifecycle probe follows (probe.py)
 
 
 class SharedDRAMChannel:
@@ -81,10 +81,9 @@ class SharedDRAMChannel:
         # Telemetry (repro.telemetry): None = disabled = free.
         self._trace = None
         self.trace_name = "dram.shared"
-        # Cycle accounting; shared channel charges access.thread_id.
-        self._acct = None
-        # Request-scope tracer (repro.telemetry.requests): same contract.
-        self._rtrace = None
+        # Lifecycle probe (repro.telemetry.probe); the shared channel
+        # charges each access to its own thread.
+        self._probe = None
 
     # ------------------------------------------------------------------ #
     # Admission: the per-thread transaction/write buffers still apply.
@@ -213,10 +212,8 @@ class SharedDRAMChannel:
                 dur=cfg.burst_cycles * d,
                 args={"line": access.line},
             ))
-        if self._acct is not None and access.tracked and not access.is_write:
-            self._acct.dram_issued(access.thread_id, now)
-        if self._rtrace is not None and access.tracked and not access.is_write:
-            self._rtrace.dram_issued(access.thread_id, access.line, now)
+        if self._probe is not None and access.tracked and not access.is_write:
+            self._probe.dram_issued(access.thread_id, access.line, now)
         if access.notify is not None:
             access.notify(data_end)
         return True

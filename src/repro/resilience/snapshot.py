@@ -46,8 +46,9 @@ from repro.workloads import build_trace
 
 #: Bump whenever the payload layout or any pickled class changes shape
 #: incompatibly; stale checkpoints then fail header validation instead
-#: of unpickling garbage.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: of unpickling garbage.  2: the lifecycle probe replaced the arbiters'
+#: per-view hook slots (a schema-1 arbiter cannot unpickle).
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _MAGIC = b"REPRO-CKPT\n"
 
@@ -266,13 +267,6 @@ class ResumedRun:
 
     def __init__(self, payload: dict) -> None:
         self.system = payload["system"]
-        if self.system.kernel == "event":
-            # Written while the retired skip-ahead "event" kernel was the
-            # default.  batch is bit-identical, so the run continues
-            # unchanged; the event kernel's adapter state is dropped.
-            self.system.kernel = "batch"
-            vars(self.system).pop("_skip_sleep", None)
-            vars(self.system).pop("_skip_penalty", None)
         self.state = payload["state"]
         self.metrics = None
         self.attributor = None

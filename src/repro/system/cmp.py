@@ -77,11 +77,13 @@ class CMPSystem:
         # exist first); the request log is a bus subscriber.
         self.telemetry: Optional[TelemetryBus] = None
         self._request_log_sink: Optional[RequestLogSink] = None
-        # Cycle accounting (telemetry.cycles): attached on demand, None
-        # when disabled — same contract as the telemetry bus.
+        # Cycle accounting (telemetry.cycles) and request tracing
+        # (telemetry.requests): attached on demand, None when disabled —
+        # same contract as the telemetry bus.  Both are fed by one
+        # lifecycle probe (telemetry.probe), created with the first.
         self.cycle_accounting = None
-        # Request-scope tracing (telemetry.requests): same contract.
         self.request_tracer = None
+        self._probe = None
         # QoS control plane (repro.qos): attached on demand, None when
         # disabled — the simulation driver fires its epoch hook only
         # after a single ``is not None`` test per chunk.
@@ -218,73 +220,62 @@ class CMPSystem:
         return bus
 
     def attach_cycle_accounting(self, acct=None):
-        """Enable per-thread CPI-stack accounting: point every hooked
-        component (cores, MSHR files, banks, tag/data/bus arbiters, DRAM
-        channels) at one :class:`~repro.telemetry.cycles.CycleAccounting`
-        instance.  Same zero-overhead-when-disabled contract as
-        :meth:`attach_telemetry`.  The accounting state is part of the
-        system object graph, so checkpoints carry it for free.
+        """Enable per-thread CPI-stack accounting with one
+        :class:`~repro.telemetry.cycles.CycleAccounting` instance.  Same
+        zero-overhead-when-disabled contract as :meth:`attach_telemetry`.
+        The accounting state is part of the system object graph, so
+        checkpoints carry it for free.
         """
         from repro.telemetry.cycles import CycleAccounting
-        if self.smt_degree != 1:
-            raise ValueError(
-                "cycle accounting supports one hardware thread per core "
-                "(smt_degree == 1); SMT attribution is not modelled yet"
-            )
         if acct is None:
             acct = CycleAccounting(self.config.n_threads)
-        self.cycle_accounting = acct
-        for kind in ("tag", "data", "bus"):
-            for arbiter in self._vpc_arbiters[kind]:
-                arbiter._acct = acct
-                arbiter.acct_stage = kind
-        for bank in self.banks:
-            bank._acct = acct
-        for core in self.cores:
-            core._acct = acct
-            core.mshrs._acct = acct
-            core.mshrs.acct_tid = core.core_id
-        if self.l3 is None:
-            self.memory.attach_acct(acct)
-        else:
-            # Below-L2 time is one opaque dram_queue bucket when an L3
-            # sits in front of memory (the L3 port is not census-staged).
-            acct.dram_service_tracked = False
+        self._attach_view(acct=acct)
         return acct
 
     def attach_request_tracing(self, tracer=None, exemplar_k: int = 8,
                                slo_rules=()):
-        """Enable request-scope tracing: point every hooked component
-        (cores, banks, tag/data/bus arbiters, DRAM channels) at one
+        """Enable request-scope tracing with one
         :class:`~repro.telemetry.requests.RequestTracer`.  Same
         zero-overhead-when-disabled contract as
         :meth:`attach_cycle_accounting`; the tracer state rides the
         system object graph through checkpoints.
         """
         from repro.telemetry.requests import RequestTracer
-        if self.smt_degree != 1:
-            raise ValueError(
-                "request tracing supports one hardware thread per core "
-                "(smt_degree == 1); SMT attribution is not modelled yet"
-            )
         if tracer is None:
             tracer = RequestTracer(self.config.n_threads,
                                    exemplar_k=exemplar_k,
                                    slo_rules=tuple(slo_rules))
-        self.request_tracer = tracer
-        for kind in ("tag", "data", "bus"):
-            for arbiter in self._vpc_arbiters[kind]:
-                arbiter._rtrace = tracer
-                arbiter.acct_stage = kind
-        for bank in self.banks:
-            bank._rtrace = tracer
-        for core in self.cores:
-            core._rtrace = tracer
-        if self.l3 is None:
-            # With an L3 in front of memory the DRAM channels stay
-            # unhooked and below-L2 time remains one dram_queue segment.
-            self.memory.attach_rtrace(tracer)
+        self._attach_view(tracer=tracer)
         return tracer
+
+    def _attach_view(self, acct=None, tracer=None) -> None:
+        """Attach a view to the one lifecycle probe, wiring the probe
+        only onto components whose events an attached view consumes:
+        banks and DRAM channels for either view, cores and MSHR files
+        for CPI stacks only.  With an L3 in front of memory the DRAM
+        channels stay unhooked, and below-L2 time is one dram_queue
+        stage (the L3 port is not staged)."""
+        from repro.telemetry.probe import LifecycleProbe
+        if self.smt_degree != 1:
+            view = "request tracing" if acct is None else "cycle accounting"
+            raise ValueError(
+                f"{view} supports one hardware thread per core "
+                "(smt_degree == 1); SMT attribution is not modelled yet"
+            )
+        probe = self._probe
+        if probe is None:
+            probe = self._probe = LifecycleProbe(dram_hooked=self.l3 is None)
+            for bank in self.banks:
+                bank._probe = probe
+            if self.l3 is None:
+                for channel in self.memory.channels:
+                    channel._probe = probe
+        if acct is not None:
+            self.cycle_accounting = probe.acct = acct
+            for core in self.cores:
+                core._probe = core.mshrs._probe = probe
+        if tracer is not None:
+            self.request_tracer = probe.tracer = tracer
 
     def attach_qos_controller(self, controller):
         """Enable the dynamic QoS control plane: bind a
@@ -397,10 +388,8 @@ class CMPSystem:
                 id=request.req_id,
                 args={"request": request},
             ))
-        if self.cycle_accounting is not None and request.is_read:
-            self.cycle_accounting.responded(request.thread_id, now)
-        if self.request_tracer is not None and request.is_read:
-            self.request_tracer.responded(request, now)
+        if self._probe is not None and request.is_read:
+            self._probe.responded(request, now)
         self.crossbar.send_response(request.thread_id, request, now)
 
     # ------------------------------------------------------------------ #

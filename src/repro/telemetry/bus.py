@@ -24,7 +24,6 @@ from collections import deque
 from typing import IO, Iterable, List, Optional, Protocol, runtime_checkable
 
 from .events import TraceEvent
-from .requests import StreamingLatencies
 
 
 @runtime_checkable
@@ -117,18 +116,16 @@ class RequestLogSink:
     objects that ride on request-end events.  The log keeps the *first*
     ``capacity`` retirements (so results are identical to the old
     unbounded list on any run that fits the bound) and counts the rest
-    in ``dropped``; exact streaming per-thread latency summaries and a
-    worst-k exemplar reservoir (``summary``) cover *every* demand load
-    regardless of the bound, so tail quantiles never truncate.
+    in ``dropped``.  Exact tail quantiles over every demand load come
+    from request tracing (``repro.telemetry.requests``), not this log.
     """
 
-    def __init__(self, capacity: int = 100_000, exemplar_k: int = 8):
+    def __init__(self, capacity: int = 100_000):
         if capacity < 0:
             raise ValueError("request-log capacity must be >= 0")
         self.capacity = capacity
         self.requests: list = []
         self.dropped = 0
-        self.summary = StreamingLatencies(exemplar_k)
 
     def emit(self, event: TraceEvent) -> None:
         if event.category != "request" or event.phase != "e":
@@ -143,15 +140,6 @@ class RequestLogSink:
             self.requests.append(request)
         else:
             self.dropped += 1
-        if (not request.is_prefetch and request.issued_cycle >= 0
-                and request.critical_word_cycle >= 0):
-            latency = request.critical_word_cycle - request.issued_cycle
-            self.summary.add(request.thread_id, latency, {
-                "seq": request.seq,
-                "line": request.line,
-                "issued_cycle": request.issued_cycle,
-                "latency": latency,
-            })
 
 
 class CategoryFilterSink:

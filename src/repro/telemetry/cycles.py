@@ -2,13 +2,13 @@
 
 Attributes **every simulated cycle of every hardware thread to exactly
 one bucket** — base compute, idle, store-buffer stall, MSHR-full stall,
-L1/crossbar transit, bank conflict, the three per-VPC-resource L2
-arbiter queues (tag/data/bus), L2 service, DRAM queueing and DRAM
-service — so "thread 2 slowed down 1.8x" becomes "thread 2 spent 41%
-of its cycles in the L2 bus queue".  This is the monitoring substrate
-the paper's argument needs (VPC exists to bound the queueing components
-of slowdown) and the signal base the ROADMAP's dynamic QoS controllers
-will consume.
+then the eight memory stages of :data:`repro.telemetry.probe.STAGES`
+(L1/crossbar transit, bank conflict, the three per-VPC-resource L2
+arbiter queues, L2 service, DRAM queueing and DRAM service) — so
+"thread 2 slowed down 1.8x" becomes "thread 2 spent 41% of its cycles
+in the L2 bus queue".  This is the monitoring substrate the paper's
+argument needs (VPC exists to bound the queueing components of
+slowdown) and the signal base the dynamic QoS controllers consume.
 
 Conservation contract (enforced by ``verify_stack`` and the property
 tests): for every thread, the bucket sums equal the measured cycles
@@ -27,19 +27,18 @@ bucket:
   reason;
 * a **stalled tick** closes the span only when the core-local stall
   reason changes (store-queue full vs. MSHR-full vs. waiting on loads);
-* while the reason is "waiting on loads", **census hooks** fired by the
-  memory system (MSHR allocate, bank accept, arbiter enqueue/grant,
-  memory handoff, DRAM issue, response) split the span whenever the
-  deepest pipeline stage occupied by the thread's outstanding lines
-  changes — at the exact cycle the component acts, whether or not the
-  core is awake.
+* while the reason is "waiting on loads", **census moves** split the
+  span whenever the deepest stage occupied by the thread's outstanding
+  lines changes — at the exact cycle the component acts, whether or
+  not the core is awake.
 
-Because every hook fires at the same ``(thread, cycle)`` in both
-kernels (components tick at identical cycles; a quiescent core's
-reason is frozen until a response wakes it), the buckets are
-kernel-identical *by construction* — ``fast_forward`` needs no hook at
-all.  Disabled cost is the telemetry layer's usual single
-``is not None`` test per hook site.
+Core ticks, MSHR allocate/complete and the stage moves all arrive
+through the :class:`~repro.telemetry.probe.LifecycleProbe`, which
+classifies component events into stage transitions; this module only
+keeps stall reasons, the census and the buckets.  Every probe event
+fires at the same ``(thread, cycle)`` in both kernels, so the buckets
+are kernel-identical *by construction* — ``fast_forward`` needs no hook
+at all.
 """
 
 from __future__ import annotations
@@ -47,48 +46,31 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.telemetry.events import CAT_CPI, PH_COUNTER, TraceEvent
+from repro.telemetry.probe import (
+    N_STAGES,
+    S_BUSQ,
+    S_DATAQ,
+    S_TAGQ,
+    S_XFER,
+    STAGES,
+)
 
 #: Schema tag of a standalone CPI-stack JSON document.
 CPI_SCHEMA = "repro.cpi-stack/1"
 #: Schema tag of a solo-vs-shared slowdown decomposition table.
 DECOMPOSITION_SCHEMA = "repro.cpi-decomposition/1"
 
-# Bucket indices.  Order is part of the schema (stacks are emitted as
-# plain lists); append-only.
+# Core-local bucket indices.  The memory-stage buckets follow them in
+# probe.STAGES order.  Order is part of the schema (stacks are emitted
+# as plain lists): a new bucket can only be a new stage, appended there.
 B_BASE = 0          # the cycle dispatched at least one instruction
 B_IDLE = 1          # trace drained (thread done)
 B_STORE = 2         # store queue full, SGB ack outstanding
 B_MSHR = 3          # L1 miss with no MSHR to allocate
-B_L1_TRANSIT = 4    # miss in flight core<->L2 (crossbar + queues' rim)
-B_BANK = 5          # parked in the bank input queue (bank conflict)
-B_TAGQ = 6          # waiting in the L2 tag arbiter queue
-B_L2SVC = 7         # in service inside the L2 (tag/data/bus busy)
-B_DATAQ = 8         # waiting in the L2 data-array arbiter queue
-B_BUSQ = 9          # waiting in the L2 data-bus arbiter queue
-B_DRAMQ = 10        # below the L2: controller/L3/DRAM queueing
-B_DRAMSVC = 11      # DRAM device service (activate/column/burst)
+_B_STAGE = B_MSHR + 1  # bucket index of stage 0
 
-BUCKETS = (
-    "base", "idle", "store_buffer", "mshr", "l1_transit", "bank_conflict",
-    "l2_tag_queue", "l2_service", "l2_data_queue", "l2_bus_queue",
-    "dram_queue", "dram_service",
-)
+BUCKETS = ("base", "idle", "store_buffer", "mshr") + STAGES
 N_BUCKETS = len(BUCKETS)
-
-# Census stages an outstanding tracked read walks, ordered shallow ->
-# deep.  A load-stalled thread is charged to the *deepest* stage any of
-# its outstanding lines occupies (the stage gating completion).
-S_XFER = 0
-S_BANKQ = 1
-S_TAGQ = 2
-S_L2SVC = 3
-S_DATAQ = 4
-S_BUSQ = 5
-S_DRAMQ = 6
-S_DRAMSVC = 7
-N_STAGES = 8
-_STAGE_BUCKET = (B_L1_TRANSIT, B_BANK, B_TAGQ, B_L2SVC, B_DATAQ, B_BUSQ,
-                 B_DRAMQ, B_DRAMSVC)
 
 # Core-local stall reasons (classified by CoreModel._stall_reason).
 R_IDLE = 0    # trace drained / nothing to do
@@ -99,11 +81,11 @@ _REASON_BUCKET = {R_IDLE: B_IDLE, R_MSHR: B_MSHR, R_STORE: B_STORE}
 
 # The L2-queueing buckets the VPC arbiters exist to bound — the fig10
 # decomposition highlights these rows.
-QUEUE_BUCKETS = ("l2_tag_queue", "l2_data_queue", "l2_bus_queue")
+QUEUE_BUCKETS = tuple(STAGES[stage] for stage in (S_TAGQ, S_DATAQ, S_BUSQ))
 
 
 class CycleAccounting:
-    """Mutable accounting state shared by every hooked component.
+    """Mutable accounting state fed by the lifecycle probe.
 
     One instance per :class:`~repro.system.cmp.CMPSystem`, attached via
     ``system.attach_cycle_accounting()``.  Pickled with the system
@@ -114,9 +96,6 @@ class CycleAccounting:
         if n_threads < 1:
             raise ValueError("cycle accounting needs at least one thread")
         self.n_threads = n_threads
-        # With an L3 configured the DRAM channels are not hooked and all
-        # below-L2 time stays in dram_queue (set by attach).
-        self.dram_service_tracked = True
         self._buckets = [[0] * N_BUCKETS for _ in range(n_threads)]
         self._census = [[0] * N_STAGES for _ in range(n_threads)]
         self._mark = [0] * n_threads       # open-span start per thread
@@ -143,8 +122,8 @@ class CycleAccounting:
             census = self._census[tid]
             for stage in range(N_STAGES - 1, -1, -1):
                 if census[stage]:
-                    return _STAGE_BUCKET[stage]
-            return B_L1_TRANSIT
+                    return _B_STAGE + stage
+            return _B_STAGE + S_XFER
         return _REASON_BUCKET[reason]
 
     def progress(self, tid: int, now: int, reason: int) -> None:
@@ -175,16 +154,17 @@ class CycleAccounting:
                 self._bucket[tid] = bucket
 
     # ------------------------------------------------------------------ #
-    # Census hooks (memory-system side; fire at exact component cycles).
+    # Census (fed by the lifecycle probe at exact component cycles).
     # ------------------------------------------------------------------ #
 
-    def _move(self, tid: int, old: int, new: int, now: int) -> None:
+    def move(self, tid: int, old: int, new: int, now: int) -> None:
+        """One of ``tid``'s reads moved from stage ``old`` to ``new``."""
         census = self._census[tid]
         census[old] -= 1
         if census[old] < 0:
             raise RuntimeError(
                 f"cycle-accounting census underflow: thread {tid} stage "
-                f"{old} at cycle {now}"
+                f"{STAGES[old]} at cycle {now}"
             )
         census[new] += 1
         self._restage(tid, now)
@@ -204,64 +184,6 @@ class CycleAccounting:
                 f"completion without allocation at cycle {now}"
             )
         self._restage(tid, now)
-
-    def bank_accepted(self, tid: int, now: int) -> None:
-        """Read parked in a bank's input load queue."""
-        self._move(tid, S_XFER, S_BANKQ, now)
-
-    def arbiter_queued(self, kind: str, entry, now: int) -> None:
-        """A bank state machine entered a tag/data/bus arbiter queue.
-        Fill-side stages (FILLTAG/WBDATA/FILLDATA, post-respond) and
-        write requests are deliberately not census-tracked."""
-        sm = entry.payload
-        request = getattr(sm, "request", None)
-        if request is None or not request.is_read:
-            return
-        state = sm.state.name
-        tid = entry.thread_id
-        if kind == "tag":
-            if state == "TAG_WAIT":
-                self._move(tid, S_BANKQ, S_TAGQ, now)
-            elif state == "MISSTAG_WAIT":
-                self._move(tid, S_L2SVC, S_TAGQ, now)
-        elif kind == "data":
-            if state == "DATA_WAIT":
-                self._move(tid, S_L2SVC, S_DATAQ, now)
-        elif state == "BUS_WAIT":  # kind == "bus"
-            old = S_L2SVC if sm.hit else (
-                S_DRAMSVC if self.dram_service_tracked else S_DRAMQ
-            )
-            self._move(tid, old, S_BUSQ, now)
-
-    def arbiter_granted(self, kind: str, entry, now: int) -> None:
-        """A queued state machine won arbitration: queueing ends, L2
-        service begins."""
-        sm = entry.payload
-        request = getattr(sm, "request", None)
-        if request is None or not request.is_read:
-            return
-        state = sm.state.name
-        tid = entry.thread_id
-        if kind == "tag":
-            if state in ("TAG_WAIT", "MISSTAG_WAIT"):
-                self._move(tid, S_TAGQ, S_L2SVC, now)
-        elif kind == "data":
-            if state == "DATA_WAIT":
-                self._move(tid, S_DATAQ, S_L2SVC, now)
-        elif state == "BUS_WAIT":  # kind == "bus"
-            self._move(tid, S_BUSQ, S_L2SVC, now)
-
-    def mem_queued(self, tid: int, now: int) -> None:
-        """A read miss left the L2 for the below-L2 hierarchy."""
-        self._move(tid, S_L2SVC, S_DRAMQ, now)
-
-    def dram_issued(self, tid: int, now: int) -> None:
-        """DRAM device service began for a tracked read."""
-        self._move(tid, S_DRAMQ, S_DRAMSVC, now)
-
-    def responded(self, tid: int, now: int) -> None:
-        """Critical word left the bank bus toward the core."""
-        self._move(tid, S_L2SVC, S_XFER, now)
 
     # ------------------------------------------------------------------ #
     # Interval snapshots.

@@ -3,10 +3,9 @@
 Where :mod:`repro.telemetry.cycles` answers "where did every *cycle*
 go", this module answers "where did every *request* go": each completed
 demand load's end-to-end latency is decomposed into per-stage segments
-(L1/crossbar transit, bank admission conflict, the three L2 arbiter
-queues, L2 service, DRAM queueing and DRAM service — the same taxonomy
-names as the PR 7 CPI-stack buckets), with the conservation contract
-that the segments of every traced request sum **exactly** to its
+— the eight stages of :data:`repro.telemetry.probe.STAGES`, shared with
+the CPI-stack buckets — with the conservation contract that the
+segments of every traced request sum **exactly** to its
 issue→critical-word latency, on both kernels.
 
 Three consumers ride on the per-request journeys:
@@ -23,11 +22,11 @@ Three consumers ride on the per-request journeys:
   fractions, plus a worst-case burn rate for the alert engine's
   ``slo_burn`` signal.
 
-Hook discipline is the telemetry layer's usual contract: components
-hold a ``_rtrace`` attribute that defaults to ``None``; every hook site
-is one ``is not None`` test, so disabled tracing is free.  Hooks fire
-at component action sites shared verbatim by the cycle and batch
-kernels, so journeys are kernel-identical by construction.
+Journeys are driven by the :class:`~repro.telemetry.probe.LifecycleProbe`:
+a journey opens when a demand load reaches its bank (back-dated to the
+load's issue cycle), shifts segment on every stage transition the probe
+classifies, and completes at the critical word.  This module never sees
+a component event directly.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.events import CAT_REQUEST, PH_COMPLETE, TraceEvent
+from repro.telemetry.probe import N_STAGES, S_BANKQ, S_XFER, STAGES
 
 #: Schema tag of a request-tracing JSON document.
 REQUESTS_SCHEMA = "repro.requests/1"
@@ -47,26 +47,12 @@ REQUESTS_SCHEMA = "repro.requests/1"
 PH_FLOW_START = "s"
 PH_FLOW_FINISH = "f"
 
-# Journey segment indices.  Order is part of the schema (exemplar
-# segment lists are emitted positionally); append-only.  Names reuse
-# the cycles.BUCKETS taxonomy — store-buffer and MSHR waits happen
-# *before* a demand load's request exists (they are core-side stalls,
-# visible in the CPI stacks), so a request-scope journey starts at the
-# issue cycle and the first segment is the core->bank transit.
-G_XFER = 0      # crossbar transit, core -> bank input queue
-G_BANKQ = 1     # parked in the bank input load queue (bank conflict)
-G_TAGQ = 2      # waiting in the L2 tag arbiter queue
-G_L2SVC = 3     # in service inside the L2 (tag/data/bus busy)
-G_DATAQ = 4     # waiting in the L2 data-array arbiter queue
-G_BUSQ = 5      # waiting in the L2 data-bus arbiter queue
-G_DRAMQ = 6     # below the L2: controller/L3/DRAM queueing
-G_DRAMSVC = 7   # DRAM device service (activate/column/burst)
-
-SEGMENTS = (
-    "l1_transit", "bank_conflict", "l2_tag_queue", "l2_service",
-    "l2_data_queue", "l2_bus_queue", "dram_queue", "dram_service",
-)
-N_SEGMENTS = len(SEGMENTS)
+# Journey segments are the probe's stages.  Store-buffer and MSHR
+# waits happen *before* a demand load's request exists (they are
+# core-side stalls, visible in the CPI stacks), so a journey starts at
+# the issue cycle and its first segment is the core->bank transit.
+SEGMENTS = STAGES
+N_SEGMENTS = N_STAGES
 
 #: Quantiles every summary reports, with their fractions.
 QUANTILES: Tuple[Tuple[str, float], ...] = (
@@ -91,9 +77,7 @@ def exact_quantile(counts: Dict[int, int], total: int, fraction: float):
 
 class StreamingLatencies:
     """Exact per-thread streaming latency summaries plus worst-k
-    exemplars.  Threads are materialized on first use, so the class
-    serves both the tracer (thread count known) and the request-log
-    sink (it only sees retired requests)."""
+    exemplars.  Threads are materialized on first use."""
 
     def __init__(self, exemplar_k: int = 8) -> None:
         if exemplar_k < 1:
@@ -126,9 +110,6 @@ class StreamingLatencies:
                 low, low_latency = index, worst[index]["latency"]
         if latency > low_latency:
             worst[low] = exemplar
-
-    def threads(self) -> List[int]:
-        return sorted(self._totals)
 
     def loads(self, tid: int) -> int:
         return self._totals.get(tid, 0)
@@ -253,27 +234,26 @@ class _Journey:
 
     __slots__ = ("req_id", "seq", "line", "issued", "mark", "seg", "segments")
 
-    def __init__(self, req_id: int, seq: int, line: int, now: int) -> None:
-        self.req_id = req_id
-        self.seq = seq
-        self.line = line
-        self.issued = now
-        self.mark = now
-        self.seg = G_XFER
+    def __init__(self, request, now: int) -> None:
+        self.req_id = request.req_id
+        self.seq = request.seq
+        self.line = request.line
+        self.issued = request.issued_cycle
         self.segments = [0] * N_SEGMENTS
+        self.segments[S_XFER] = now - self.issued
+        self.mark = now
+        self.seg = S_BANKQ
 
 
 class RequestTracer:
-    """Mutable request-scope tracing state shared by hooked components.
+    """Mutable request-scope tracing state fed by the lifecycle probe.
 
     One instance per :class:`~repro.system.cmp.CMPSystem`, attached via
     ``system.attach_request_tracing()``.  Pickled with the system object
     graph, so checkpoint/resume keeps journeys and summaries exact.
 
-    Hooks mirror :class:`~repro.telemetry.cycles.CycleAccounting`'s
-    component sites but track *individual requests* instead of a
-    per-thread census: each hook closes the journey's open segment at
-    the component's action cycle and opens the next, so the segment sum
+    Each probe transition closes the journey's open segment at the
+    component's action cycle and opens the next, so the segment sum
     equals the end-to-end latency by construction.
     """
 
@@ -285,102 +265,32 @@ class RequestTracer:
         self.exemplar_k = exemplar_k
         self.slo_rules = tuple(slo_rules)
         self._open: Dict[int, _Journey] = {}
-        # (thread, line) -> req_id for the DRAM-issue hook, which sees
-        # no request object.  Safe: MSHR coalescing plus the bank's
-        # active-line exclusion guarantee at most one tracked read per
-        # (thread, line) below the L2 at a time.
-        self._dram: Dict[Tuple[int, int], int] = {}
         self.stats = StreamingLatencies(exemplar_k)
         self._base_cycle = 0
 
-    # -------------------------- span engine --------------------------- #
+    # ---------------------------- journeys ---------------------------- #
 
-    def _shift(self, journey: _Journey, seg: int, now: int) -> None:
-        journey.segments[journey.seg] += now - journey.mark
-        journey.mark = now
-        journey.seg = seg
+    def open(self, request, now: int) -> None:
+        """A demand load reached its bank at ``now``: the transit from
+        its issue cycle closes, and bank-conflict waiting begins."""
+        self._open[request.req_id] = _Journey(request, now)
 
-    # ------------------------- component hooks ------------------------ #
-
-    def issued(self, request, now: int) -> None:
-        """A core sent a primary demand load to the L2."""
-        self._open[request.req_id] = _Journey(
-            request.req_id, request.seq, request.line, now
-        )
-
-    def bank_accepted(self, request, now: int) -> None:
-        """The crossbar delivered the read into a bank's load queue."""
-        journey = self._open.get(request.req_id)
-        if journey is not None:
-            self._shift(journey, G_BANKQ, now)
-
-    def arbiter_queued(self, kind: str, entry, now: int) -> None:
-        """A bank state machine entered a tag/data/bus arbiter queue.
-        Fill-side stages (post-respond) and writes never match an open
-        journey, so they fall through the lookup."""
-        sm = entry.payload
-        request = getattr(sm, "request", None)
-        if request is None:
-            return
-        journey = self._open.get(request.req_id)
-        if journey is None:
-            return
-        state = sm.state.name
-        if kind == "tag":
-            if state in ("TAG_WAIT", "MISSTAG_WAIT"):
-                self._shift(journey, G_TAGQ, now)
-        elif kind == "data":
-            if state == "DATA_WAIT":
-                self._shift(journey, G_DATAQ, now)
-        elif state == "BUS_WAIT":  # kind == "bus"
-            self._shift(journey, G_BUSQ, now)
-
-    def arbiter_granted(self, kind: str, entry, now: int) -> None:
-        """A queued state machine won arbitration: queueing ends, L2
-        service begins."""
-        sm = entry.payload
-        request = getattr(sm, "request", None)
-        if request is None:
-            return
-        journey = self._open.get(request.req_id)
-        if journey is None:
-            return
-        state = sm.state.name
-        if (
-            (kind == "tag" and state in ("TAG_WAIT", "MISSTAG_WAIT"))
-            or (kind == "data" and state == "DATA_WAIT")
-            or (kind == "bus" and state == "BUS_WAIT")
-        ):
-            self._shift(journey, G_L2SVC, now)
-
-    def mem_queued(self, request, now: int) -> None:
-        """A read miss left the L2 for the below-L2 hierarchy."""
-        journey = self._open.get(request.req_id)
-        if journey is None:
-            return
-        self._shift(journey, G_DRAMQ, now)
-        self._dram[(request.thread_id, request.line)] = request.req_id
-
-    def dram_issued(self, tid: int, line: int, now: int) -> None:
-        """DRAM device service began for a tracked read (resolved via
-        the (thread, line) map — the channel carries no request)."""
-        req_id = self._dram.pop((tid, line), None)
-        if req_id is None:
-            return
+    def shift(self, req_id: int, stage: int, now: int) -> None:
+        """The journey of ``req_id`` (if traced) enters ``stage``."""
         journey = self._open.get(req_id)
         if journey is not None:
-            self._shift(journey, G_DRAMSVC, now)
+            journey.segments[journey.seg] += now - journey.mark
+            journey.mark = now
+            journey.seg = stage
 
-    def responded(self, request, now: int) -> None:
+    def complete(self, request, now: int) -> None:
         """Critical word reached the core: the journey completes."""
         journey = self._open.pop(request.req_id, None)
         if journey is None:
             return
         journey.segments[journey.seg] += now - journey.mark
-        self._dram.pop((request.thread_id, request.line), None)
         latency = now - journey.issued
-        tid = request.thread_id
-        self.stats.add(tid, latency, {
+        self.stats.add(request.thread_id, latency, {
             "req_id": journey.req_id,
             "seq": journey.seq,
             "line": journey.line,

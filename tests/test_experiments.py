@@ -164,6 +164,26 @@ class TestSMTSweep:
         minimum = result.headers.index("min_thread_ipc")
         assert all(row[minimum] > 0 for row in result.rows)
 
+    def test_cpi_stacks_skip_smt_points(self, monkeypatch):
+        """CPI stacks assume one hardware thread per core: the 1-way
+        point carries them and the SMT points run without, instead of
+        the sweep failing."""
+        from repro.experiments import parallel, sweep_smt
+        results = []
+
+        def capture(points):
+            results.extend(parallel.run_points(points))
+            return results
+
+        monkeypatch.setattr(sweep_smt, "run_points", capture)
+        parallel.configure(cpi_stacks=True)
+        try:
+            run_experiment("sweep-smt", fast=True)
+        finally:
+            parallel.configure()
+        assert [result.cpi_stacks is not None for result in results] == [
+            True, False, False]
+
 
 class TestAblations:
     def test_reorder_preserves_shares(self):

@@ -14,8 +14,8 @@ divergence is a bug.
 The matrix also covers the surfaces that historically break exactness
 claims: telemetry attachment (replacement-policy clocks read
 ``system.cycle`` mid-cycle), metrics windows (chunked ``run()`` calls),
-and checkpoint/resume mid-measurement, including checkpoints written
-under the retired ``event`` kernel.
+and checkpoint/resume mid-measurement, including a checkpoint of a
+system with both views attached.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import pytest
 from repro.common.config import baseline_config
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
+from repro.workloads import build_trace
 from repro.workloads.microbench import loads_trace, stores_trace
 from repro.workloads.profiles import HETEROGENEOUS_MIXES, spec_trace
 
@@ -124,51 +125,53 @@ class TestKernelEquivalence:
         assert json.dumps(result.metrics, indent=2,
                           sort_keys=True) == ref_json
 
-    @pytest.mark.parametrize("kernel", ["batch", "event"])
-    def test_checkpoint_roundtrip_mid_run(self, tmp_path, kernel):
-        # A run checkpointed mid-measurement and resumed "in another
-        # process" must land on the uninterrupted cycle-kernel result.
-        # "event" is a legacy checkpoint: one written while the retired
-        # event kernel was the default, carrying its name and adapter
-        # state, which must resume on the batch kernel.
+    @pytest.mark.parametrize("case", ["batch", "views"])
+    def test_checkpoint_roundtrip_mid_run(self, tmp_path, case):
+        # A run checkpointed mid-measurement on the batch kernel and
+        # resumed "in another process" must land on the uninterrupted
+        # cycle-kernel result.  "views" attaches CPI stacks and request
+        # tracing, whose probe, census and open journeys ride the
+        # checkpoint: the resumed documents must match byte for byte.
         from repro.resilience import (
             Checkpointer,
             ResumableTrace,
-            ResumedRun,
-            load_checkpoint,
             resume_simulation,
-            write_checkpoint,
         )
         config = baseline_config(n_threads=2, arbiter="vpc")
-        specs = (("loads",), ("stores",))
+        if case == "views":
+            specs = (("spec", "art"), ("spec", "mcf"))
+            warmup, measure = 3_000, 4_000
+        else:
+            specs = (("loads",), ("stores",))
+            warmup, measure = 6_000, 4_000
 
-        ref_system = CMPSystem(
-            config, [loads_trace(0), stores_trace(1)], kernel="cycle")
-        reference = run_simulation(ref_system, warmup=6_000, measure=4_000)
+        def system_for(kernel, traces):
+            system = CMPSystem(config, traces, kernel=kernel)
+            if case == "views":
+                system.attach_cycle_accounting()
+                system.attach_request_tracing()
+            return system
 
-        ckpt = tmp_path / f"{kernel}.ckpt"
-        system = CMPSystem(
-            config,
-            [ResumableTrace(spec, tid) for tid, spec in enumerate(specs)],
-            kernel="batch",
-        )
-        checkpointer = Checkpointer(ckpt, every=1_000, point_key=kernel)
-        chunked = run_simulation(system, warmup=6_000, measure=4_000,
+        ref_traces = [build_trace(spec, tid) for tid, spec in enumerate(specs)]
+        ref_system = system_for("cycle", ref_traces)
+        reference = run_simulation(ref_system, warmup=warmup, measure=measure)
+
+        ckpt = tmp_path / f"{case}.ckpt"
+        system = system_for(
+            "batch",
+            [ResumableTrace(spec, tid) for tid, spec in enumerate(specs)])
+        checkpointer = Checkpointer(ckpt, every=1_000, point_key=case)
+        chunked = run_simulation(system, warmup=warmup, measure=measure,
                                  checkpoint=checkpointer)
         assert asdict(chunked) == asdict(reference)
         assert checkpointer.saved >= 2
-        if kernel == "event":
-            payload = load_checkpoint(ckpt)
-            legacy = payload["system"]
-            legacy.kernel = "event"
-            legacy._skip_sleep = 2
-            legacy._skip_penalty = 4
-            write_checkpoint(ckpt, legacy, payload["state"], point_key=kernel)
         resumed = resume_simulation(ckpt)
         assert asdict(resumed) == asdict(reference)
-        revived = ResumedRun(load_checkpoint(ckpt)).system
-        assert revived.kernel == "batch"
-        assert not hasattr(revived, "_skip_sleep")
+        if case == "views":
+            for view in ("cpi_stacks", "requests"):
+                assert getattr(reference, view) is not None
+                assert json.dumps(getattr(resumed, view), sort_keys=True) == (
+                    json.dumps(getattr(reference, view), sort_keys=True))
 
     def test_skip_counters_account_for_fast_forwards(self):
         config = baseline_config(n_threads=2, arbiter="vpc")

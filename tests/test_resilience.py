@@ -152,6 +152,18 @@ class TestCheckpointFile:
         garbage.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
             read_checkpoint_header(garbage)
+        # A valid checkpoint from an older schema: its pickled classes
+        # may not fit the current ones, so it is refused, never loaded.
+        stale = tmp_path / "stale.ckpt"
+        system, _ = _system("vpc", wrapped=True)
+        write_checkpoint(stale, system, _state_stub(), point_key="old")
+        magic, header, payload = stale.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["schema"] = 1
+        stale.write_bytes(magic + b"\n" + json.dumps(fields).encode()
+                          + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="1 != 2"):
+            load_checkpoint(stale)
 
 
 def _state_stub():
