@@ -27,56 +27,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.common.config import VPCAllocation, baseline_config
-from repro.cpu.isa import TraceItem
-from repro.system.cmp import CMPSystem
+from repro.experiments.parallel import PointRun, RunSpec, SimPoint
 from repro.system.kernel import DEFAULT_KERNEL
-from repro.system.simulator import run_simulation
-from repro.workloads.microbench import MICROBENCHMARKS
-from repro.workloads.phased import parse_phased, phased_trace
-from repro.workloads.profiles import (
-    PHASED_PROFILES,
-    SPEC_PROFILES,
-    phased_profile_trace,
-    spec_trace,
-)
-from repro.workloads.tracefile import trace_from_file
-
-
-def resolve_workload(name: str, thread_id: int) -> Iterator[TraceItem]:
-    """Map a CLI workload spec to a trace iterator."""
-    if name.startswith("trace:"):
-        return trace_from_file(name.split(":", 1)[1])
-    if name.startswith("phase:"):
-        return phased_trace(parse_phased(name.split(":", 1)[1]), thread_id)
-    if name in MICROBENCHMARKS:
-        return MICROBENCHMARKS[name](thread_id)
-    if name in SPEC_PROFILES:
-        return spec_trace(name, thread_id)
-    if name in PHASED_PROFILES:
-        return phased_profile_trace(name, thread_id)
-    known = (sorted(MICROBENCHMARKS) + sorted(SPEC_PROFILES)
-             + sorted(PHASED_PROFILES))
-    raise ValueError(f"unknown workload {name!r}; choose from {known}, "
-                     "phase:<bench+bench[@instructions]>, or trace:<path>")
-
-
-def _workload_spec(name: str):
-    """The declarative ``build_trace`` spec for a CLI workload name
-    (what a checkpoint stores so it can replay the trace cursor)."""
-    if name.startswith("trace:"):
-        return ("tracefile", name.split(":", 1)[1])
-    if name.startswith("phase:"):
-        return ("phased-inline", name.split(":", 1)[1])
-    if name in MICROBENCHMARKS:
-        return ("micro", name)
-    if name in SPEC_PROFILES:
-        return ("spec", name)
-    if name in PHASED_PROFILES:
-        return ("phased", name)
-    resolve_workload(name, 0)  # raises with the helpful message
+from repro.workloads import build_trace, workload_spec
 
 
 def parse_shares(text: Optional[str], n_threads: int) -> List[float]:
@@ -202,7 +158,7 @@ def _resumed_labels(system) -> List[str]:
         core = system._core_of_thread[tid]
         spec = getattr(getattr(core, "_trace", None), "spec", None)
         if isinstance(spec, tuple) and spec:
-            # Invert _workload_spec so labels match what was typed.
+            # Invert workload_spec so labels match what was typed.
             if len(spec) == 1:
                 labels.append(spec[0])
             elif spec[0] in ("micro", "spec", "phased"):
@@ -294,6 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = resumed.system.config
         allocation = config.vpc
     else:
+        traces = tuple(workload_spec(name) for name in args.workloads)
         allocation = VPCAllocation(
             parse_shares(args.shares, n_threads),
             parse_shares(args.capacity_shares, n_threads),
@@ -320,28 +277,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         checkpointer = Checkpointer(args.checkpoint,
                                     every=args.checkpoint_every)
 
-    if resumed is not None:
-        traces = []
-    elif args.checkpoint:
-        # Checkpointable runs need picklable trace cursors.
-        from repro.resilience import ResumableTrace
-        traces = [
-            ResumableTrace(_workload_spec(name), tid)
-            for tid, name in enumerate(args.workloads)
-        ]
-    else:
-        traces = [
-            resolve_workload(name, tid)
-            for tid, name in enumerate(args.workloads)
-        ]
-
     observe = bool(args.metrics or args.prometheus
                    or args.report is not None or args.serve is not None
                    or args.alerts)
 
     telemetry = None
     ring = jsonl = histograms = None
-    collector = attributor = None
     if resumed is None and (args.trace or args.histograms or observe):
         from repro.telemetry import (
             JsonlSink,
@@ -371,10 +312,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.report is not None:
         from repro.system.metrics import target_ipc
 
-        def one_target(tid: int, name: str) -> float:
+        def one_target(tid: int) -> float:
             return target_ipc(
                 config,
-                resolve_workload(name, 0),
+                build_trace(traces[tid], 0),
                 phi=allocation.bandwidth_shares[tid],
                 beta=allocation.capacity_shares[tid],
                 warmup=args.warmup,
@@ -386,50 +327,35 @@ def main(argv: Optional[List[str]] = None) -> int:
             for tid, name in enumerate(args.workloads):
                 with tracer.span(f"target-ipc.t{tid}", TRACK_SCHED,
                                  workload=name):
-                    targets.append(one_target(tid, name))
+                    targets.append(one_target(tid))
         else:
-            targets = [one_target(tid, name)
-                       for tid, name in enumerate(args.workloads)]
-
-    if resumed is None and observe:
-        from repro.telemetry import InterferenceAttributor, MetricsCollector
-        collector = telemetry.attach(MetricsCollector(
-            n_threads, window=args.metrics_window,
-            baseline_ipcs=targets,
-        ))
-        attributor = telemetry.attach(InterferenceAttributor(n_threads))
+            targets = [one_target(tid) for tid in range(n_threads)]
 
     if resumed is not None:
-        system = resumed.system
-        collector = resumed.metrics
-        attributor = resumed.attributor
+        point_run = PointRun.revive(resumed)
         if args.kernel is not None:
             # Kernels are bit-identical, so switching mid-run cannot
             # change the simulation — only how fast it finishes.
-            system.kernel = args.kernel
+            point_run.system.kernel = args.kernel
     else:
-        system = CMPSystem(
-            config, traces,
-            capacity_policy=args.capacity,
-            vpc_selection=args.selection,
-            telemetry=telemetry,
-            kernel=args.kernel or DEFAULT_KERNEL,
+        point = SimPoint(
+            config=config, traces=traces,
+            warmup=args.warmup, measure=args.cycles,
+            capacity_policy=args.capacity, vpc_selection=args.selection,
+            controller=controller_name, epoch_cycles=args.epoch or 5_000,
+            controller_targets=(tuple(targets) if targets is not None
+                                else None),
         )
-    if resumed is None and args.cpi_stacks is not None:
-        system.attach_cycle_accounting()
-    if resumed is None and args.requests is not None:
-        system.attach_request_tracing(slo_rules=slo_rules)
-    if resumed is None and controller_name is not None:
-        from repro.qos import make_controller
-        system.attach_qos_controller(make_controller(
-            controller_name, n_threads,
-            epoch_cycles=args.epoch or 5_000,
-            baseline_ipcs=targets,
-        ))
-    monitor = None
-    if resumed is None and observe and args.arbiter == "vpc":
-        from repro.core.monitor import QoSMonitor
-        monitor = QoSMonitor(system, window=args.metrics_window)
+        spec = RunSpec(
+            metrics=args.metrics_window if observe else None,
+            kernel=args.kernel or DEFAULT_KERNEL,
+            cpi_stacks=args.cpi_stacks is not None,
+            requests=args.requests is not None, slo=slo_rules,
+        )
+        point_run = PointRun.build(
+            point, spec, resumable=checkpointer is not None, bus=telemetry,
+            baseline_ipcs=targets, monitor=observe)
+    system = point_run.system
 
     engine = None
     if args.alerts:
@@ -437,10 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         engine = AlertEngine(load_rules(args.alerts))
 
     live = server = None
-    on_window = None
     if args.serve is not None or engine is not None:
-        import os
-
         from repro.telemetry import LiveRun, TelemetryServer
         live = LiveRun(stale_after=args.stale_after)
         live.alert_engine = engine
@@ -456,25 +379,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "(/metrics /healthz /snapshot /events)", flush=True)
         live.begin_run(" ".join(args.workloads), kernel=system.kernel)
         live.begin_batch(1)
-        worker = os.getpid()
-        live.put(("start", 0, worker))
-        violations_sent = 0
-
-        def on_window(cycle: int) -> None:
-            nonlocal violations_sent
-            snapshot = collector.snapshot()
-            if attributor is not None:
-                snapshot["attribution"] = attributor.snapshot()
-                snapshot["arbiter"] = args.arbiter
-            if system.request_tracer is not None:
-                snapshot["requests"] = system.request_tracer.document(cycle)
-            live.put(("window", 0, worker, cycle, snapshot))
-            if monitor is not None:
-                monitor.finish(cycle)
-                from dataclasses import asdict
-                for violation in monitor.violations[violations_sent:]:
-                    live.put(("violation", 0, worker, asdict(violation)))
-                violations_sent = len(monitor.violations)
 
     if tracer is not None and checkpointer is not None:
         from repro.telemetry.spans import TRACK_CKPT
@@ -496,28 +400,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             "simulate", TRACK_RUN,
             workloads=" ".join(args.workloads), kernel=system.kernel,
             warmup=args.warmup, measure=args.cycles)
-    if resumed is not None:
-        result = resumed.run(checkpointer=checkpointer)
-    else:
-        result = run_simulation(system, warmup=args.warmup,
-                                measure=args.cycles, metrics=collector,
-                                on_window=on_window, checkpoint=checkpointer)
+    result = point_run.run(feed=live, index=0, checkpoint=checkpointer)
     if tracer is not None:
         tracer.end(simulate_span, cycles=result.cycles)
     wall_time = time.monotonic() - started
     if profiler is not None:
         from repro.common.profiling import finish_profile
         finish_profile(profiler, args.profile)
-    if attributor is not None:
-        attributor.finish(system.cycle)
-        result.metrics["attribution"] = attributor.snapshot()
-        result.metrics["arbiter"] = config.arbiter
-    if result.metrics is not None and result.cpi_stacks is not None:
-        result.metrics["cpi_stacks"] = result.cpi_stacks
-    if result.metrics is not None and result.requests is not None:
-        result.metrics["requests"] = result.requests
-    if monitor is not None:
-        monitor.finish(system.cycle)
     if live is not None:
         live.point_done(0, result.metrics)
         live.finish_run()
@@ -611,7 +500,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             arbiter=args.arbiter,
             metrics=result.metrics,
             attribution=result.metrics.get("attribution"),
-            conformance=monitor.conformance() if monitor is not None else None,
+            conformance=(point_run.monitor.conformance()
+                         if point_run.monitor is not None else None),
             targets=targets,
             run_label=" ".join(args.workloads),
         )

@@ -5,7 +5,11 @@ Every figure/sweep is a collection of *independent* simulation points
 state), so they parallelize trivially across processes.  A point is
 described by a :class:`SimPoint` — a frozen, picklable value object —
 and realized by the module-level :func:`run_point` so worker processes
-can unpickle and execute it.
+can unpickle and execute it.  How a batch runs (jobs, cache, kernel,
+views, policy remap, resilience, observers) is one frozen
+:class:`RunSpec`, set with :func:`configure` and handed whole to
+``run_point`` and the fleet; ``python -m repro`` runs its single point
+through the same :class:`PointRun` path.
 
 Two mechanisms, both off by default and switched from the CLI
 (``--jobs N`` / ``--no-cache`` on ``python -m repro.experiments``):
@@ -43,79 +47,110 @@ from repro.system.cmp import CMPSystem
 from repro.system.kernel import DEFAULT_KERNEL, KERNELS
 from repro.system.simulator import SimulationResult, run_simulation
 from repro.telemetry.events import CAT_RUN, PH_COMPLETE, PH_INSTANT, TraceEvent
+from repro.workloads import build_trace
 
 # Bump whenever a change alters simulation results; stale entries are
 # then simply never looked up again.
 CACHE_VERSION = 1
 
-# Module-level execution policy, set once from the CLI via configure().
-_jobs = 1
-_cache_enabled = True
-# Optional observers (repro.telemetry): a ProgressReporter that gets a
-# callback per completed point, and a TelemetryBus that receives
-# wall-clock orchestration events.  Unlike jobs/cache these are RESET by
-# every configure() call, so test fixtures and benchmark setup that pin
-# the execution policy also restore "no observers".
-_progress = None
-_telemetry = None
-# Metrics collection window in cycles (None = off).  When set, every
-# point runs with a MetricsCollector + InterferenceAttributor attached
-# (built inside the worker process — the window travels to workers as an
-# explicit run_point argument, never as process-global state) and the
-# snapshot rides back on SimulationResult.metrics.
-_metrics_window: Optional[int] = None
-# Live observability feed (repro.telemetry.server.LiveRun) for --serve:
-# workers stream per-window snapshots/heartbeats/QoS violations to it
-# mid-point.  Requires metrics collection; reset by every configure().
-_live = None
-# Cycle accounting (repro.telemetry.cycles): when True every point runs
-# with a CycleAccounting attached and the CPI-stack snapshot rides back
-# on SimulationResult.cpi_stacks (and, when metrics are also on, inside
-# the metrics snapshot as "cpi_stacks" so aggregates carry it).  Reset
-# by every configure() like the observers.
-_cpi_stacks = False
-# Resilience policy (repro.resilience.fleet.ResilienceConfig): when set,
-# run_points() routes through the fault-tolerant fleet — journaled run
-# directory, per-point checkpoints, timeouts/retries.  Reset by every
-# configure() like the observers; None keeps the fast pool path with
-# zero resilience overhead.
-_resilience = None
-# Simulation kernel every point runs under ("cycle" | "batch").  Sticky
-# like jobs/cache: an execution policy, not an observer.  The kernels
-# are bit-identical (tests/test_kernel_equivalence.py), so the choice
-# affects wall time only — which is also why kernel is deliberately NOT
-# part of SimPoint/cache_key: a cached result is valid under any kernel.
-_kernel = DEFAULT_KERNEL
-# Host-time orchestration span tracer (repro.telemetry.spans.SpanTracer)
-# for --spans: run_points opens batch/point spans on it and propagates a
-# SpanContext to workers when a live feed exists so their spans travel
-# home over the same wire.  Reset by every configure() like the
-# observers; None keeps every producer at a single is-not-None test.
-_spans = None
-# Request-scope tracing (repro.telemetry.requests): when True every
-# single-threaded-per-core point runs with a RequestTracer attached and
-# the per-thread tail-latency document rides back on
-# SimulationResult.requests (and, when metrics are also on, inside the
-# metrics snapshot as "requests" so aggregates and report cards carry
-# it).  _slo is the tuple of SLORule declarations evaluated into each
-# document.  Reset by every configure() like the observers.
-_requests = False
-_slo: Tuple = ()
-# Policy-family override (--policy on the experiments runner): remaps
-# every multi-thread point's arbiter/capacity/controller before it runs
-# ("fcfs" | "vpc" | "lfoc"; None = leave points as authored).  Solo
-# (1-thread) points — the private-equivalent targets — are never
-# remapped.  Reset by every configure() like the observers.
-_policy: Optional[str] = None
-# QoS controller override (--controller): attach this repro.qos
-# controller to every multi-thread point, with _epoch as its epoch
-# length (None = the points' own epoch_cycles).  Reset like _policy.
-_controller: Optional[str] = None
-_epoch: Optional[int] = None
-
 #: Policy-family presets shared with the CLIs: arbiter, capacity
 #: policy, and controller implied by each ``--policy`` name.
 POLICIES = ("fcfs", "vpc", "lfoc")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """How a batch of points runs: one validated, immutable value.
+
+    The fields are :func:`configure`'s keywords:
+
+    * ``jobs`` — worker processes (``0`` → all CPUs) and ``cache`` —
+      the on-disk target-IPC cache;
+    * ``kernel`` — the simulation kernel every point runs under
+      (``cycle``/``batch``; bit-identical, wall time only, so it is
+      never part of a point's cache key);
+    * ``metrics`` — a cycle window enabling per-point metrics
+      collection (collector + interference attributor); the snapshot
+      rides back on ``SimulationResult.metrics``;
+    * ``cpi_stacks`` / ``requests`` — per-thread cycle accounting and
+      per-request latency tracing on every point whose cores run one
+      hardware thread each, with ``slo`` the
+      :class:`~repro.telemetry.requests.SLORule` tuple evaluated into
+      each request document;
+    * ``policy`` (``fcfs``/``vpc``/``lfoc``), ``controller``
+      (``lfoc``/``fairness``) and ``epoch`` — remap every multi-thread
+      point onto one policy family / QoS controller (see
+      :func:`apply_policy`);
+    * ``resilience`` — a :class:`repro.resilience.fleet
+      .ResilienceConfig` routing batches through the journaled,
+      checkpointing fleet;
+    * ``progress``, ``telemetry``, ``live``, ``spans`` — parent-side
+      observers: a progress reporter, an orchestration-event bus, the
+      ``--serve`` :class:`~repro.telemetry.server.LiveRun` feed (which
+      needs ``metrics``), and a host-time
+      :class:`~repro.telemetry.spans.SpanTracer`.  They hold threads,
+      sockets and files, so they never cross into a worker process: a
+      pickled spec carries its settings only.
+    """
+
+    jobs: int = 1
+    cache: bool = True
+    progress: object = field(default=None, repr=False, compare=False)
+    telemetry: object = field(default=None, repr=False, compare=False)
+    metrics: Optional[int] = None
+    live: object = field(default=None, repr=False, compare=False)
+    resilience: object = None
+    kernel: str = DEFAULT_KERNEL
+    cpi_stacks: bool = False
+    spans: object = field(default=None, repr=False, compare=False)
+    requests: bool = False
+    slo: Tuple = ()
+    policy: Optional[str] = None
+    controller: Optional[str] = None
+    epoch: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
+        if self.jobs == 0:
+            object.__setattr__(self, "jobs", os.cpu_count() or 1)
+        object.__setattr__(self, "slo", tuple(self.slo))
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown simulation kernel {self.kernel!r}; "
+                             f"choose from {sorted(KERNELS)}")
+        if self.metrics is not None and self.metrics < 1:
+            raise ValueError(
+                f"metrics window must be >= 1 cycle, got {self.metrics}")
+        if self.live is not None and self.metrics is None:
+            raise ValueError("live streaming requires a metrics window")
+        if self.slo and not self.requests:
+            raise ValueError("SLO rules require request tracing")
+        if self.policy is not None and self.policy not in POLICIES:
+            raise ValueError(f"unknown policy family {self.policy!r}; "
+                             f"choose from {POLICIES}")
+        if self.controller is not None:
+            from repro.qos import CONTROLLERS
+            if self.controller not in CONTROLLERS:
+                raise ValueError(f"unknown QoS controller "
+                                 f"{self.controller!r}; "
+                                 f"choose from {CONTROLLERS}")
+            if self.policy == "fcfs":
+                raise ValueError("a QoS controller needs VPC share "
+                                 "registers; it cannot ride the fcfs "
+                                 "policy family")
+        if self.epoch is not None and self.epoch < 1:
+            raise ValueError(
+                f"controller epoch must be >= 1 cycle, got {self.epoch}")
+
+    def __getstate__(self) -> Dict:
+        """Pickle the settings only; the observers stay behind."""
+        state = dict(self.__dict__)
+        state.update(progress=None, telemetry=None, live=None, spans=None)
+        return state
+
+
+#: The process-wide run description, replaced by :func:`configure`.
+_spec = RunSpec()
 
 #: hits/misses observability (tests assert on this; reset via configure).
 cache_stats: Dict[str, int] = {"hits": 0, "misses": 0}
@@ -125,129 +160,33 @@ cache_stats: Dict[str, int] = {"hits": 0, "misses": 0}
 #: experiment via drain_metrics().  Empty unless metrics are configured.
 metrics_log: List[Dict] = []
 
+#: Execution-policy fields that keep their value when a configure()
+#: call omits them; every other field resets to its default.
+_STICKY = ("jobs", "cache", "kernel")
 
-def configure(
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
-    progress=None,
-    telemetry=None,
-    metrics: Optional[int] = None,
-    live=None,
-    resilience=None,
-    kernel: Optional[str] = None,
-    cpi_stacks: bool = False,
-    spans=None,
-    requests: bool = False,
-    slo: Sequence = (),
-    policy: Optional[str] = None,
-    controller: Optional[str] = None,
-    epoch: Optional[int] = None,
-) -> None:
-    """Set the process-wide execution policy (``jobs=0`` → all CPUs).
 
-    ``metrics`` is a cycle-window size enabling per-point metrics
-    collection; like the observers it is reset by every call.  ``live``
-    is a :class:`repro.telemetry.server.LiveRun` feed for the ``--serve``
-    observability plane — it needs window snapshots to stream, so it
-    requires ``metrics``.  ``resilience`` is a
-    :class:`repro.resilience.fleet.ResilienceConfig` routing execution
-    through the journaled, checkpointing, fault-tolerant fleet.
+def configure(**settings) -> None:
+    """Set the process-wide :class:`RunSpec` from its field names.
 
-    ``cpi_stacks`` enables per-thread cycle accounting
-    (:mod:`repro.telemetry.cycles`) on every point; like the observers
-    it is reset by every call.
-
-    ``spans`` is a :class:`repro.telemetry.spans.SpanTracer` for host-
-    time orchestration tracing (``--spans``): batches and points get
-    wall-clock spans, cache hits/misses get instants, and — when a live
-    feed is also configured — workers are handed a
-    :class:`~repro.telemetry.spans.SpanContext` so their spans stream
-    home over the feed channel.  Reset by every call like the observers.
-
-    ``requests`` enables per-request latency tracing
-    (:mod:`repro.telemetry.requests`) on every point whose cores run one
-    hardware thread each; ``slo`` is a sequence of
-    :class:`~repro.telemetry.requests.SLORule` evaluated into each
-    point's document.  Like the observers both are reset by every call.
-
-    ``kernel`` selects the simulation kernel every point runs under
-    (``cycle``/``batch`` — bit-identical, wall time only).
-
-    ``policy`` ("fcfs"/"vpc"/"lfoc") remaps every multi-thread point's
-    arbiter, capacity policy, and QoS controller to one policy family
-    before it runs; ``controller`` ("lfoc"/"fairness") attaches a
-    :mod:`repro.qos` controller to every multi-thread point, and
-    ``epoch`` overrides the controller epoch length.  Solo points (the
-    private-equivalent targets) are never remapped.  All three reset on
-    every call like the observers.
+    ``jobs``, ``cache`` and ``kernel`` are sticky (omitted or ``None``
+    keeps the current value); every other field, observers included,
+    resets to its default on each call, so test fixtures and benchmark
+    set-up that pin the execution policy also restore "no observers".
+    Invalid combinations raise ``ValueError``.
     """
-    global _jobs, _cache_enabled, _progress, _telemetry, _metrics_window
-    global _live, _resilience, _kernel, _cpi_stacks, _spans
-    global _requests, _slo, _policy, _controller, _epoch
-    if jobs is not None:
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
-        _jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
-    if cache is not None:
-        _cache_enabled = cache
-    if kernel is not None:
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown simulation kernel {kernel!r}; "
-                             f"choose from {sorted(KERNELS)}")
-        _kernel = kernel
-    if metrics is not None and metrics < 1:
-        raise ValueError(f"metrics window must be >= 1 cycle, got {metrics}")
-    if live is not None and metrics is None:
-        raise ValueError("live streaming requires a metrics window")
-    if slo and not requests:
-        raise ValueError("SLO rules require request tracing")
-    if requests and resilience is not None:
-        raise ValueError("the resilient fleet does not carry request "
-                         "traces across checkpoints; drop --requests or "
-                         "the run dir")
-    if policy is not None and policy not in POLICIES:
-        raise ValueError(f"unknown policy family {policy!r}; "
-                         f"choose from {POLICIES}")
-    if controller is not None:
-        from repro.qos import CONTROLLERS
-        if controller not in CONTROLLERS:
-            raise ValueError(f"unknown QoS controller {controller!r}; "
-                             f"choose from {CONTROLLERS}")
-        if policy == "fcfs":
-            raise ValueError("a QoS controller needs VPC share registers; "
-                             "it cannot ride the fcfs policy family")
-    if epoch is not None and epoch < 1:
-        raise ValueError(f"controller epoch must be >= 1 cycle, got {epoch}")
-    _progress = progress
-    _telemetry = telemetry
-    _metrics_window = metrics
-    _live = live
-    _resilience = resilience
-    _cpi_stacks = cpi_stacks
-    _spans = spans
-    _requests = requests
-    _slo = tuple(slo)
-    _policy = policy
-    _controller = controller
-    _epoch = epoch
+    global _spec
+    for name in _STICKY:
+        if settings.get(name) is None:
+            settings[name] = getattr(_spec, name)
+    _spec = RunSpec(**settings)
     cache_stats["hits"] = 0
     cache_stats["misses"] = 0
     metrics_log.clear()
 
 
-def configured_live():
-    """The LiveRun feed configured for this process, if any."""
-    return _live
-
-
-def configured_resilience():
-    """The ResilienceConfig configured for this process, if any."""
-    return _resilience
-
-
-def configured_spans():
-    """The host-time SpanTracer configured for this process, if any."""
-    return _spans
+def current_spec() -> RunSpec:
+    """The :class:`RunSpec` the last :func:`configure` call set."""
+    return _spec
 
 
 def drain_metrics() -> List[Dict]:
@@ -265,37 +204,8 @@ def cache_summary() -> Optional[str]:
             f"{cache_stats['misses']} misses ({cache_dir()})")
 
 
-def configured_jobs() -> int:
-    return _jobs
-
-
-def configured_kernel() -> str:
-    """The simulation kernel points run under ("cycle"/"batch")."""
-    return _kernel
-
-
-def configured_cpi_stacks() -> bool:
-    """Whether per-point cycle accounting is enabled for this process."""
-    return _cpi_stacks
-
-
-def configured_requests() -> bool:
-    """Whether per-point request tracing is enabled for this process."""
-    return _requests
-
-
-def configured_policy() -> Optional[str]:
-    """The policy-family override for this process, if any."""
-    return _policy
-
-
-def configured_controller() -> Optional[str]:
-    """The QoS-controller override for this process, if any."""
-    return _controller
-
-
-def apply_policy(point: "SimPoint") -> "SimPoint":
-    """Remap one point to the configured policy family / controller.
+def apply_policy(point: "SimPoint", spec: RunSpec) -> "SimPoint":
+    """Remap one point to the spec's policy family / controller.
 
     Solo (1-thread) points pass through untouched: they are the
     private-equivalent targets every policy normalizes against, and
@@ -304,30 +214,30 @@ def apply_policy(point: "SimPoint") -> "SimPoint":
     — the rewritten point is what runs, caches, and pickles, so worker
     processes need no knowledge of the override.
     """
-    if (_policy is None and _controller is None) \
+    if (spec.policy is None and spec.controller is None) \
             or point.config.n_threads == 1:
         return point
     updates: Dict = {}
-    if _policy == "fcfs":
+    if spec.policy == "fcfs":
         updates["config"] = replace(point.config, arbiter="fcfs")
         updates["capacity_policy"] = "lru"
         updates["controller"] = None
-    elif _policy == "vpc":
+    elif spec.policy == "vpc":
         updates["config"] = replace(point.config, arbiter="vpc")
         updates["capacity_policy"] = "vpc"
         updates["controller"] = None
-    elif _policy == "lfoc":
+    elif spec.policy == "lfoc":
         updates["config"] = replace(point.config, arbiter="vpc")
         updates["capacity_policy"] = "vpc"
         updates["controller"] = "lfoc"
-    if _controller is not None:
+    if spec.controller is not None:
         updates["config"] = replace(
             updates.get("config", point.config), arbiter="vpc")
         updates["capacity_policy"] = "vpc"
-        updates["controller"] = _controller
-    if _epoch is not None and (
+        updates["controller"] = spec.controller
+    if spec.epoch is not None and (
             updates.get("controller") or point.controller):
-        updates["epoch_cycles"] = _epoch
+        updates["epoch_cycles"] = spec.epoch
     return replace(point, **updates) if updates else point
 
 
@@ -335,14 +245,9 @@ def apply_policy(point: "SimPoint") -> "SimPoint":
 class SimPoint:
     """One simulation: a system configuration plus seeded trace specs.
 
-    ``traces`` holds one spec per hardware thread:
-
-    * ``("loads",)`` / ``("stores",)`` — the microbenchmarks;
-    * ``("micro", name)`` — any entry of ``MICROBENCHMARKS``;
-    * ``("spec", name)`` — a SPEC stand-in profile;
-    * ``("synthetic", profile)`` — an explicit ``WorkloadProfile``;
-    * ``("phased", name)`` — a named phase-changing schedule;
-    * ``("phased-inline", text)`` — an inline phased schedule.
+    ``traces`` holds one :func:`repro.workloads.build_trace` spec per
+    hardware thread (``("spec", "art")``, ``("loads",)``, ...; see there
+    for the vocabulary).
 
     Thread ids are positional.  Everything here is a frozen dataclass or
     a primitive, so a point pickles to workers and ``repr`` is a stable
@@ -371,209 +276,221 @@ class SimPoint:
     controller_targets: Optional[Tuple[float, ...]] = None
 
 
-def _build_trace(spec: Tuple, thread_id: int):
-    kind = spec[0]
-    if kind == "loads":
-        from repro.workloads.microbench import loads_trace
-        return loads_trace(thread_id)
-    if kind == "stores":
-        from repro.workloads.microbench import stores_trace
-        return stores_trace(thread_id)
-    if kind == "micro":
-        from repro.workloads.microbench import MICROBENCHMARKS
-        return MICROBENCHMARKS[spec[1]](thread_id)
-    if kind == "spec":
-        from repro.workloads.profiles import spec_trace
-        return spec_trace(spec[1], thread_id)
-    if kind == "synthetic":
-        from repro.workloads.synthetic import synthetic_trace
-        return synthetic_trace(spec[1], thread_id)
-    if kind == "phased":
-        from repro.workloads.profiles import phased_profile_trace
-        return phased_profile_trace(spec[1], thread_id)
-    if kind == "phased-inline":
-        from repro.workloads.phased import parse_phased, phased_trace
-        return phased_trace(parse_phased(spec[1]), thread_id)
-    raise ValueError(f"unknown trace spec {spec!r}")
+class PointRun:
+    """One point's system with its views attached, ready to finish.
 
+    The one path from a :class:`SimPoint` plus a :class:`RunSpec` to a
+    finished :class:`SimulationResult`: :func:`run_point` is
+    ``PointRun.build(point, spec).run()``.  The single-run CLI builds
+    its own (adding its trace bus, the solo baselines its metrics
+    collector tracks, and a QoS monitor for the report card) so it can
+    read ``system`` and ``monitor`` afterwards; both checkpoint-resume
+    paths (the fleet's and ``--resume-checkpoint``) finish through
+    :meth:`revive`.
+    """
 
-def _point_controller(system, point: SimPoint) -> None:
-    """Attach the point's QoS controller, if any (after the observers,
-    so the controller's private collector lands on the final bus)."""
-    if point.controller is None:
-        return
-    from repro.qos import make_controller
-    system.attach_qos_controller(make_controller(
-        point.controller,
-        point.config.n_threads,
-        epoch_cycles=point.epoch_cycles,
-        baseline_ipcs=point.controller_targets,
-    ))
+    def __init__(self, system: CMPSystem, metrics=None, attributor=None,
+                 monitor=None, warmup: int = 0, measure: int = 0,
+                 resumed=None) -> None:
+        self.system = system
+        self.metrics = metrics
+        self.attributor = attributor
+        self.monitor = monitor
+        self.warmup = warmup
+        self.measure = measure
+        self.resumed = resumed
+        self._feed = None
+        self._index = None
+        self._worker = None
+        self._sent = 0
 
+    @classmethod
+    def build(cls, point: SimPoint, spec: RunSpec, resumable: bool = False,
+              bus=None, baseline_ipcs=None,
+              monitor: bool = False) -> "PointRun":
+        """Build the point's system and attach what ``spec`` asks for.
 
-def _point_observers(system, point: SimPoint, metrics_window: Optional[int]):
-    """Attach the standard per-point observers (collector + attributor)
-    on a private bus; returns ``(metrics, attributor)`` (both None when
-    metrics are off)."""
-    if metrics_window is None:
-        return None, None
-    from repro.telemetry import (
-        InterferenceAttributor,
-        MetricsCollector,
-        TelemetryBus,
-    )
-    bus = system.attach_telemetry(TelemetryBus())
-    metrics = bus.attach(MetricsCollector(
-        point.config.n_threads, window=metrics_window))
-    attributor = bus.attach(InterferenceAttributor(
-        point.config.n_threads))
-    return metrics, attributor
+        ``resumable`` wraps each trace in a picklable cursor so the run
+        can checkpoint (plain runs keep the raw generators — the
+        zero-overhead path).  ``bus`` is a telemetry bus to attach the
+        observers to (the CLI's, carrying its trace sinks) instead of a
+        private one; ``baseline_ipcs`` are solo IPCs the metrics
+        collector tracks slowdown against; ``monitor`` adds a
+        :class:`~repro.core.monitor.QoSMonitor` on VPC points with
+        metrics on.
+        """
+        if resumable:
+            from repro.resilience.snapshot import ResumableTrace
+            traces = [ResumableTrace(trace, tid)
+                      for tid, trace in enumerate(point.traces)]
+        else:
+            traces = [build_trace(trace, tid)
+                      for tid, trace in enumerate(point.traces)]
+        system = CMPSystem(
+            point.config,
+            traces,
+            capacity_policy=point.capacity_policy,
+            intra_thread_row=point.intra_thread_row,
+            vpc_selection=point.vpc_selection,
+            smt_degree=point.smt_degree,
+            kernel=spec.kernel,
+        )
+        if point.smt_degree == 1:
+            # Both views assume one hardware thread per core; SMT points
+            # run without them.
+            if spec.cpi_stacks:
+                system.attach_cycle_accounting()
+            if spec.requests:
+                system.attach_request_tracing(slo_rules=spec.slo)
+        n_threads = point.config.n_threads
+        metrics = attributor = qos_monitor = None
+        if spec.metrics is not None and bus is None:
+            from repro.telemetry import TelemetryBus
+            bus = TelemetryBus()
+        if bus is not None:
+            system.attach_telemetry(bus)
+        if spec.metrics is not None:
+            from repro.telemetry import (
+                InterferenceAttributor,
+                MetricsCollector,
+            )
+            metrics = bus.attach(MetricsCollector(
+                n_threads, window=spec.metrics, baseline_ipcs=baseline_ipcs))
+            attributor = bus.attach(InterferenceAttributor(n_threads))
+        if point.controller is not None:
+            # After the observers, so the controller's private collector
+            # lands on the final bus.
+            from repro.qos import make_controller
+            system.attach_qos_controller(make_controller(
+                point.controller,
+                n_threads,
+                epoch_cycles=point.epoch_cycles,
+                baseline_ipcs=point.controller_targets,
+            ))
+        if monitor and metrics is not None and point.config.arbiter == "vpc":
+            from repro.core.monitor import QoSMonitor
+            qos_monitor = QoSMonitor(system, window=spec.metrics)
+        return cls(system, metrics, attributor, qos_monitor,
+                   warmup=point.warmup, measure=point.measure)
+
+    @classmethod
+    def revive(cls, resumed) -> "PointRun":
+        """Wrap a loaded checkpoint (:class:`repro.resilience.snapshot
+        .ResumedRun`); its views and controller rode the pickle."""
+        return cls(resumed.system, resumed.metrics, resumed.attributor,
+                   resumed=resumed)
+
+    def run(self, feed=None, index: Optional[int] = None, checkpoint=None,
+            span_ctx=None) -> SimulationResult:
+        """Simulate to the end of the measurement and finish the result.
+
+        ``feed`` is a queue-like live-observability sink (``put(tuple)``;
+        requires metrics): the point streams one snapshot per
+        measurement window plus QoS-violation instants while it
+        simulates, tagged with ``index`` and this process's pid.
+        ``span_ctx`` (requires ``feed``) wraps the simulation in a
+        worker-side host-time span that streams home over the feed.
+        ``checkpoint`` is a :class:`~repro.resilience.snapshot
+        .Checkpointer`.  Observation never perturbs the result.
+        """
+        on_window = None
+        if feed is not None:
+            if self.metrics is None:
+                raise ValueError("a live feed requires a metrics window")
+            self._feed, self._index, self._worker = feed, index, os.getpid()
+            feed.put(("start", index, self._worker))
+            on_window = self._window
+        worker_span = worker_tracer = None
+        if span_ctx is not None and feed is not None:
+            from repro.telemetry.spans import TRACK_WORKER, SpanTracer
+            worker_tracer = SpanTracer(feed=feed, index=index,
+                                       context=span_ctx)
+            worker_span = worker_tracer.begin(
+                f"simulate.point{index}", TRACK_WORKER,
+                warmup=self.warmup, measure=self.measure,
+            )
+        try:
+            if self.resumed is not None:
+                result = self.resumed.run(checkpointer=checkpoint,
+                                          on_window=on_window)
+            else:
+                result = run_simulation(
+                    self.system, warmup=self.warmup, measure=self.measure,
+                    metrics=self.metrics, on_window=on_window,
+                    checkpoint=checkpoint,
+                )
+        except BaseException as exc:
+            if worker_tracer is not None:
+                worker_tracer.end(worker_span, error=type(exc).__name__)
+            raise
+        if worker_tracer is not None:
+            worker_tracer.end(worker_span, cycles=self.system.cycle)
+        if self.attributor is not None:
+            self.attributor.finish(self.system.cycle)
+            result.metrics["attribution"] = self.attributor.snapshot()
+            result.metrics["arbiter"] = self.system.config.arbiter
+        if result.metrics is not None:
+            # The view documents ride the metrics snapshot as well, so
+            # experiment aggregates and report cards carry them per
+            # point.
+            if result.cpi_stacks is not None:
+                result.metrics["cpi_stacks"] = result.cpi_stacks
+            if result.requests is not None:
+                result.metrics["requests"] = result.requests
+        self._audit(self.system.cycle)
+        return result
+
+    def _window(self, cycle: int) -> None:
+        snapshot = self.metrics.snapshot()
+        snapshot["attribution"] = self.attributor.snapshot()
+        snapshot["arbiter"] = self.system.config.arbiter
+        if self.system.cycle_accounting is not None:
+            snapshot["cpi_stacks"] = self.system.cycle_accounting.snapshot(
+                cycle)
+        if self.system.request_tracer is not None:
+            snapshot["requests"] = self.system.request_tracer.document(cycle)
+        self._feed.put(("window", self._index, self._worker, cycle,
+                        snapshot))
+        self._audit(cycle)
+
+    def _audit(self, cycle: int) -> None:
+        """Close the monitor's elapsed windows (they close lazily on
+        events) and stream fresh violations to the feed, if any."""
+        if self.monitor is None:
+            return
+        self.monitor.finish(cycle)
+        if self._feed is None:
+            return
+        for violation in self.monitor.violations[self._sent:]:
+            self._feed.put(("violation", self._index, self._worker,
+                            asdict(violation)))
+        self._sent = len(self.monitor.violations)
 
 
 def run_point(
     point: SimPoint,
-    metrics_window: Optional[int] = None,
+    spec: RunSpec = RunSpec(),
     feed=None,
     index: Optional[int] = None,
     checkpoint=None,
     resumable: bool = False,
-    kernel: Optional[str] = None,
-    cpi_stacks: bool = False,
     span_ctx=None,
-    requests: bool = False,
-    slo_rules: Sequence = (),
 ) -> SimulationResult:
-    """Simulate one point from scratch (no cache involvement).
+    """Simulate one point from scratch under ``spec`` (no cache
+    involvement); see :class:`PointRun` for the views, the live
+    ``feed`` (tagged with ``index``), ``checkpoint``, ``resumable``
+    traces and the worker-side ``span_ctx``.
 
-    With ``metrics_window`` set the point runs fully observed — metrics
+    With ``spec.metrics`` set the point runs fully observed — metrics
     collector plus interference attributor on a private bus — and the
-    combined snapshot returns on ``SimulationResult.metrics`` (a plain
-    dict, so it pickles home from worker processes).
-
-    ``feed`` is a queue-like live-observability sink (``put(tuple)``):
-    when given (requires ``metrics_window``), the point streams one
-    snapshot per measurement window plus QoS-violation instants while
-    it simulates, tagged with ``index`` (the point's global number in
-    its run) and this worker's pid.  Observation only — the simulated
-    result is bit-identical with or without a feed.
-
-    ``kernel`` picks the simulation kernel ("cycle"/"batch"; ``None``
-    keeps the default).  Kernels are bit-identical, so
-    it travels to worker processes as an explicit argument but never
-    into the point's cache key.
-
-    ``cpi_stacks`` attaches per-thread cycle accounting (skipped for SMT
-    points, like ``requests``); the stack document returns on
-    ``SimulationResult.cpi_stacks`` and — when metrics are also
-    collected — is mirrored into the metrics snapshot as
-    ``"cpi_stacks"`` so experiment aggregates carry it per point.
-
-    ``span_ctx`` is a :class:`repro.telemetry.spans.SpanContext`
-    (requires ``feed``): the point's simulation is wrapped in a worker-
-    side host-time span that streams home as a ``("span", ...)`` tuple,
-    parented under the parent-side span that scheduled this point.
-
-    ``requests`` attaches per-request latency tracing (skipped for SMT
-    points — journeys assume one thread per core); the tail-latency
-    document returns on ``SimulationResult.requests`` and — when
-    metrics are also collected — is mirrored into the metrics snapshot
-    as ``"requests"``.  ``slo_rules`` are evaluated into the document.
+    combined snapshot (with the CPI-stack and request documents
+    mirrored in as ``"cpi_stacks"``/``"requests"``) returns on
+    ``SimulationResult.metrics``, a plain dict that pickles home from
+    worker processes.
     """
-    if feed is not None and metrics_window is None:
-        raise ValueError("a live feed requires a metrics window")
-    if resumable:
-        # Checkpointable runs wrap each trace in a picklable cursor
-        # (spec + items consumed); plain runs keep the raw generators —
-        # the zero-overhead path when resilience is off.
-        from repro.resilience.snapshot import ResumableTrace
-        traces = [
-            ResumableTrace(spec, tid)
-            for tid, spec in enumerate(point.traces)
-        ]
-    else:
-        traces = [
-            _build_trace(spec, tid) for tid, spec in enumerate(point.traces)
-        ]
-    system = CMPSystem(
-        point.config,
-        traces,
-        capacity_policy=point.capacity_policy,
-        intra_thread_row=point.intra_thread_row,
-        vpc_selection=point.vpc_selection,
-        smt_degree=point.smt_degree,
-        kernel=kernel or DEFAULT_KERNEL,
-    )
-    if point.smt_degree == 1:
-        # Both views assume one hardware thread per core; SMT points
-        # run without them.
-        if cpi_stacks:
-            system.attach_cycle_accounting()
-        if requests:
-            system.attach_request_tracing(slo_rules=slo_rules)
-    metrics, attributor = _point_observers(system, point, metrics_window)
-    _point_controller(system, point)
-    on_window = None
-    monitor = None
-    if feed is not None:
-        worker = os.getpid()
-        feed.put(("start", index, worker))
-        if point.config.arbiter == "vpc":
-            from repro.core.monitor import QoSMonitor
-            monitor = QoSMonitor(system, window=metrics_window)
-        violations_sent = 0
-
-        def on_window(cycle: int) -> None:
-            nonlocal violations_sent
-            snapshot = metrics.snapshot()
-            snapshot["attribution"] = attributor.snapshot()
-            snapshot["arbiter"] = point.config.arbiter
-            if system.cycle_accounting is not None:
-                snapshot["cpi_stacks"] = system.cycle_accounting.snapshot(
-                    cycle)
-            if system.request_tracer is not None:
-                snapshot["requests"] = system.request_tracer.document(cycle)
-            feed.put(("window", index, worker, cycle, snapshot))
-            if monitor is not None:
-                # Window boundaries close lazily on events; force the
-                # elapsed ones shut so fresh violations surface now.
-                monitor.finish(cycle)
-                for violation in monitor.violations[violations_sent:]:
-                    feed.put(("violation", index, worker,
-                              asdict(violation)))
-                violations_sent = len(monitor.violations)
-
-    worker_span = worker_tracer = None
-    if span_ctx is not None and feed is not None:
-        from repro.telemetry.spans import TRACK_WORKER, SpanTracer
-        worker_tracer = SpanTracer(feed=feed, index=index, context=span_ctx)
-        worker_span = worker_tracer.begin(
-            f"simulate.point{index}", TRACK_WORKER,
-            warmup=point.warmup, measure=point.measure,
-        )
-    try:
-        result = run_simulation(
-            system, warmup=point.warmup, measure=point.measure,
-            metrics=metrics, on_window=on_window, checkpoint=checkpoint,
-        )
-    except BaseException as exc:
-        if worker_tracer is not None:
-            worker_tracer.end(worker_span, error=type(exc).__name__)
-        raise
-    if worker_tracer is not None:
-        worker_tracer.end(worker_span, cycles=system.cycle)
-    if attributor is not None:
-        attributor.finish(system.cycle)
-        result.metrics["attribution"] = attributor.snapshot()
-        result.metrics["arbiter"] = point.config.arbiter
-        if result.cpi_stacks is not None:
-            result.metrics["cpi_stacks"] = result.cpi_stacks
-        if result.requests is not None:
-            result.metrics["requests"] = result.requests
-    if monitor is not None:
-        monitor.finish(system.cycle)
-        for violation in monitor.violations[violations_sent:]:
-            feed.put(("violation", index, os.getpid(), asdict(violation)))
-    return result
+    return PointRun.build(point, spec, resumable=resumable,
+                          monitor=feed is not None).run(
+        feed, index, checkpoint, span_ctx)
 
 
 # ---------------------------------------------------------------------- #
@@ -656,16 +573,13 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
     replayed from the run directory, survivors checkpointed, failures
     retried with backoff.
     """
-    if _policy is not None or _controller is not None:
-        points = [apply_policy(point) for point in points]
-    if _resilience is not None:
+    spec = _spec
+    if spec.policy is not None or spec.controller is not None:
+        points = [apply_policy(point, spec) for point in points]
+    if spec.resilience is not None:
         from repro.resilience import fleet
-        results_r = fleet.run_points_resilient(
-            points, _resilience, jobs=_jobs,
-            metrics_window=_metrics_window, progress=_progress, live=_live,
-            kernel=_kernel, cpi_stacks=_cpi_stacks, spans=_spans,
-        )
-        if _metrics_window is not None:
+        results_r = fleet.run_points_resilient(points, spec)
+        if spec.metrics is not None:
             metrics_log.extend(
                 result.metrics for result in results_r
                 if result is not None and result.metrics is not None
@@ -673,15 +587,9 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
         return results_r
     results: List[Optional[SimulationResult]] = [None] * len(points)
     todo: List[int] = []
-    progress = _progress
-    telemetry = _telemetry
-    metrics_window = _metrics_window
-    live = _live
+    progress, telemetry = spec.progress, spec.telemetry
+    live, spans = spec.live, spec.spans
     base = live.begin_batch(len(points)) if live is not None else 0
-    cpi_stacks = _cpi_stacks
-    requests = _requests
-    slo = _slo
-    spans = _spans
     batch_span = None
     open_points: Dict[int, object] = {}
     if spans is not None:
@@ -692,8 +600,8 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
     # hit results depend on observability settings.  Cycle-accounted
     # and request-traced runs bypass it for the same reason (stacks and
     # tail-latency documents are observability).
-    use_cache = (_cache_enabled and metrics_window is None
-                 and not cpi_stacks and not requests)
+    use_cache = (spec.cache and spec.metrics is None
+                 and not spec.cpi_stacks and not spec.requests)
     batch_t0 = time.monotonic()
 
     def wall_us() -> int:
@@ -745,7 +653,7 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
         if progress is not None:
             progress.point_done(cached=False)
 
-    if len(todo) > 1 and _jobs > 1:
+    if len(todo) > 1 and spec.jobs > 1:
         feed = drainer = stop_draining = manager = None
         if live is not None:
             # Workers stream through a managed queue (picklable proxy);
@@ -770,7 +678,7 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
                                        daemon=True)
             drainer.start()
         try:
-            pool = ProcessPoolExecutor(max_workers=min(_jobs, len(todo)))
+            pool = ProcessPoolExecutor(max_workers=min(spec.jobs, len(todo)))
             try:
                 pending = {}
                 for index in todo:
@@ -782,14 +690,9 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
                         if feed is not None:
                             span_ctx = spans.child_context(
                                 open_points[index])
-                    pending[pool.submit(run_point, points[index],
-                                        metrics_window, feed,
-                                        base + index,
-                                        kernel=_kernel,
-                                        cpi_stacks=cpi_stacks,
-                                        span_ctx=span_ctx,
-                                        requests=requests,
-                                        slo_rules=slo)] = (
+                    pending[pool.submit(run_point, points[index], spec,
+                                        feed, base + index,
+                                        span_ctx=span_ctx)] = (
                         index, wall_us()
                     )
                 while pending:
@@ -822,15 +725,12 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
                     point=index)
                 if live is not None:
                     span_ctx = spans.child_context(open_points[index])
-            finish(index, run_point(points[index], metrics_window, live,
-                                    base + index, kernel=_kernel,
-                                    cpi_stacks=cpi_stacks,
-                                    span_ctx=span_ctx,
-                                    requests=requests, slo_rules=slo),
+            finish(index, run_point(points[index], spec, live, base + index,
+                                    span_ctx=span_ctx),
                    wall_us())
     if spans is not None:
         spans.end(batch_span)
-    if metrics_window is not None:
+    if spec.metrics is not None:
         metrics_log.extend(
             result.metrics for result in results
             if result is not None and result.metrics is not None

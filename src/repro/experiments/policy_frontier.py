@@ -33,7 +33,7 @@ from repro.common.stats import harmonic_mean, jain_index
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
 from repro.system.simulator import SimulationResult
-from repro.workloads.profiles import PHASED_MIXES, PHASED_PROFILES
+from repro.workloads import PHASED_MIXES, workload_spec
 
 #: Schema tag on the figure document (repro.telemetry.validate).
 FRONTIER_SCHEMA = "repro.policy-frontier/1"
@@ -44,15 +44,10 @@ POLICY_FAMILIES = ("fcfs", "vpc", "lfoc", "dynamic")
 FAST_MIXES = ("pmix1",)
 
 
-def _workload_spec(name: str) -> Tuple:
-    """Mix entries name either a phased schedule or a steady profile."""
-    return ("phased", name) if name in PHASED_PROFILES else ("spec", name)
-
-
 def _target_point(name: str, warmup: int, measure: int) -> SimPoint:
     private = private_equivalent(baseline_config(n_threads=4),
                                  phi=0.25, beta=0.25)
-    return SimPoint(config=private, traces=(_workload_spec(name),),
+    return SimPoint(config=private, traces=(workload_spec(name),),
                     warmup=warmup, measure=measure, cacheable=True)
 
 
@@ -64,7 +59,7 @@ def _mix_point(
     epoch: int,
     targets: Tuple[float, ...],
 ) -> SimPoint:
-    traces = tuple(_workload_spec(name) for name in workloads)
+    traces = tuple(workload_spec(name) for name in workloads)
     if policy == "fcfs":
         config = baseline_config(n_threads=4, arbiter="fcfs")
         return SimPoint(config=config, traces=traces, warmup=warmup,

@@ -67,9 +67,8 @@ def run_experiment(exp_id: str, fast: bool = False,
             f"unknown experiment {exp_id!r}; known: {sorted(REGISTRY)}"
         )
     cache_before = dict(parallel.cache_stats)
-    kernel = parallel.configured_kernel()
-    live = parallel.configured_live()
-    spans = parallel.configured_spans()
+    spec = parallel.current_spec()
+    kernel, live, spans = spec.kernel, spec.live, spec.spans
     if live is not None:
         live.begin_run(exp_id, kernel=kernel)
     started = time.monotonic()
@@ -94,7 +93,7 @@ def run_experiment(exp_id: str, fast: bool = False,
         # /snapshot now serves the exact aggregate written to disk.
         live.finish_run(result.metrics)
     extra = dict(manifest_extra or {})
-    resilience = parallel.configured_resilience()
+    resilience = spec.resilience
     if resilience is not None:
         # Resume lineage: the manifest records which run directory this
         # result was (re)assembled from and under what policy.
@@ -299,9 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             slo_rules = tuple(load_slo(args.slo))
         except (OSError, ValueError) as error:
             parser.error(f"--slo: {error}")
-    if args.requests is not None and run_dir is not None:
-        parser.error("--requests cannot ride the resilient fleet; drop "
-                     "--run-dir/--resume")
     tracer = None
     if args.spans is not None:
         from repro.telemetry.spans import SpanTracer

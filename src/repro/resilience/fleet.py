@@ -97,27 +97,26 @@ class _JournalHook:
         self.journal.checkpoint_saved(self.key, self.index, cycle)
 
 
-def _fleet_worker(point, metrics_window, run_dir, key, index, attempt,
-                  every, chaos_config, kernel=None,
-                  cpi_stacks=False) -> None:
-    """Child-process entry: run (or resume) one point, store its result.
+def _fleet_worker(point, spec, run_dir, key, index, attempt) -> None:
+    """Child-process entry: run (or resume) one point under ``spec``
+    (a :class:`repro.experiments.parallel.RunSpec`), store its result.
 
     Exit code 0 with a readable sidecar is the only success signal the
     parent trusts; any exception here prints its traceback and exits 1.
     """
     try:
-        result = _run_or_resume(point, metrics_window, run_dir, key, index,
-                                attempt, every, chaos_config, kernel,
-                                cpi_stacks)
+        result = _run_or_resume(point, spec, run_dir, key, index, attempt)
         store_result(result_path(run_dir, key), result)
     except Exception:
         traceback.print_exc()
         sys.exit(1)
 
 
-def _run_or_resume(point, metrics_window, run_dir, key, index, attempt,
-                   every, chaos_config, kernel=None, cpi_stacks=False):
+def _run_or_resume(point, spec, run_dir, key, index, attempt):
+    from repro.experiments.parallel import PointRun, run_point
     journal = RunJournal(run_dir)
+    every = spec.resilience.checkpoint_every
+    chaos_config = spec.resilience.chaos
     chaos = None
     if chaos_config is not None and chaos_config.armed():
         chaos = ChaosInjector(chaos_config, key, attempt)
@@ -139,24 +138,12 @@ def _run_or_resume(point, metrics_window, run_dir, key, index, attempt,
                 except OSError:
                     pass
             else:
-                result = resumed.run(checkpointer=checkpointer)
-                if resumed.attributor is not None:
-                    resumed.attributor.finish(resumed.system.cycle)
-                    result.metrics["attribution"] = (
-                        resumed.attributor.snapshot())
-                    result.metrics["arbiter"] = point.config.arbiter
-                    # The accounting state rode the checkpoint pickle
-                    # (it lives on the system), so a resumed run's
-                    # stacks equal an uninterrupted run's.
-                    if result.cpi_stacks is not None:
-                        result.metrics["cpi_stacks"] = result.cpi_stacks
-                return result
-    from repro.experiments import parallel
-    return parallel.run_point(point, metrics_window,
-                              checkpoint=checkpointer,
-                              resumable=bool(every),
-                              kernel=kernel,
-                              cpi_stacks=cpi_stacks)
+                # The views' state rode the checkpoint pickle (it lives
+                # on the system), so the resumed documents equal an
+                # uninterrupted run's.
+                return PointRun.revive(resumed).run(checkpoint=checkpointer)
+    return run_point(point, spec, checkpoint=checkpointer,
+                     resumable=bool(every))
 
 
 class _Slot:
@@ -172,18 +159,12 @@ class _Slot:
         self.not_before = 0.0    # backoff gate (monotonic seconds)
 
 
-def run_points_resilient(
-    points: Sequence,
-    resilience: ResilienceConfig,
-    jobs: int = 1,
-    metrics_window: Optional[int] = None,
-    progress=None,
-    live=None,
-    kernel: Optional[str] = None,
-    cpi_stacks: bool = False,
-    spans=None,
-) -> List:
-    """Run a batch of points under the resilience policy.
+def run_points_resilient(points: Sequence, spec) -> List:
+    """Run a batch of points under ``spec.resilience``.
+
+    ``spec`` is the batch's :class:`repro.experiments.parallel.RunSpec`;
+    workers receive it whole, the observers (``progress``, ``live``,
+    ``spans``) stay in this process.
 
     Replays the run directory first: points already finished there are
     returned without simulating.  The rest run process-per-point; a
@@ -196,13 +177,15 @@ def run_points_resilient(
     interruption, and re-raises — the CLI layer prints the exact
     ``--resume`` command.
 
-    ``spans`` is a :class:`repro.telemetry.spans.SpanTracer`: each
+    ``spec.spans`` is a :class:`repro.telemetry.spans.SpanTracer`: each
     worker attempt gets a host-time span (spawn → exit, with outcome),
     retries/backoffs and exclusions get ``host.retry`` instants, and
     every durable journal append lands as a ``host.journal`` instant.
     """
     from repro.experiments.parallel import cache_key
 
+    resilience = spec.resilience
+    progress, live, spans = spec.progress, spec.live, spec.spans
     run_dir = Path(resilience.run_dir)
     state = replay(run_dir)
     keys = [cache_key(point) for point in points]
@@ -238,7 +221,7 @@ def run_points_resilient(
         resumed=state.started > 0, reused=reused,
     )
 
-    slots = max(1, min(jobs, len(pending)) if pending else 1)
+    slots = max(1, min(spec.jobs, len(pending)) if pending else 1)
     chaos = resilience.chaos
     abort_after = chaos.abort_after if chaos is not None else None
     timeout = resilience.point_timeout
@@ -285,10 +268,8 @@ def run_points_resilient(
                 ready.tries += 1
                 proc = ctx.Process(
                     target=_fleet_worker,
-                    args=(points[ready.index], metrics_window, str(run_dir),
-                          ready.key, ready.index, ready.attempt,
-                          resilience.checkpoint_every, chaos, kernel,
-                          cpi_stacks),
+                    args=(points[ready.index], spec, str(run_dir),
+                          ready.key, ready.index, ready.attempt),
                 )
                 proc.start()
                 journal.point_started(ready.key, ready.index, ready.attempt,

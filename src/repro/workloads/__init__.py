@@ -63,6 +63,28 @@ def build_trace(spec, thread_id: int):
     raise ValueError(f"unknown trace spec {spec!r}")
 
 
+def workload_spec(name: str):
+    """The :func:`build_trace` spec for a workload name as the CLI and
+    the experiment mixes spell it: a microbenchmark (``loads``), a SPEC
+    stand-in (``art``), a ``PHASED_PROFILES`` schedule
+    (``art-sixtrack``), ``phase:<bench+bench[@instructions]>``, or
+    ``trace:<path>``."""
+    if name.startswith("trace:"):
+        return ("tracefile", name.split(":", 1)[1])
+    if name.startswith("phase:"):
+        return ("phased-inline", name.split(":", 1)[1])
+    if name in MICROBENCHMARKS:
+        return ("micro", name)
+    if name in SPEC_PROFILES:
+        return ("spec", name)
+    if name in PHASED_PROFILES:
+        return ("phased", name)
+    known = (sorted(MICROBENCHMARKS) + sorted(SPEC_PROFILES)
+             + sorted(PHASED_PROFILES))
+    raise ValueError(f"unknown workload {name!r}; choose from {known}, "
+                     "phase:<bench+bench[@instructions]>, or trace:<path>")
+
+
 __all__ = [
     "ARRAY_BYTES",
     "HETEROGENEOUS_MIXES",
@@ -81,6 +103,7 @@ __all__ = [
     "read_trace",
     "save_trace",
     "trace_from_file",
+    "workload_spec",
     "loads_trace",
     "spec_trace",
     "stores_trace",

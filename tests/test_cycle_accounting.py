@@ -98,6 +98,32 @@ def test_conservation_survives_rebase_and_continuation():
     assert verify_stack(snap) == []
 
 
+def test_single_run_windows_carry_cpi_stacks(tmp_path, monkeypatch, capsys):
+    """``python -m repro --cpi-stacks --alerts`` streams the same window
+    snapshot keys an experiment point does, CPI stacks included."""
+    from repro.cli import main
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [
+        {"name": "retry-storm", "signal": "retries", "op": ">=",
+         "threshold": 1, "severity": "warn"}]}))
+    windows = []
+    put = LiveRun.put
+
+    def capture(live, message):
+        if message[0] == "window":
+            windows.append(message[4])
+        put(live, message)
+
+    monkeypatch.setattr(LiveRun, "put", capture)
+    assert main(["art", "mcf", "--warmup", "1000", "--cycles", "3000",
+                 "--metrics-window", "1000", "--cpi-stacks",
+                 "--alerts", str(rules)]) == 0
+    assert len(windows) == 3
+    for snapshot in windows:
+        assert {"attribution", "arbiter", "cpi_stacks"} <= set(snapshot)
+        assert verify_stack(snapshot["cpi_stacks"]) == []
+
+
 # --------------------------------------------------------------------- #
 # fig10 golden: disk aggregate vs. scraped /snapshot, and the paper's
 # qualitative claim (VPC bounds L2 queueing) in cycle terms.
@@ -107,9 +133,8 @@ def test_conservation_survives_rebase_and_continuation():
 def fig10_observed(tmp_path_factory):
     """One fast fig10 sweep with stacks on, served live — the expensive
     part, shared by the golden tests below."""
-    parallel.configure(jobs=1, metrics=500, live=LiveRun(),
-                       cpi_stacks=True)
-    live = parallel.configured_live()
+    live = LiveRun()
+    parallel.configure(jobs=1, metrics=500, live=live, cpi_stacks=True)
     try:
         result = run_experiment("fig10", fast=True)
         disk = tmp_path_factory.mktemp("fig10") / "fig10.metrics.json"

@@ -29,7 +29,7 @@ import pytest
 
 from repro.common.config import VPCAllocation, baseline_config
 from repro.experiments import parallel
-from repro.experiments.parallel import SimPoint, run_point, run_points
+from repro.experiments.parallel import RunSpec, SimPoint, run_point, run_points
 from repro.telemetry import (
     LiveRun,
     ProgressReporter,
@@ -90,8 +90,8 @@ def _get(url: str, timeout: float = 5.0):
 def test_merged_matches_runner_merge():
     """The live merge is the same function composition the experiment
     runner applies to drained snapshots — same bytes, same order."""
-    parallel.configure(jobs=1, metrics=WINDOW, live=LiveRun())
-    live = parallel.configured_live()
+    live = LiveRun()
+    parallel.configure(jobs=1, metrics=WINDOW, live=live)
     results = run_points([_point(), _point(traces=(("spec", "art"),
                                                    ("spec", "mcf")))])
     snapshots = [result.metrics for result in results]
@@ -118,8 +118,7 @@ def test_finish_run_serves_exact_aggregate():
 def test_mid_run_windows_move_the_merge():
     """A window flush changes the merged snapshot before the point
     completes — the scrape-to-scrape freshness /metrics promises."""
-    parallel.configure(jobs=1, metrics=WINDOW, live=LiveRun())
-    live = parallel.configured_live()
+    live = LiveRun()
     merges = []
 
     class Tap:
@@ -130,7 +129,7 @@ def test_mid_run_windows_move_the_merge():
                     live.merged()["totals"]["measured_cycles"])
 
     base = live.begin_batch(1)
-    run_point(_point(), metrics_window=WINDOW, feed=Tap(), index=base)
+    run_point(_point(), RunSpec(metrics=WINDOW), feed=Tap(), index=base)
     assert len(merges) >= 2
     assert merges[-1] > merges[0]  # cycles accumulate across scrapes
     assert len(set(merges)) > 1
@@ -151,10 +150,10 @@ def test_begin_run_resets_state():
 def test_feed_does_not_perturb_simulation():
     """Observation-only contract: the simulated result is bit-identical
     with and without a live feed attached."""
-    plain = run_point(_point(), metrics_window=WINDOW)
+    plain = run_point(_point(), RunSpec(metrics=WINDOW))
     live = LiveRun()
     live.begin_batch(1)
-    observed = run_point(_point(), metrics_window=WINDOW, feed=live,
+    observed = run_point(_point(), RunSpec(metrics=WINDOW), feed=live,
                          index=0)
     assert observed == plain
 
@@ -228,8 +227,8 @@ def test_stale_worker_returns_503_over_http():
 def served_run():
     """One fast observed point behind a live server, shared across the
     HTTP tests (module-scoped: the run is the expensive part)."""
-    parallel.configure(jobs=1, metrics=WINDOW, live=LiveRun())
-    live = parallel.configured_live()
+    live = LiveRun()
+    parallel.configure(jobs=1, metrics=WINDOW, live=live)
     live.begin_run("fast-fig4-point")
     results = run_points([SimPoint(
         config=baseline_config(n_threads=2, arbiter="vpc",
@@ -332,8 +331,8 @@ def test_scrape_round_trips_through_validate_cli(served_run, tmp_path,
 # ---------------------------------------------------------------------- #
 
 def test_prometheus_aggregate_labels_points():
-    parallel.configure(jobs=1, metrics=WINDOW, live=LiveRun())
-    live = parallel.configured_live()
+    live = LiveRun()
+    parallel.configure(jobs=1, metrics=WINDOW, live=live)
     run_points([_point(), _point(traces=(("spec", "art"),
                                          ("spec", "mcf")))])
     text = to_prometheus(live.merged())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.common.config import VPCAllocation, baseline_config, private_equivale
 from repro.experiments import parallel
 from repro.experiments.parallel import SimPoint, run_point, run_points
 from repro.telemetry import ProgressReporter, RingBufferSink, TelemetryBus
+from repro.workloads import loads_trace, save_trace
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +57,20 @@ def test_cross_process_reproducibility():
     with ProcessPoolExecutor(max_workers=1) as pool:
         remote = pool.submit(run_point, point).result()
     assert remote == local
+
+
+def test_tracefile_point_runs_plain_and_resumable(tmp_path):
+    """A ``("tracefile", path)`` point builds its trace through the one
+    spec resolver whether its cursors are plain generators or the
+    picklable ones a checkpointed run uses, with equal results."""
+    path = tmp_path / "loads.txt"
+    save_trace(loads_trace(0), path, limit=3_000)
+    point = _two_thread_point(traces=(("tracefile", str(path)),
+                                      ("stores",)))
+    plain = run_point(point)
+    resumable = run_point(point, resumable=True)
+    assert plain.instructions[0] > 0
+    assert asdict(resumable) == asdict(plain)
 
 
 def test_run_points_parallel_matches_serial():

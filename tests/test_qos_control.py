@@ -424,24 +424,20 @@ class TestPolicyRemap:
         )
 
     def test_apply_policy_families(self):
-        from repro.experiments import parallel
-        try:
-            parallel.configure(policy="fcfs")
-            fcfs = parallel.apply_policy(self._point())
-            assert fcfs.config.arbiter == "fcfs"
-            assert fcfs.capacity_policy == "lru"
-            assert fcfs.controller is None
-            parallel.configure(policy="lfoc", epoch=2_000)
-            lfoc = parallel.apply_policy(self._point())
-            assert lfoc.config.arbiter == "vpc"
-            assert lfoc.controller == "lfoc"
-            assert lfoc.epoch_cycles == 2_000
-            # Solo target points are never remapped.
-            solo = parallel.apply_policy(self._point(n_threads=1))
-            assert solo.controller is None
-            assert solo.config.arbiter == "vpc"
-        finally:
-            parallel.configure(jobs=1, cache=True)
+        from repro.experiments.parallel import RunSpec, apply_policy
+        fcfs = apply_policy(self._point(), RunSpec(policy="fcfs"))
+        assert fcfs.config.arbiter == "fcfs"
+        assert fcfs.capacity_policy == "lru"
+        assert fcfs.controller is None
+        lfoc_spec = RunSpec(policy="lfoc", epoch=2_000)
+        lfoc = apply_policy(self._point(), lfoc_spec)
+        assert lfoc.config.arbiter == "vpc"
+        assert lfoc.controller == "lfoc"
+        assert lfoc.epoch_cycles == 2_000
+        # Solo target points are never remapped.
+        solo = apply_policy(self._point(n_threads=1), lfoc_spec)
+        assert solo.controller is None
+        assert solo.config.arbiter == "vpc"
 
     def test_configure_validation(self):
         from repro.experiments import parallel
@@ -520,11 +516,14 @@ class TestCLI:
 
     def test_phased_mix_names_resolve(self):
         # Every workload named by the frontier's mixes is a valid CLI
-        # positional (steady or phased).
-        from repro.cli import resolve_workload
+        # positional (steady or phased), and resolves to the spec kind
+        # the frontier's cached target points were keyed on.
+        from repro.workloads import PHASED_PROFILES, build_trace, workload_spec
         for mix in PHASED_MIXES.values():
             for name in mix:
-                next(iter(resolve_workload(name, 0)))
+                kind = "phased" if name in PHASED_PROFILES else "spec"
+                assert workload_spec(name) == (kind, name)
+                next(iter(build_trace(workload_spec(name), 0)))
 
     def test_inline_phase_spec(self, capsys):
         from repro.cli import main

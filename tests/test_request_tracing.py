@@ -247,6 +247,50 @@ def test_validate_cli_accepts_docs_and_rejects_broken_segments(tmp_path):
     assert validate_main([str(bad)]) == 1
 
 
+def test_fleet_with_checkpoints_returns_fast_path_documents(tmp_path):
+    """Request tracing rides the resilient fleet: with a checkpoint
+    cadence, and with workers killed mid-point so that some points
+    resume from a checkpoint, every per-point document equals the fast
+    path's."""
+    from repro.experiments.parallel import SimPoint
+    from repro.resilience import ChaosConfig, ResilienceConfig
+    points = [
+        SimPoint(config=baseline_config(n_threads=2, arbiter=arbiter),
+                 traces=(("spec", "art"), ("spec", "mcf")),
+                 warmup=2_000, measure=4_000)
+        for arbiter in ("vpc", "fcfs")
+    ]
+    views = dict(metrics=500, requests=True,
+                 slo=(SLORule("p99-under-400", 400),))
+    try:
+        parallel.configure(jobs=1, cache=False, **views)
+        fast = parallel.run_points(points)
+        run_dir = tmp_path / "run"
+        parallel.configure(
+            jobs=2, cache=False, **views,
+            resilience=ResilienceConfig(
+                run_dir=str(run_dir), checkpoint_every=1_000,
+                max_retries=2, backoff_base=0.01,
+                chaos=ChaosConfig(seed=3, kill=0.4,
+                                  max_faults_per_point=1)))
+        fleet = parallel.run_points(points)
+    finally:
+        parallel.configure(jobs=1, cache=True)
+    assert all(result.requests for result in fast)
+    for got, want in zip(fleet, fast):
+        assert json.dumps(got.requests) == json.dumps(want.requests)
+        assert json.dumps(got.metrics) == json.dumps(want.metrics)
+    # Some point died after a checkpoint landed, so its retry resumed.
+    saved, resumed = set(), set()
+    for line in (run_dir / "journal.jsonl").read_text().splitlines():
+        event = json.loads(line)
+        if event["event"] == "checkpoint_saved":
+            saved.add(event["index"])
+        elif event["event"] == "point_failed" and event["index"] in saved:
+            resumed.add(event["index"])
+    assert resumed
+
+
 # --------------------------------------------------------------------- #
 # fig10 golden: requests ride the aggregate, /snapshot byte identity,
 # report cards, and the paper's claim at the exemplar level.
@@ -256,10 +300,10 @@ def test_validate_cli_accepts_docs_and_rejects_broken_segments(tmp_path):
 def fig10_traced(tmp_path_factory):
     """One fast fig10 sweep with request tracing + an SLO, served live
     — the expensive part, shared by the golden tests below."""
-    parallel.configure(jobs=1, metrics=500, live=LiveRun(),
+    live = LiveRun()
+    parallel.configure(jobs=1, metrics=500, live=live,
                        requests=True,
                        slo=(SLORule("p99-under-400", 400),))
-    live = parallel.configured_live()
     try:
         result = run_experiment("fig10", fast=True)
         disk = tmp_path_factory.mktemp("fig10r") / "fig10.metrics.json"

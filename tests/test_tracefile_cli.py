@@ -1,11 +1,16 @@
 """Tests for trace-file I/O and the top-level simulation CLI."""
 
 import itertools
+import json
 
 import pytest
 
-from repro.cli import main, parse_shares, resolve_workload
+from repro.cli import main, parse_shares
+from repro.common.config import VPCAllocation, baseline_config
 from repro.cpu.isa import load, nonmem, store
+from repro.experiments.parallel import RunSpec, SimPoint, run_point
+from repro.telemetry.requests import load_slo
+from repro.workloads import build_trace, workload_spec
 from repro.workloads.microbench import loads_trace
 from repro.workloads.tracefile import (
     format_item,
@@ -79,24 +84,64 @@ class TestFileRoundtrip:
 
 class TestCLIHelpers:
     def test_resolve_microbench_and_spec(self):
-        assert next(iter(resolve_workload("loads", 0)))
-        assert next(iter(resolve_workload("art", 1)))
+        assert next(iter(build_trace(workload_spec("loads"), 0)))
+        assert next(iter(build_trace(workload_spec("art"), 1)))
 
     def test_resolve_trace_file(self, tmp_path):
         path = tmp_path / "t.txt"
         save_trace([nonmem(1), load(64)], path)
-        trace = resolve_workload(f"trace:{path}", 0)
+        trace = build_trace(workload_spec(f"trace:{path}"), 0)
         assert next(iter(trace)) == nonmem(1)
 
     def test_resolve_unknown(self):
         with pytest.raises(ValueError, match="unknown workload"):
-            resolve_workload("doom", 0)
+            workload_spec("doom")
 
     def test_parse_shares(self):
         assert parse_shares(None, 2) == [0.5, 0.5]
         assert parse_shares("0.75,0.25", 2) == [0.75, 0.25]
         with pytest.raises(ValueError):
             parse_shares("0.5", 2)
+
+
+class TestCLIMatchesRunPoint:
+    """``python -m repro`` runs its point through ``run_point``'s path,
+    so the documents it writes are exactly the equivalent experiment
+    point's."""
+
+    def _point(self, **overrides) -> SimPoint:
+        return SimPoint(
+            config=baseline_config(n_threads=2, arbiter="vpc",
+                                   vpc=VPCAllocation.equal(2)),
+            traces=(("spec", "art"), ("spec", "mcf")),
+            warmup=2_000, measure=6_000, **overrides)
+
+    def test_views_match_run_point(self, tmp_path, capsys):
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("metrics", "stacks", "requests")}
+        assert main(["art", "mcf", "--arbiter", "vpc", "--warmup", "2000",
+                     "--cycles", "6000", "--metrics", str(paths["metrics"]),
+                     "--cpi-stacks", str(paths["stacks"]),
+                     "--requests", str(paths["requests"]),
+                     "--slo", "400"]) == 0
+        result = run_point(self._point(), RunSpec(
+            metrics=2_000, cpi_stacks=True, requests=True,
+            slo=tuple(load_slo("400"))))
+        for name, doc in (("metrics", result.metrics),
+                          ("stacks", result.cpi_stacks),
+                          ("requests", result.requests)):
+            assert json.loads(paths[name].read_text()) == \
+                json.loads(json.dumps(doc)), name
+
+    def test_qos_log_matches_run_point(self, tmp_path, capsys):
+        log = tmp_path / "qos.json"
+        assert main(["art", "mcf", "--policy", "lfoc", "--epoch", "2000",
+                     "--warmup", "2000", "--cycles", "6000",
+                     "--qos-log", str(log)]) == 0
+        result = run_point(self._point(controller="lfoc",
+                                       epoch_cycles=2_000))
+        assert json.loads(log.read_text()) == \
+            json.loads(json.dumps(result.qos))
 
 
 class TestCLIEndToEnd:
