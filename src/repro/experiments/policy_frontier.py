@@ -19,7 +19,7 @@ IPCs (fairness), the aggregate raw IPC (throughput), and the harmonic
 mean / minimum of normalized IPCs (the paper's Figure-10 metrics).
 The machine-readable document (``repro.policy-frontier/1``, written by
 the runner's ``--figures``) is validated by
-``repro.telemetry.validate`` and asserted on by CI's policy-smoke job:
+``repro.telemetry.validate`` and asserted on by CI's observe-smoke job:
 the dynamic policies must beat FCFS on Jain without giving up more
 than a few percent of static VPC's throughput.
 """

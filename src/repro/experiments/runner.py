@@ -80,11 +80,8 @@ def run_experiment(exp_id: str, fast: bool = False,
         spans.end(exp_span)
     snapshots = parallel.drain_metrics()
     if snapshots:
-        from repro.telemetry import merge_attribution, merge_snapshots
+        from repro.telemetry import merge_snapshots
         aggregate = merge_snapshots(snapshots)
-        aggregate["attribution"] = merge_attribution(
-            [snap.get("attribution") for snap in snapshots]
-        )
         # Recorded here AND injected by LiveRun.merged() so the disk
         # aggregate stays byte-identical to what /snapshot serves.
         aggregate["kernel"] = kernel
@@ -382,11 +379,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not snapshots:
             return
         import json
-        from repro.telemetry import merge_attribution, merge_snapshots
+        from repro.telemetry import merge_snapshots
         aggregate = merge_snapshots(snapshots)
-        aggregate["attribution"] = merge_attribution(
-            [snap.get("attribution") for snap in snapshots]
-        )
         path = Path(args.metrics) / f"{exp_id}.metrics.partial.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(aggregate, indent=2) + "\n")
@@ -439,6 +433,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"({time.time() - started:.1f}s)\n")
             if args.manifest is not None and result.manifest is not None:
                 path = Path(args.manifest) / f"{exp_id}.manifest.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
                 result.manifest.write(path)
                 print(f"manifest -> {path}")
             if args.metrics is not None and result.metrics is not None:

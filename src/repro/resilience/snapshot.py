@@ -273,8 +273,12 @@ class ResumedRun:
         bus = self.system.telemetry
         if bus is not None:
             from repro.telemetry import InterferenceAttributor, MetricsCollector
+            controller = self.system.qos_controller
+            # A QoS controller keeps a private collector on the same bus;
+            # the run's own is the other one.
+            private = controller.collector if controller is not None else None
             for sink in getattr(bus, "sinks", []):
-                if isinstance(sink, MetricsCollector):
+                if isinstance(sink, MetricsCollector) and sink is not private:
                     self.metrics = sink
                 elif isinstance(sink, InterferenceAttributor):
                     self.attributor = sink

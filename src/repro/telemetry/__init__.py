@@ -73,7 +73,6 @@ from .report import (
 )
 from .server import LiveRun, TelemetryServer
 from .spans import SpanContext, SpanTracer, write_spans
-from .validate import validate_chrome_trace
 
 __all__ = [
     "TraceEvent", "TraceSink", "TelemetryBus",
@@ -100,5 +99,4 @@ __all__ = [
     "StreamingLatencies", "load_slo", "render_requests", "slo_burn",
     "verify_requests", "write_requests",
     "FleetAggregator", "FleetServer", "merge_fleet",
-    "validate_chrome_trace",
 ]

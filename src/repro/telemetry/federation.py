@@ -38,7 +38,6 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from .attribution import merge_attribution
 from .metrics import merge_snapshots, to_prometheus
 from .server import SUBSCRIBER_BUFFER
 
@@ -71,8 +70,6 @@ def merge_fleet(worker_snapshots: List[Optional[Dict]]) -> Dict:
         if aggregate.get("kernel"):
             kernels.add(aggregate["kernel"])
     fleet = merge_snapshots(points)
-    fleet["attribution"] = merge_attribution(
-        [point.get("attribution") for point in points])
     if len(kernels) == 1:
         # Stamp the kernel only when the whole fleet agrees — a mixed
         # fleet has no single truthful value.

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.stats import jain_index
 
+from .attribution import merge_attribution
 from .events import (
     CAT_ARBITER,
     CAT_CACHE,
@@ -343,7 +344,8 @@ class MetricsCollector:
 # ---------------------------------------------------------------------- #
 
 def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
-    """Fold per-point metrics snapshots into one experiment aggregate."""
+    """Fold per-point metrics snapshots into one experiment aggregate;
+    the points' attribution sections merge into its last key."""
     points = [snap for snap in snapshots if snap is not None]
     totals = {
         "instructions": 0,
@@ -366,6 +368,8 @@ def merge_snapshots(snapshots: Sequence[Dict]) -> Dict:
         "points": len(points),
         "totals": totals,
         "per_point": list(points),
+        "attribution": merge_attribution(
+            [snap.get("attribution") for snap in points]),
     }
 
 

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.qos import QoSOutcome, summarize
 
 REPORT_SCHEMA = "repro.report/1"
+FLEET_REPORT_SCHEMA = "repro.report-fleet/1"
 
 
 def build_report_card(
@@ -125,7 +126,7 @@ def merge_report_cards(cards: Sequence[Dict], label: str = "") -> Dict:
     extremes (worst min-normalized run, any QoS violations anywhere)."""
     live = [card for card in cards if card]
     fleet: Dict = {
-        "schema": "repro.report-fleet/1",
+        "schema": FLEET_REPORT_SCHEMA,
         "run": label,
         "cards": list(live),
         "runs": len(live),

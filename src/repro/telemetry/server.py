@@ -52,7 +52,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from .attribution import merge_attribution
 from .metrics import merge_snapshots, to_prometheus
 
 #: Events buffered per SSE subscriber before the oldest are dropped
@@ -261,9 +260,6 @@ class LiveRun:
             gen = self._gen
             snapshots = [self._latest[k] for k in sorted(self._latest)]
         aggregate = merge_snapshots(snapshots)
-        aggregate["attribution"] = merge_attribution(
-            [snap.get("attribution") for snap in snapshots]
-        )
         if self.run_kernel:
             # Mirrors the key the experiment runner writes into its disk
             # aggregate, so live and final snapshots agree field-for-field.

@@ -32,10 +32,7 @@ from repro.telemetry.alerts import (
     load_rules,
     write_alerts,
 )
-from repro.telemetry.validate import (
-    main as validate_main,
-    validate_alerts,
-)
+from repro.telemetry.validate import main as validate_main, validate
 
 
 def _window(slowdowns=None, ipcs=None, fairness=None):
@@ -256,7 +253,7 @@ def test_payloads_are_byte_stable(tmp_path):
     first = run_once()
     assert first == run_once()  # identical run -> identical bytes
     document = json.loads(first)
-    assert validate_alerts(document) == []
+    assert validate(document, "alerts") == []
     assert [(e["alert"], e["state"], e["sequence"])
             for e in document["events"]] == [
         ("burn", "firing", 1),    # declaration order on the same window
@@ -290,19 +287,19 @@ def test_validate_alerts_rejects_malformed():
                                 op=">=", threshold=1)])
     engine.observe("violation", {})
     document = engine.document()
-    assert validate_alerts(document) == []
+    assert validate(document, "alerts") == []
 
     broken = json.loads(json.dumps(document))
     broken["events"][0]["sequence"] = 0
-    assert any("monotonically" in p for p in validate_alerts(broken))
+    assert any("monotonically" in p for p in validate(broken, "alerts"))
 
     orphan = json.loads(json.dumps(document))
     orphan["events"][0]["alert"] = "ghost"
-    assert any("undeclared" in p for p in validate_alerts(orphan))
+    assert any("undeclared" in p for p in validate(orphan, "alerts"))
 
     lying = json.loads(json.dumps(document))
     lying["summary"]["fired"] = 99
-    assert any("summary.fired" in p for p in validate_alerts(lying))
+    assert any("summary.fired" in p for p in validate(lying, "alerts"))
 
 
 # ---------------------------------------------------------------------- #

@@ -4,10 +4,9 @@ The contract under test:
 
 * :func:`merge_fleet` flattens per-worker aggregates (worker order,
   each worker's point order preserved) through the same
-  ``merge_snapshots``/``merge_attribution`` composition a single big
-  run uses — and the served fleet ``/snapshot`` is *byte-identical* to
-  that function applied offline to the scraped per-worker snapshots
-  (the PR's acceptance criterion).
+  ``merge_snapshots`` a single big run uses — and the served fleet
+  ``/snapshot`` is *byte-identical* to that function applied offline
+  to the scraped per-worker snapshots.
 * The fleet health rollup is worst-of: one unreachable or degraded
   worker degrades the fleet (503); all-finished reports finished.
 * The multiplexed SSE stream labels every event with its worker, primes
@@ -35,16 +34,11 @@ from repro.telemetry import (
     FleetServer,
     LiveRun,
     TelemetryServer,
-    merge_attribution,
     merge_fleet,
     merge_snapshots,
 )
 from repro.telemetry.alerts import AlertEngine, AlertRule
-from repro.telemetry.validate import (
-    validate_alerts,
-    validate_metrics_json,
-    validate_prometheus,
-)
+from repro.telemetry.validate import validate, validate_prometheus
 
 WINDOW = 500
 
@@ -76,8 +70,6 @@ def _finished_live(label: str, points) -> LiveRun:
     results = run_points(points)
     snapshots = [result.metrics for result in results]
     aggregate = merge_snapshots(snapshots)
-    aggregate["attribution"] = merge_attribution(
-        [snap.get("attribution") for snap in snapshots])
     aggregate["kernel"] = "batch"
     live.finish_run(aggregate)
     return live
@@ -116,7 +108,7 @@ def test_merge_fleet_flattens_in_worker_order():
     assert fleet["per_point"] == expected["per_point"]
     assert fleet["totals"] == expected["totals"]
     assert fleet["kernel"] == "batch"  # unanimous fleet
-    assert validate_metrics_json(fleet) == []
+    assert validate(fleet, "metrics") == []
 
 
 def test_merge_fleet_skips_unreachable_and_mixed_kernels():
@@ -317,7 +309,7 @@ def test_fleet_alert_engine_observes_stream_and_serves_alerts():
             status, body = _get(f"{server.url}/alerts")
             assert status == 200
             document = json.loads(body)
-            assert validate_alerts(document) == []
+            assert validate(document, "alerts") == []
             assert document["summary"]["page_fired"] is True
 
 

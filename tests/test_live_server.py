@@ -4,7 +4,7 @@ The contract under test is layered:
 
 * :class:`~repro.telemetry.server.LiveRun` merges whatever the fleet
   has streamed so far exactly the way the experiment runner merges
-  final snapshots (``merge_snapshots`` + ``merge_attribution``), and
+  final snapshots (``merge_snapshots``), and
   once the runner hands over its aggregate, ``/snapshot`` serves that
   exact object.
 * The HTTP surface (``/metrics`` ``/healthz`` ``/snapshot``
@@ -34,13 +34,12 @@ from repro.telemetry import (
     LiveRun,
     ProgressReporter,
     TelemetryServer,
-    merge_attribution,
     merge_snapshots,
     to_prometheus,
 )
 from repro.telemetry.validate import (
     main as validate_main,
-    validate_metrics_json,
+    validate,
     validate_prometheus,
 )
 
@@ -96,9 +95,6 @@ def test_merged_matches_runner_merge():
                                                    ("spec", "mcf")))])
     snapshots = [result.metrics for result in results]
     expected = merge_snapshots(snapshots)
-    expected["attribution"] = merge_attribution(
-        [snap.get("attribution") for snap in snapshots]
-    )
     assert live.merged() == expected
     assert json.dumps(live.merged(), sort_keys=True) == \
         json.dumps(expected, sort_keys=True)
@@ -239,9 +235,6 @@ def served_run():
     )])
     snapshots = [result.metrics for result in results]
     aggregate = merge_snapshots(snapshots)
-    aggregate["attribution"] = merge_attribution(
-        [snap.get("attribution") for snap in snapshots]
-    )
     live.finish_run(aggregate)
     with TelemetryServer(live, port=0) as server:
         yield server, aggregate
@@ -266,7 +259,7 @@ def test_snapshot_endpoint_is_exact_aggregate(served_run):
     assert headers["Content-Type"] == "application/json"
     payload = json.loads(body)
     assert payload == json.loads(json.dumps(aggregate))
-    assert validate_metrics_json(payload) == []
+    assert validate(payload, "metrics") == []
 
 
 def test_healthz_reports_finished(served_run):

@@ -48,8 +48,8 @@ from repro.telemetry import (
     to_prometheus,
 )
 from repro.telemetry.validate import (
+    validate,
     validate_chrome_trace,
-    validate_metrics_json,
     validate_prometheus,
 )
 from repro.workloads.microbench import loads_trace, stores_trace
@@ -117,7 +117,7 @@ class TestMetricsCollector:
         attributor.finish(system.cycle)
         snap = result.metrics
         snap["attribution"] = attributor.snapshot()
-        assert validate_metrics_json(snap) == []
+        assert validate(snap, "metrics") == []
         series = snap["series"]
         # Event series are thread-major over the observed window range.
         assert len(series["loads"]) == 2
@@ -157,7 +157,7 @@ class TestMetricsCollector:
             sum(first["instructions"]) + sum(second["instructions"])
         assert merged["totals"]["loads"] == \
             sum(first["totals"]["loads"]) + sum(second["totals"]["loads"])
-        assert validate_metrics_json(merged) == []
+        assert validate(merged, "metrics") == []
 
     def test_prometheus_export_validates(self):
         system, collector, attributor = _observed_system()
@@ -300,7 +300,7 @@ class TestAttributionProperties:
             "ipcs": [0.0] * n_threads, "instructions": [0] * n_threads,
             "series": {}, "attribution": snap,
         }
-        assert validate_metrics_json(fake_metrics) == []
+        assert validate(fake_metrics, "metrics") == []
 
     @pytest.mark.parametrize("arbiter", ["vpc", "fcfs", "row-fcfs"])
     def test_conservation_on_a_real_system(self, arbiter):
@@ -436,13 +436,13 @@ class TestValidatorExtensions:
         assert any("non-numeric value" in e for e in errors)
 
     def test_metrics_json_rejects_bad_schema_and_shapes(self):
-        assert validate_metrics_json([1, 2]) != []
-        assert validate_metrics_json({"schema": "nope"}) != []
+        assert validate([1, 2], "metrics") != []
+        assert validate({"schema": "nope"}, "metrics") != []
         broken = {
             "schema": "repro.metrics/1", "window": 100, "n_threads": 2,
             "ipcs": [0.1], "instructions": [1, 2], "series": {},
         }
-        assert any("ipcs" in e for e in validate_metrics_json(broken))
+        assert any("ipcs" in e for e in validate(broken, "metrics"))
 
     def test_metrics_json_recheck_catches_broken_conservation(self):
         snap = {
@@ -457,7 +457,7 @@ class TestValidatorExtensions:
                 }},
             },
         }
-        errors = validate_metrics_json(snap)
+        errors = validate(snap, "metrics")
         assert any("conservation" in e for e in errors)
 
     def test_prometheus_validator(self):
@@ -546,7 +546,7 @@ class TestExperimentMetrics:
             assert snap["ipcs"] == result.ipcs
             assert snap["arbiter"] == simpoint.config.arbiter
             # Conservation is re-checked from the pickled numbers.
-            assert validate_metrics_json(snap) == []
+            assert validate(snap, "metrics") == []
         assert parallel.drain_metrics() == []  # drained exactly once
 
     def test_fig10_report_card_matches_analysis_bit_for_bit(self):
@@ -561,7 +561,7 @@ class TestExperimentMetrics:
         parallel.configure(jobs=1, cache=False, metrics=2_000)
         result = run_experiment("fig10", fast=True)
         aggregate = result.metrics
-        assert validate_metrics_json(aggregate) == []
+        assert validate(aggregate, "metrics") == []
         per_point = aggregate["per_point"]
 
         unique = []
@@ -603,7 +603,7 @@ class TestMainCLI:
         assert "QoS report card" in out
         assert "headline: HM normalized IPC" in out
         snap = json.loads(metrics.read_text())
-        assert validate_metrics_json(snap) == []
+        assert validate(snap, "metrics") == []
         assert validate_prometheus(prom.read_text()) == []
         card = json.loads(report.read_text())
         assert card["schema"] == "repro.report/1"

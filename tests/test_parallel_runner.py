@@ -177,6 +177,22 @@ def test_run_experiment_attaches_manifest(monkeypatch):
     }
 
 
+def test_runner_manifest_creates_its_directory(tmp_path, monkeypatch):
+    """``--manifest DIR`` creates DIR, like the runner's other DIR flags,
+    so a run into a fresh output directory does not fail at the end."""
+    from repro.experiments import runner
+    from repro.experiments.base import REGISTRY, ExperimentResult
+
+    def fake_experiment(fast=False):
+        return ExperimentResult(exp_id="dummy", title="dummy",
+                                headers=["x"], rows=[[1]])
+
+    monkeypatch.setitem(REGISTRY, "dummy", fake_experiment)
+    out = tmp_path / "new" / "dir"
+    assert runner.main(["dummy", "--fast", "--manifest", str(out)]) == 0
+    assert (out / "dummy.manifest.json").is_file()
+
+
 def test_progress_reporter_ticks_per_point():
     stream = io.StringIO()
     parallel.configure(progress=ProgressReporter(stream=stream))

@@ -32,7 +32,7 @@ from repro.qos.classifier import (
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
 from repro.telemetry import RingBufferSink, TelemetryBus
-from repro.telemetry.validate import validate_frontier, validate_qos_decisions
+from repro.telemetry.validate import validate
 from repro.workloads.profiles import (
     PHASED_MIXES,
     phased_profile_trace,
@@ -238,7 +238,7 @@ class TestControllerHarness:
                                baseline_ipcs=[1.0, 0.8]))
         run_simulation(system, warmup=2_000, measure=8_000)
         doc = json.loads(json.dumps(controller.decisions_document()))
-        assert validate_qos_decisions(doc) == []
+        assert validate(doc, "qos") == []
         assert doc["policy"] == "fairness"
         assert doc["baseline_ipcs"] == [1.0, 0.8]
         assert doc["final"]["labels"] == doc["decisions"][-1]["labels"]
@@ -369,21 +369,21 @@ class TestValidators:
         return json.loads(json.dumps(result.qos))
 
     def test_valid_document_passes(self):
-        assert validate_qos_decisions(self._doc()) == []
+        assert validate(self._doc(), "qos") == []
 
     def test_tampering_is_caught(self):
         doc = self._doc()
         doc["decisions"][0]["labels"][0] = "confused"
-        assert any("taxonomy" in e for e in validate_qos_decisions(doc))
+        assert any("taxonomy" in e for e in validate(doc, "qos"))
         doc = self._doc()
         doc["decisions"][-1]["phi"] = [0.9, 0.9]
-        assert any("sum" in e for e in validate_qos_decisions(doc))
+        assert any("sum" in e for e in validate(doc, "qos"))
         doc = self._doc()
         doc["final"]["jain"] = 0.123
-        assert any("final.jain" in e for e in validate_qos_decisions(doc))
+        assert any("final.jain" in e for e in validate(doc, "qos"))
         doc = self._doc()
         doc["epochs"] += 1
-        assert validate_qos_decisions(doc)
+        assert validate(doc, "qos")
 
     def test_frontier_validator_shapes(self):
         good = {
@@ -404,14 +404,14 @@ class TestValidators:
             }],
             "aggregate": {"fcfs": {"jain": 0.9}, "vpc": {"jain": 0.95}},
         }
-        assert validate_frontier(good) == []
+        assert validate(good, "frontier") == []
         bad = json.loads(json.dumps(good))
         del bad["mixes"][0]["points"]["vpc"]
-        assert any("points cover" in e for e in validate_frontier(bad))
+        assert any("points cover" in e for e in validate(bad, "frontier"))
         bad = json.loads(json.dumps(good))
         bad["mixes"][0]["points"]["fcfs"]["jain"] = 1.5
-        assert any("jain" in e for e in validate_frontier(bad))
-        assert validate_frontier({"schema": "nope"})
+        assert any("jain" in e for e in validate(bad, "frontier"))
+        assert validate({"schema": "nope"}, "frontier")
 
 
 class TestPolicyRemap:
@@ -468,7 +468,7 @@ class TestAcceptance:
 
     def test_figure_document_validates(self, frontier):
         doc = json.loads(json.dumps(frontier.figure))
-        assert validate_frontier(doc) == []
+        assert validate(doc, "frontier") == []
         assert doc["policies"] == ["fcfs", "vpc", "lfoc", "dynamic"]
 
     def test_dynamic_policies_beat_fcfs_on_fairness(self, frontier):
@@ -511,7 +511,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "qos: lfoc controller, 3 epochs" in out
         doc = json.loads(log.read_text())
-        assert validate_qos_decisions(doc) == []
+        assert validate(doc, "qos") == []
         assert doc["epoch_cycles"] == 2_000
 
     def test_phased_mix_names_resolve(self):
@@ -569,4 +569,20 @@ class TestCLI:
         assert main(["--resume-checkpoint", str(ckpt),
                      "--qos-log", str(log)]) == 0
         assert "qos: lfoc controller" in capsys.readouterr().out
-        assert validate_qos_decisions(json.loads(log.read_text())) == []
+        assert validate(json.loads(log.read_text()), "qos") == []
+
+    def test_resume_keeps_the_runs_own_metrics(self, tmp_path):
+        """A controller's private collector shares the run's bus; the
+        resumed run must still write the run's metrics (window 1000, not
+        the controller's epoch-sized windows), byte for byte."""
+        from repro.cli import main
+        ckpt = tmp_path / "c.ckpt"
+        full, resumed = tmp_path / "full.json", tmp_path / "resumed.json"
+        assert main(["art", "mcf", "--policy", "lfoc", "--epoch", "2000",
+                     "--warmup", "2000", "--cycles", "8000",
+                     "--metrics-window", "1000", "--metrics", str(full),
+                     "--checkpoint", str(ckpt),
+                     "--checkpoint-every", "4000"]) == 0
+        assert main(["--resume-checkpoint", str(ckpt),
+                     "--metrics", str(resumed)]) == 0
+        assert resumed.read_bytes() == full.read_bytes()

@@ -47,8 +47,8 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry.validate import (
     main as validate_main,
+    validate,
     validate_chrome_trace,
-    validate_spans,
 )
 
 WINDOW = 500
@@ -170,7 +170,7 @@ def test_worker_records_ship_over_feed_and_ingest():
     document = parent.document()
     names = [span["name"] for span in document["spans"]]
     assert "journal.started" in names and "point7" in names
-    assert validate_spans(document) == []
+    assert validate(document, "spans") == []
     # Garbage off the wire is dropped, not raised.
     parent.ingest("not-a-record")
     parent.ingest({"no": "span_id"})
@@ -212,7 +212,7 @@ def test_write_spans_is_valid_and_deterministic(tmp_path, capsys):
     assert write_spans(path, tracer) == 2
     document = json.loads(path.read_text())
     assert document["schema"] == SPANS_SCHEMA
-    assert validate_spans(document) == []
+    assert validate(document, "spans") == []
     stamps = [(span["ts_us"], span["span_id"])
               for span in document["spans"]]
     assert stamps == sorted(stamps)
@@ -225,25 +225,25 @@ def test_validate_spans_rejects_malformed_documents():
     good = SpanTracer(clock=_FakeClock())
     good.end(good.begin("ok"))
     document = good.document()
-    assert validate_spans(document) == []
+    assert validate(document, "spans") == []
 
-    assert validate_spans([]) != []
-    assert validate_spans({"schema": "repro.spans/9"}) != []
+    assert validate([], "spans") != []
+    assert validate({"schema": "repro.spans/9"}, "spans") != []
 
     duplicate = json.loads(json.dumps(document))
     duplicate["spans"] = duplicate["spans"] * 2
     assert any("duplicate span_id" in problem
-               for problem in validate_spans(duplicate))
+               for problem in validate(duplicate, "spans"))
 
     orphan = json.loads(json.dumps(document))
     orphan["spans"][0]["parent_id"] = "dead.beef"
     assert any("does not resolve" in problem
-               for problem in validate_spans(orphan))
+               for problem in validate(orphan, "spans"))
 
     negative = json.loads(json.dumps(document))
     negative["spans"][0]["dur_us"] = -1
     assert any("dur_us" in problem
-               for problem in validate_spans(negative))
+               for problem in validate(negative, "spans"))
 
 
 # ---------------------------------------------------------------------- #
@@ -318,7 +318,7 @@ def test_run_points_emits_scheduling_spans_and_cache_instants():
                      if record["name"] == "point0")
     assert scheduled["parent_id"] == batches[0]["span_id"]
     assert scheduled["track"] == TRACK_SCHED
-    assert validate_spans(tracer.document()) == []
+    assert validate(tracer.document(), "spans") == []
 
 
 def test_spans_do_not_perturb_results():
@@ -345,4 +345,4 @@ def test_worker_spans_flow_through_live_feed():
     assert worker["track"] == TRACK_WORKER
     assert worker["parent_id"] == by_name["point0"]["span_id"]
     assert worker["args"]["cycles"] > 0
-    assert validate_spans(tracer.document()) == []
+    assert validate(tracer.document(), "spans") == []

@@ -39,9 +39,9 @@ from repro.telemetry import (
     TraceSink,
     chrome_trace,
     config_hash,
-    validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.telemetry.validate import validate_chrome_trace
 from repro.workloads.microbench import loads_trace, stores_trace
 
 
