@@ -1,6 +1,6 @@
 """Shared helper for the per-artifact benchmarks."""
 
-from repro.experiments import run_experiment
+from repro.experiments.runner import run_experiment
 
 
 def regenerate(benchmark, exp_id: str):

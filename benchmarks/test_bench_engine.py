@@ -69,7 +69,8 @@ def test_bench_experiment_point_pipeline(benchmark):
     """End-to-end experiment wall-clock through the point runner: one
     fast-mode fig8 regeneration (shared runs + private targets), result
     cache pinned off so the timing is pure simulation + dispatch."""
-    from repro.experiments import parallel, run_experiment
+    from repro.experiments import parallel
+    from repro.experiments.runner import run_experiment
 
     parallel.configure(jobs=1, cache=False)
     try:
@@ -176,7 +177,7 @@ def _spans_alerts_disabled_step(system, cycles, span_ctx=None, engine=None):
     """The exact control flow the host-span tracer and alert engine add
     to the hot drivers when both are *off*: None-guards around an
     unchanged ``run()`` (see run_point's worker-span wrap and
-    LiveRun._publish's engine tap)."""
+    EventHub._publish's engine tap)."""
     worker_tracer = None
     if span_ctx is not None:
         raise ValueError("benchmark covers the disabled path only")
@@ -246,7 +247,7 @@ def test_bench_traced_simulation(benchmark):
     """The same 2-thread CMP with full tracing enabled into a ring
     buffer — the cost of turning observability *on* (not bounded; the
     contract only covers the disabled path)."""
-    from repro.telemetry import RingBufferSink, TelemetryBus
+    from repro.telemetry.bus import RingBufferSink, TelemetryBus
 
     config = baseline_config(n_threads=2, arbiter="vpc",
                              vpc=VPCAllocation.equal(2))
@@ -266,11 +267,9 @@ def test_bench_metrics_enabled_simulation(benchmark):
     for the metrics-enabled overhead; the <2% contract only covers the
     disabled path, which test_disabled_overhead_under_two_percent
     guards."""
-    from repro.telemetry import (
-        InterferenceAttributor,
-        MetricsCollector,
-        TelemetryBus,
-    )
+    from repro.telemetry.attribution import InterferenceAttributor
+    from repro.telemetry.bus import TelemetryBus
+    from repro.telemetry.metrics import MetricsCollector
 
     config = baseline_config(n_threads=2, arbiter="vpc",
                              vpc=VPCAllocation.equal(2))

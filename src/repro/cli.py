@@ -25,7 +25,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from typing import List, Optional
 
@@ -218,8 +217,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             and not args.resume_checkpoint:
         parser.error("--qos-log needs a QoS controller; add --controller "
                      "or --policy lfoc")
-    if args.alerts_out and not args.alerts:
-        parser.error("--alerts-out requires --alerts")
+    from repro.telemetry.alerts import close_alerts, open_alerts
+    engine = open_alerts(parser, args)
     if args.slo is not None and args.requests is None:
         parser.error("--slo requires --requests")
     slo_rules = ()
@@ -284,12 +283,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     telemetry = None
     ring = jsonl = histograms = None
     if resumed is None and (args.trace or args.histograms or observe):
-        from repro.telemetry import (
-            JsonlSink,
-            LatencyHistogramSink,
-            RingBufferSink,
-            TelemetryBus,
-        )
+        from repro.telemetry.bus import JsonlSink, RingBufferSink, TelemetryBus
+        from repro.telemetry.histograms import LatencyHistogramSink
         telemetry = TelemetryBus()
         if args.trace:
             if args.trace.endswith(".jsonl"):
@@ -357,26 +352,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             baseline_ipcs=targets, monitor=observe)
     system = point_run.system
 
-    engine = None
-    if args.alerts:
-        from repro.telemetry.alerts import AlertEngine, load_rules
-        engine = AlertEngine(load_rules(args.alerts))
-
     live = server = None
     if args.serve is not None or engine is not None:
-        from repro.telemetry import LiveRun, TelemetryServer
-        live = LiveRun(stale_after=args.stale_after)
-        live.alert_engine = engine
+        from repro.telemetry.server import LiveRun, serve
+        live = LiveRun(stale_after=args.stale_after, alert_engine=engine)
         if tracer is not None:
             live.on_span = tracer.ingest
         if args.serve is not None:
-            server = TelemetryServer(live, port=args.serve)
-            server.start()
-            # Printed (and flushed) before the run so scrapers can find
-            # the auto-assigned port while the simulation is still in
-            # flight.
-            print(f"serving telemetry on {server.url} "
-                  "(/metrics /healthz /snapshot /events)", flush=True)
+            server = serve(live, args.serve)
         live.begin_run(" ".join(args.workloads), kernel=system.kernel)
         live.begin_batch(1)
 
@@ -485,12 +468,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  metrics: {result.metrics['events_seen']} events "
               f"aggregated -> {args.metrics}")
     if args.prometheus:
-        from repro.telemetry import to_prometheus
+        from repro.telemetry.metrics import to_prometheus
         with open(args.prometheus, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus(result.metrics))
         print(f"  metrics: Prometheus exposition -> {args.prometheus}")
     if args.report is not None:
-        from repro.telemetry import (
+        from repro.telemetry.report import (
             build_report_card,
             render_report_card,
             write_report,
@@ -514,7 +497,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("latency histograms (cycles):")
         print(histograms.format_report())
     if ring is not None:
-        from repro.telemetry import write_chrome_trace
+        from repro.telemetry.perfetto import write_chrome_trace
         events = list(ring)
         if system.request_tracer is not None:
             # Worst-k exemplar waterfalls ride in the same trace file,
@@ -527,7 +510,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         jsonl.close()
         print(f"  trace: events streamed -> {args.trace}")
     if args.manifest is not None:
-        from repro.telemetry import RunManifest
+        from repro.telemetry.manifest import RunManifest
         lineage = {}
         if args.resume_checkpoint:
             lineage["resumed_from"] = args.resume_checkpoint
@@ -563,24 +546,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.telemetry.spans import write_spans
         count = write_spans(args.spans, tracer)
         print(f"  spans: {count} host spans -> {args.spans}")
-    exit_code = 0
-    if engine is not None:
-        print(f"  alerts: {engine.summary_line()}")
-        if args.alerts_out:
-            from repro.telemetry.alerts import write_alerts
-            write_alerts(args.alerts_out, engine)
-            print(f"  alerts -> {args.alerts_out}")
-        if engine.page_fired:
-            from repro.telemetry.alerts import PAGE_EXIT_CODE
-            print("repro: a severity=page alert fired during the run",
-                  file=sys.stderr)
-            exit_code = PAGE_EXIT_CODE
+    exit_code = close_alerts(engine, args.alerts_out)
     if server is not None:
-        if args.serve_linger > 0:
-            print(f"  telemetry server lingering {args.serve_linger:.0f}s "
-                  f"at {server.url}", flush=True)
-            time.sleep(args.serve_linger)
-        server.stop()
+        server.stop(linger=args.serve_linger)
     return exit_code
 
 

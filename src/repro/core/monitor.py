@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.vpc_arbiter import VPCArbiter
 from repro.system.cmp import CMPSystem
-from repro.telemetry import TelemetryBus
+from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.events import CAT_ARBITER, TraceEvent
 
 

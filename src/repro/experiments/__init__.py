@@ -1,28 +1,8 @@
 """One module per paper table/figure; see DESIGN.md's experiment index.
 
-Importing this package populates the experiment registry; run any
-experiment with ``python -m repro.experiments <id>`` or programmatically
-via :func:`repro.experiments.run_experiment`.
+Run any experiment with ``python -m repro.experiments <id>`` or
+programmatically via :func:`repro.experiments.runner.run_experiment`.
+Importing this package loads nothing: the registry
+(:func:`repro.experiments.base.registry`) imports the experiment modules
+only when the runner needs them.
 """
-
-# Import for registration side effects (each module registers itself).
-from repro.experiments import (  # noqa: F401
-    ablations,
-    fig4_timing,
-    fig5_microbench_util,
-    fig6_spec_util,
-    fig7_writes,
-    fig8_loads_stores,
-    fig9_subject_background,
-    fig10_heterogeneous,
-    policy_frontier,
-    sweep_designspace,
-    sweep_smt,
-    table1_config,
-    table2_microbench,
-)
-from repro.experiments.base import REGISTRY, ExperimentResult
-from repro.experiments.charts import render_bars, render_result
-from repro.experiments.runner import main, run_experiment
-
-__all__ = ["ExperimentResult", "REGISTRY", "main", "render_bars", "render_result", "run_experiment"]

@@ -10,6 +10,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Dict, List, Optional, Sequence
 
 
@@ -67,8 +68,25 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-# Populated by repro.experiments.__init__; maps exp id -> run callable.
+#: The experiment modules; each registers its ids on import.
+_MODULES = (
+    "ablations", "fig4_timing", "fig5_microbench_util", "fig6_spec_util",
+    "fig7_writes", "fig8_loads_stores", "fig9_subject_background",
+    "fig10_heterogeneous", "policy_frontier", "sweep_designspace",
+    "sweep_smt", "table1_config", "table2_microbench",
+)
+
+# Maps exp id -> run callable; filled by :func:`registry`.
 REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {}
+
+
+def registry() -> Dict[str, Callable[..., ExperimentResult]]:
+    """The experiment registry, importing every experiment module on
+    first use — so importing :mod:`repro.experiments.parallel`, which
+    every simulation does, loads none of them."""
+    for name in _MODULES:
+        import_module(f"repro.experiments.{name}")
+    return REGISTRY
 
 
 def register(exp_id: str):

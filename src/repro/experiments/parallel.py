@@ -345,15 +345,13 @@ class PointRun:
         n_threads = point.config.n_threads
         metrics = attributor = qos_monitor = None
         if spec.metrics is not None and bus is None:
-            from repro.telemetry import TelemetryBus
+            from repro.telemetry.bus import TelemetryBus
             bus = TelemetryBus()
         if bus is not None:
             system.attach_telemetry(bus)
         if spec.metrics is not None:
-            from repro.telemetry import (
-                InterferenceAttributor,
-                MetricsCollector,
-            )
+            from repro.telemetry.attribution import InterferenceAttributor
+            from repro.telemetry.metrics import MetricsCollector
             metrics = bus.attach(MetricsCollector(
                 n_threads, window=spec.metrics, baseline_ipcs=baseline_ipcs))
             attributor = bus.attach(InterferenceAttributor(n_threads))

@@ -43,10 +43,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments import parallel
-from repro.experiments.base import REGISTRY, ExperimentResult
+from repro.experiments.base import ExperimentResult, registry
 from repro.resilience.fleet import PointsExcludedError
 from repro.system.kernel import DEFAULT_KERNEL
-from repro.telemetry import RunManifest
+from repro.telemetry.manifest import RunManifest
 
 
 def run_experiment(exp_id: str, fast: bool = False,
@@ -62,9 +62,10 @@ def run_experiment(exp_id: str, fast: bool = False,
     aggregators/tests can discover ``--serve 0``'s auto-assigned port
     without scraping stdout).
     """
-    if exp_id not in REGISTRY:
+    experiments = registry()
+    if exp_id not in experiments:
         raise KeyError(
-            f"unknown experiment {exp_id!r}; known: {sorted(REGISTRY)}"
+            f"unknown experiment {exp_id!r}; known: {sorted(experiments)}"
         )
     cache_before = dict(parallel.cache_stats)
     spec = parallel.current_spec()
@@ -75,14 +76,14 @@ def run_experiment(exp_id: str, fast: bool = False,
     exp_span = None
     if spans is not None:
         exp_span = spans.begin(f"experiment.{exp_id}", fast=fast)
-    result = REGISTRY[exp_id](fast=fast)
+    result = experiments[exp_id](fast=fast)
     if spans is not None:
         spans.end(exp_span)
     snapshots = parallel.drain_metrics()
     if snapshots:
-        from repro.telemetry import merge_snapshots
+        from repro.telemetry.metrics import merge_snapshots
         aggregate = merge_snapshots(snapshots)
-        # Recorded here AND injected by LiveRun.merged() so the disk
+        # Recorded here AND injected by LiveRun.snapshot() so the disk
         # aggregate stays byte-identical to what /snapshot serves.
         aggregate["kernel"] = kernel
         result.metrics = aggregate
@@ -276,16 +277,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     progress = ring = None
     telemetry = None
     if args.progress or args.serve is not None:
-        from repro.telemetry import ProgressReporter
+        from repro.telemetry.progress import ProgressReporter
         progress = ProgressReporter()
     if args.trace:
-        from repro.telemetry import RingBufferSink, TelemetryBus
+        from repro.telemetry.bus import RingBufferSink, TelemetryBus
         telemetry = TelemetryBus()
         ring = telemetry.attach(RingBufferSink())
     if args.stacks is not None and not args.cpi_stacks:
         parser.error("--stacks requires --cpi-stacks")
-    if args.alerts_out and not args.alerts:
-        parser.error("--alerts-out requires --alerts")
     slo_rules = ()
     if args.slo is not None:
         if args.requests is None:
@@ -301,10 +300,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Sharing the --trace bus (when present) lands host-time spans
         # in the same Perfetto export as the orchestration events.
         tracer = SpanTracer(sink=telemetry)
-    engine = None
-    if args.alerts:
-        from repro.telemetry.alerts import AlertEngine, load_rules
-        engine = AlertEngine(load_rules(args.alerts))
+    from repro.telemetry.alerts import close_alerts, open_alerts
+    engine = open_alerts(parser, args)
     metrics_window = None
     if (args.metrics is not None or args.report is not None
             or args.serve is not None or args.cpi_stacks
@@ -318,16 +315,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.serve is not None or engine is not None:
         # --alerts without --serve still needs the LiveRun event bus so
         # the engine sees the stream; it just never opens a socket.
-        from repro.telemetry import LiveRun, TelemetryServer
-        live = LiveRun(stale_after=args.stale_after, progress=progress)
-        live.alert_engine = engine
+        from repro.telemetry.server import LiveRun, serve
+        live = LiveRun(stale_after=args.stale_after, progress=progress,
+                       alert_engine=engine)
         if tracer is not None:
             live.on_span = tracer.ingest
         if args.serve is not None:
-            server = TelemetryServer(live, port=args.serve)
-            server.start()
-            print(f"serving telemetry on {server.url} "
-                  "(/metrics /healthz /snapshot /events)", flush=True)
+            server = serve(live, args.serve)
     if args.epoch is not None and args.controller is None \
             and args.policy != "lfoc":
         parser.error("--epoch only applies when a QoS controller runs; "
@@ -348,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
 
     if args.list or not args.experiments:
-        for exp_id in sorted(REGISTRY):
+        for exp_id in sorted(registry()):
             print(exp_id)
         if server is not None:
             server.stop()
@@ -356,7 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     requested = args.experiments
     if requested == ["all"]:
-        requested = sorted(REGISTRY)
+        requested = sorted(registry())
 
     def salvage_partial_metrics(exp_id: str) -> None:
         """Write whatever per-point metrics survived an interrupted or
@@ -379,7 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not snapshots:
             return
         import json
-        from repro.telemetry import merge_snapshots
+        from repro.telemetry.metrics import merge_snapshots
         aggregate = merge_snapshots(snapshots)
         path = Path(args.metrics) / f"{exp_id}.metrics.partial.json"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -493,7 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ))
                 print(f"history -> {args.history}")
             if args.report is not None and result.metrics is not None:
-                from repro.telemetry import (
+                from repro.telemetry.report import (
                     build_report_card,
                     merge_report_cards,
                     render_fleet_card,
@@ -529,7 +523,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if summary:
         print(summary)
     if ring is not None:
-        from repro.telemetry import write_chrome_trace
+        from repro.telemetry.perfetto import write_chrome_trace
         count = write_chrome_trace(args.trace, ring)
         print(f"trace: {count} events -> {args.trace} "
               "(open in ui.perfetto.dev)")
@@ -537,24 +531,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.telemetry.spans import write_spans
         count = write_spans(args.spans, tracer)
         print(f"spans: {count} host-time spans -> {args.spans}")
-    exit_code = 0
-    if engine is not None:
-        print(engine.summary_line())
-        if args.alerts_out:
-            from repro.telemetry.alerts import write_alerts
-            write_alerts(args.alerts_out, engine)
-            print(f"alerts -> {args.alerts_out}")
-        if engine.page_fired:
-            from repro.telemetry.alerts import PAGE_EXIT_CODE
-            print("a page-severity alert fired; failing the run",
-                  file=sys.stderr)
-            exit_code = PAGE_EXIT_CODE
+    exit_code = close_alerts(engine, args.alerts_out)
     if server is not None:
-        if args.serve_linger > 0:
-            print(f"telemetry server lingering {args.serve_linger:.0f}s "
-                  f"at {server.url}", flush=True)
-            time.sleep(args.serve_linger)
-        server.stop()
+        server.stop(linger=args.serve_linger)
     return exit_code
 
 

@@ -272,7 +272,8 @@ class ResumedRun:
         self.attributor = None
         bus = self.system.telemetry
         if bus is not None:
-            from repro.telemetry import InterferenceAttributor, MetricsCollector
+            from repro.telemetry.attribution import InterferenceAttributor
+            from repro.telemetry.metrics import MetricsCollector
             controller = self.system.qos_controller
             # A QoS controller keeps a private collector on the same bus;
             # the run's own is the other one.

@@ -33,7 +33,7 @@ from repro.cpu.isa import TraceItem
 from repro.interconnect.crossbar import Crossbar
 from repro.memory.controller import MemoryController
 from repro.system.kernel import DEFAULT_KERNEL, KERNELS
-from repro.telemetry import RequestLogSink, TelemetryBus
+from repro.telemetry.bus import RequestLogSink, TelemetryBus
 from repro.telemetry.events import CAT_REQUEST, PH_END, TraceEvent
 
 

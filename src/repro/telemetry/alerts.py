@@ -50,6 +50,7 @@ only deterministic ordinals — so goldens can assert byte-stable bytes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -403,6 +404,32 @@ def write_alerts(path, engine: AlertEngine) -> int:
         json.dump(document, handle, indent=2)
         handle.write("\n")
     return len(document["events"])
+
+
+def open_alerts(parser, args) -> Optional[AlertEngine]:
+    """Start of the alert lifecycle every entry point shares: the engine
+    for ``--alerts RULES`` (``None`` without it); ``--alerts-out``
+    without rules is a usage error."""
+    if args.alerts_out and not args.alerts:
+        parser.error("--alerts-out requires --alerts")
+    return AlertEngine(load_rules(args.alerts)) if args.alerts else None
+
+
+def close_alerts(engine: Optional[AlertEngine], path: Optional[str]) -> int:
+    """End of the alert lifecycle: print the summary, write the
+    ``repro.alerts/1`` document to ``path`` when given, and return the
+    exit code — :data:`PAGE_EXIT_CODE` once a page rule fired, else 0."""
+    if engine is None:
+        return 0
+    print(engine.summary_line(), flush=True)
+    if path:
+        write_alerts(path, engine)
+        print(f"alerts -> {path}")
+    if not engine.page_fired:
+        return 0
+    print("repro: a severity=page alert fired; failing the run",
+          file=sys.stderr)
+    return PAGE_EXIT_CODE
 
 
 # ---------------------------------------------------------------------- #

@@ -140,15 +140,3 @@ class RequestLogSink:
             self.requests.append(request)
         else:
             self.dropped += 1
-
-
-class CategoryFilterSink:
-    """Forwards only the named categories to a wrapped sink."""
-
-    def __init__(self, sink: TraceSink, categories: Iterable[str]):
-        self._sink = sink
-        self._categories = frozenset(categories)
-
-    def emit(self, event: TraceEvent) -> None:
-        if event.category in self._categories:
-            self._sink.emit(event)

@@ -13,20 +13,17 @@ Usage::
     python -m repro.experiments fig10 --jobs 4 --serve 9108 &
     python -m repro top --url http://127.0.0.1:9108
 
-The renderer is a pure function of the two JSON documents the server
-serves (``/snapshot`` + ``/healthz``), so it is unit-testable without a
-socket.
+The renderer is a pure function of the two JSON documents every
+served source answers (``/snapshot`` + ``/healthz``), so it is
+unit-testable without a socket.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, List, Optional, Tuple
 
 CLEAR = "\x1b[H\x1b[2J"  # cursor home + clear screen
@@ -238,8 +235,8 @@ def render(snapshot: Dict, health: Dict,
 def render_fleet(snapshot: Dict, fleet_health: Dict,
                  width: Optional[int] = None) -> str:
     """One fleet dashboard frame from the aggregator's two documents
-    (``/snapshot`` + ``/fleet/healthz``) — a worker roster on top of
-    the usual merged-point view."""
+    (``/snapshot`` + ``/healthz``) — a worker roster on top of the usual
+    merged-point view."""
     points = _per_point(snapshot or {})
     status = fleet_health.get("status", "?")
     workers = fleet_health.get("workers", {})
@@ -322,17 +319,6 @@ def render_log_line(snapshot: Dict, health: Dict) -> str:
 # HTTP client loop.
 # ---------------------------------------------------------------------- #
 
-def _fetch_json(url: str, timeout: float) -> Dict:
-    """GET a JSON document; a 503 (degraded health) still has a body."""
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return json.load(response)
-    except urllib.error.HTTPError as error:
-        if error.code == 503:
-            return json.load(error)
-        raise
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro top",
@@ -343,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--fleet", action="store_true",
                         help="the URL is a fleet aggregator "
                              "(python -m repro fleet): render the whole "
-                             "fleet from /snapshot + /fleet/healthz")
+                             "fleet's worker roster")
     parser.add_argument("--interval", type=float, default=1.0,
                         help="refresh period in seconds (default 1)")
     parser.add_argument("--once", action="store_true",
@@ -351,16 +337,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--plain", action="store_true",
                         help="force log-line output even on a TTY")
     args = parser.parse_args(argv)
+    from repro.telemetry.server import fetch_json
     base = args.url.rstrip("/")
     tty = sys.stdout.isatty() and not args.plain
 
-    health_path = "/fleet/healthz" if args.fleet else "/healthz"
-
     while True:
         try:
-            snapshot = _fetch_json(f"{base}/snapshot", timeout=5.0)
-            health = _fetch_json(f"{base}{health_path}", timeout=5.0)
-        except (urllib.error.URLError, OSError) as error:
+            snapshot = fetch_json(f"{base}/snapshot", timeout=5.0)
+            health = fetch_json(f"{base}/healthz", timeout=5.0)
+        except (OSError, ValueError) as error:
             print(f"repro top: cannot reach {base}: {error}",
                   file=sys.stderr)
             return 1

@@ -1,24 +1,26 @@
 """Federated metrics plane: one endpoint for a fleet of live runs.
 
-Every ``--serve`` run exposes its own ``/metrics``, ``/snapshot``,
-``/healthz`` and ``/events`` (:mod:`repro.telemetry.server`) — but a
-sweep sharded over N invocations (or, eventually, N machines) is N
-places to look.  The :class:`FleetAggregator` subscribes to each worker
-endpoint, keeps the latest per-worker snapshot/health, multiplexes the
-workers' SSE streams into one worker-labelled stream, and the
-:class:`FleetServer` re-serves the merged view:
+Every ``--serve`` run exposes its own endpoints
+(:mod:`repro.telemetry.server`) — but a sweep sharded over N invocations
+(or, eventually, N machines) is N places to look.  The
+:class:`FleetAggregator` subscribes to each worker endpoint, keeps the
+latest per-worker snapshot/health, and multiplexes the workers' SSE
+streams into one worker-labelled stream.  It is a served source like
+:class:`~repro.telemetry.server.LiveRun`, so the same
+:class:`~repro.telemetry.server.TelemetryServer` and route table serve
+it:
 
-* ``GET /metrics`` — Prometheus exposition over the *fleet* merge plus
+* ``/metrics`` — Prometheus exposition over the *fleet* merge plus
   ``repro_fleet_*`` rollup families (worker/reachability/alert counts);
-* ``GET /snapshot`` — the merged fleet aggregate
+* ``/snapshot`` — the merged fleet aggregate
   (``repro.metrics-aggregate/1``), byte-identical to an offline
   :func:`merge_fleet` over the per-worker snapshots;
-* ``GET /fleet/healthz`` (also ``/healthz``) — per-worker
+* ``/healthz`` (also ``/fleet/healthz``) — per-worker
   liveness/degraded rollup, ``503`` when degraded;
-* ``GET /events`` — the multiplexed SSE stream, every event payload
+* ``/events`` — the multiplexed SSE stream, every event payload
   labelled with ``worker`` (index) and ``worker_url``;
-* ``GET /alerts`` — the fleet alert engine's ``repro.alerts/1``
-  document (when rules are loaded).
+* ``/alerts`` — the fleet alert engine's ``repro.alerts/1`` document
+  (when rules are loaded).
 
 ``python -m repro fleet --workers URL URL ...`` runs the plane from a
 shell; ``repro top --fleet URL`` renders it.  Everything is stdlib
@@ -29,17 +31,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import queue
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from .metrics import merge_snapshots, to_prometheus
-from .server import SUBSCRIBER_BUFFER
+from .server import EventHub, fetch_json, serve
 
 #: Seconds between reconnect attempts for a worker whose /events stream
 #: dropped (doubles up to the cap; a dead worker costs one socket try
@@ -81,7 +81,7 @@ class _Worker:
     """One subscribed worker endpoint's latest known state."""
 
     __slots__ = ("index", "url", "snapshot", "health", "reachable",
-                 "error", "last_event", "events_seen")
+                 "last_event", "events_seen")
 
     def __init__(self, index: int, url: str) -> None:
         self.index = index
@@ -89,12 +89,11 @@ class _Worker:
         self.snapshot: Optional[Dict] = None
         self.health: Optional[Dict] = None
         self.reachable = False
-        self.error: Optional[str] = None
         self.last_event: Optional[Tuple[str, Dict]] = None
         self.events_seen = 0
 
 
-class FleetAggregator:
+class FleetAggregator(EventHub):
     """Subscribes to N worker ``LiveRun`` endpoints and merges them.
 
     :meth:`refresh` is a synchronous poll of every worker's
@@ -119,13 +118,10 @@ class FleetAggregator:
     ) -> None:
         if not workers:
             raise ValueError("a fleet needs at least one worker URL")
+        super().__init__(alert_engine)
         self.workers = [_Worker(i, url) for i, url in enumerate(workers)]
         self.stale_after = stale_after
         self.timeout = timeout
-        self.alert_engine = alert_engine
-        self._lock = threading.Lock()
-        self._alert_lock = threading.Lock()
-        self._subscribers: List[queue.Queue] = []
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
 
@@ -133,45 +129,33 @@ class FleetAggregator:
     # Polling plane (/snapshot + /healthz).
     # ------------------------------------------------------------------ #
 
-    def _fetch_json(self, url: str) -> Optional[Dict]:
-        """GET a JSON document; a 503 (degraded worker) still carries a
-        valid health body, so HTTPError bodies are parsed, not raised."""
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode())
-        except urllib.error.HTTPError as exc:
-            try:
-                return json.loads(exc.read().decode())
-            except (ValueError, OSError):
-                return None
-        except (urllib.error.URLError, OSError, ValueError):
-            return None
-
     def refresh(self) -> Dict:
         """Poll every worker once; returns the merged fleet snapshot."""
         for worker in self.workers:
-            snapshot = self._fetch_json(worker.url + "/snapshot")
-            health = self._fetch_json(worker.url + "/healthz")
+            snapshot = self._poll(worker.url + "/snapshot")
+            health = self._poll(worker.url + "/healthz")
             with self._lock:
                 if snapshot is not None:
                     worker.snapshot = snapshot
                 if health is not None:
                     worker.health = health
                 worker.reachable = health is not None or snapshot is not None
-                worker.error = None if worker.reachable else "unreachable"
-            if health is not None and self.alert_engine is not None:
-                with self._alert_lock:
-                    emitted = self.alert_engine.observe_health(health)
-                for payload in emitted:
-                    self.publish_alert(payload)
+            if health is not None:
+                self.observe_health(health)
         if self.alert_engine is not None:
-            rollup = self.health()
-            with self._alert_lock:
-                emitted = self.alert_engine.observe_health(
-                    {"stale_workers": rollup["unreachable_workers"]})
-            for payload in emitted:
-                self.publish_alert(payload)
+            self.observe_health(
+                {"stale_workers": self.health()["unreachable_workers"]})
         return self.snapshot()
+
+    def _poll(self, url: str) -> Optional[Dict]:
+        try:
+            return fetch_json(url, self.timeout)
+        except (OSError, ValueError):
+            return None
+
+    # ------------------------------------------------------------------ #
+    # The served-source protocol.
+    # ------------------------------------------------------------------ #
 
     def snapshot(self) -> Dict:
         """The current fleet aggregate (:func:`merge_fleet` over the
@@ -250,44 +234,17 @@ class FleetAggregator:
             ]
         return body + "\n".join(lines) + "\n"
 
+    def replay_events(self) -> List[Tuple[str, Dict]]:
+        """Every worker's most recent event (the per-worker replay the
+        single-run plane offers, federated)."""
+        latest = [worker.last_event for worker in self.workers
+                  if worker.last_event is not None]
+        return [(event, {**payload, "replay": True})
+                for event, payload in latest]
+
     # ------------------------------------------------------------------ #
     # Multiplexed SSE plane.
     # ------------------------------------------------------------------ #
-
-    def subscribe(self) -> "queue.Queue":
-        """Register a fleet event consumer; primed with every worker's
-        most recent event so late subscribers see the stream's shape
-        (the per-worker replay the single-run plane offers, federated)."""
-        subscriber: queue.Queue = queue.Queue(maxsize=SUBSCRIBER_BUFFER)
-        with self._lock:
-            for worker in self.workers:
-                if worker.last_event is not None:
-                    event, payload = worker.last_event
-                    subscriber.put_nowait(
-                        (event, {**payload, "replay": True}))
-            self._subscribers.append(subscriber)
-        return subscriber
-
-    def unsubscribe(self, subscriber: "queue.Queue") -> None:
-        with self._lock:
-            if subscriber in self._subscribers:
-                self._subscribers.remove(subscriber)
-
-    def _publish(self, event: str, payload: Dict) -> None:
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            try:
-                subscriber.put_nowait((event, payload))
-            except queue.Full:
-                try:
-                    subscriber.get_nowait()
-                    subscriber.put_nowait((event, payload))
-                except (queue.Empty, queue.Full):
-                    pass
-
-    def publish_alert(self, payload: Dict) -> None:
-        self._publish("alert", payload)
 
     def _on_worker_event(self, worker: _Worker, event: str,
                          payload: Dict) -> None:
@@ -296,11 +253,6 @@ class FleetAggregator:
         with self._lock:
             worker.events_seen += 1
             worker.last_event = (event, labelled)
-        if self.alert_engine is not None and event != "alert":
-            with self._alert_lock:
-                emitted = self.alert_engine.observe(event, payload)
-            for alert_payload in emitted:
-                self.publish_alert(alert_payload)
         self._publish(event, labelled)
 
     def _pump(self, worker: _Worker) -> None:
@@ -351,129 +303,6 @@ class FleetAggregator:
         self._threads.clear()
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
-    """Routes the fleet endpoints; the aggregator rides on the server."""
-
-    server_version = "repro-fleet/1"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
-        pass
-
-    @property
-    def fleet(self) -> FleetAggregator:
-        return self.server.fleet  # type: ignore[attr-defined]
-
-    def _respond(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                self._respond(200, "text/plain; version=0.0.4",
-                              self.fleet.metrics().encode())
-            elif path == "/snapshot":
-                body = (json.dumps(self.fleet.snapshot()) + "\n").encode()
-                self._respond(200, "application/json", body)
-            elif path in ("/fleet/healthz", "/healthz", "/health"):
-                health = self.fleet.health()
-                status = 503 if health["status"] == "degraded" else 200
-                body = (json.dumps(health) + "\n").encode()
-                self._respond(status, "application/json", body)
-            elif path == "/alerts":
-                engine = self.fleet.alert_engine
-                if engine is None:
-                    self._respond(404, "text/plain",
-                                  b"no alert rules loaded\n")
-                else:
-                    body = (json.dumps(engine.document(), indent=2)
-                            + "\n").encode()
-                    self._respond(200, "application/json", body)
-            elif path == "/events":
-                self._stream_events()
-            else:
-                self._respond(404, "text/plain",
-                              b"repro fleet: /metrics /snapshot "
-                              b"/fleet/healthz /events /alerts\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _stream_events(self) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        subscriber = self.fleet.subscribe()
-        try:
-            while not self.server.stopping:  # type: ignore[attr-defined]
-                try:
-                    event, payload = subscriber.get(timeout=1.0)
-                except queue.Empty:
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
-                    continue
-                data = json.dumps(payload)
-                self.wfile.write(
-                    f"event: {event}\ndata: {data}\n\n".encode())
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass
-        finally:
-            self.fleet.unsubscribe(subscriber)
-
-
-class FleetServer:
-    """The HTTP service wrapping a :class:`FleetAggregator`."""
-
-    def __init__(self, fleet: FleetAggregator, port: int = 0,
-                 host: str = "127.0.0.1") -> None:
-        self.fleet = fleet
-        self.host = host
-        self.port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> int:
-        httpd = ThreadingHTTPServer((self.host, self.port), _FleetHandler)
-        httpd.daemon_threads = True
-        httpd.fleet = self.fleet         # type: ignore[attr-defined]
-        httpd.stopping = False           # type: ignore[attr-defined]
-        self._httpd = httpd
-        self.port = httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=httpd.serve_forever, name="repro-fleet-http", daemon=True)
-        self._thread.start()
-        return self.port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def stop(self) -> None:
-        if self._httpd is None:
-            return
-        self._httpd.stopping = True      # type: ignore[attr-defined]
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "FleetServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro fleet``: run the aggregator from a shell."""
     parser = argparse.ArgumentParser(
@@ -494,23 +323,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "against the fleet stream")
     parser.add_argument("--alerts-out", metavar="PATH",
                         help="write the repro.alerts/1 document here on "
-                             "exit")
+                             "exit (requires --alerts)")
     parser.add_argument("--duration", type=float, default=0.0,
                         help="serve for this many seconds then exit "
                              "(0 = until interrupted)")
     args = parser.parse_args(argv)
 
-    engine = None
-    if args.alerts:
-        from .alerts import AlertEngine, load_rules
-        engine = AlertEngine(load_rules(args.alerts))
+    from .alerts import close_alerts, open_alerts
+    engine = open_alerts(parser, args)
     fleet = FleetAggregator(args.workers, stale_after=args.stale_after,
                             alert_engine=engine)
-    server = FleetServer(fleet, port=args.port)
-    server.start()
+    server = serve(fleet, args.port, "fleet telemetry",
+                   f"{len(args.workers)} workers")
     fleet.start()
-    print(f"serving fleet telemetry on {server.url} "
-          f"({len(args.workers)} workers)", flush=True)
     deadline = (time.monotonic() + args.duration) if args.duration else None
     try:
         while deadline is None or time.monotonic() < deadline:
@@ -523,15 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         fleet.stop()
         server.stop()
-        if engine is not None:
-            print(engine.summary_line(), flush=True)
-            if args.alerts_out:
-                from .alerts import write_alerts
-                write_alerts(args.alerts_out, engine)
-    if engine is not None and engine.page_fired:
-        from .alerts import PAGE_EXIT_CODE
-        return PAGE_EXIT_CODE
-    return 0
+    return close_alerts(engine, args.alerts_out)
 
 
 if __name__ == "__main__":

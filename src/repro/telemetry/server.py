@@ -1,37 +1,35 @@
-"""Live observability plane: in-run telemetry state + HTTP service.
+"""The serving plane: one HTTP server and one event hub for runs and fleets.
 
 PRs 2-3 made every run *post-hoc* observable — traces, window metrics
 and report cards land on disk after the run ends.  This module is the
-online half: a :class:`LiveRun` holds the fleet's latest state while it
-simulates (fed per window by the workers, see
-:mod:`repro.experiments.parallel`), and a :class:`TelemetryServer`
-exposes it over plain stdlib HTTP so a real Prometheus can scrape a
-running experiment and ``repro top`` can watch it:
+online half.  A *source* holds live state and an :class:`EventHub`; a
+:class:`TelemetryServer` exposes any source over plain stdlib HTTP so a
+real Prometheus can scrape it and ``repro top`` can watch it.  Two
+sources exist: :class:`LiveRun` (one running experiment or simulation,
+fed per window by the workers, see :mod:`repro.experiments.parallel`)
+and :class:`~repro.telemetry.federation.FleetAggregator` (N runs'
+endpoints merged into one).
 
-* ``GET /metrics`` — Prometheus text exposition
-  (:func:`repro.telemetry.metrics.to_prometheus`) over the latest
-  merged snapshot; changes scrape-to-scrape mid-run.
-* ``GET /healthz`` — run liveness JSON: points done/total, per-worker
-  heartbeat ages, last-window age, QoS violation count.  Responds
-  ``503`` with ``status: "degraded"`` when any worker's heartbeat age
-  exceeds the configured staleness threshold while the run is active.
-* ``GET /snapshot`` — the schema-tagged merged metrics JSON
-  (``repro.metrics-aggregate/1``); once the run finishes this is the
-  byte-identical aggregate the experiment runner writes to disk.
-* ``GET /events`` — Server-Sent Events: one ``window`` event per
-  flushed measurement window, ``violation`` instants from the
-  :class:`~repro.core.monitor.QoSMonitor`, and ``point`` completion
-  records.
+Every source answers the same route table (:data:`ROUTES`):
+
+* ``GET /metrics`` — Prometheus text exposition (``source.metrics()``);
+* ``GET /snapshot`` — the merged ``repro.metrics-aggregate/1`` JSON
+  (``source.snapshot()``);
+* ``GET /healthz`` (aliases ``/health``, ``/fleet/healthz``) — liveness
+  JSON (``source.health()``), ``503`` when its ``status`` is
+  ``degraded``;
+* ``GET /events`` — Server-Sent Events from the source's hub;
+* ``GET /alerts`` — the alert engine's ``repro.alerts/1`` document,
+  ``404`` when no rules are loaded.
 
 Cost discipline: the plane follows the telemetry layer's None-guard
-contract — nothing here is constructed unless ``--serve`` is given, and
-the producers' disabled path stays a single ``is not None`` test (see
-``benchmarks/test_bench_engine.py::
+contract — nothing here is constructed unless ``--serve`` (or
+``--alerts``) is given, and the producers' disabled path stays a single
+``is not None`` test (see ``benchmarks/test_bench_engine.py::
 test_disabled_overhead_under_two_percent[serve]``).
 
-The feed protocol is deliberately dumb so it crosses the
-``multiprocessing`` boundary as plain tuples (see
-:meth:`LiveRun.put`)::
+The run feed protocol is deliberately dumb so it crosses the
+``multiprocessing`` boundary as plain tuples (see :meth:`LiveRun.put`)::
 
     ("start",     point_index, worker_id)
     ("window",    point_index, worker_id, cycle, metrics_snapshot)
@@ -59,12 +57,86 @@ from .metrics import merge_snapshots, to_prometheus
 SUBSCRIBER_BUFFER = 256
 
 
-class LiveRun:
+class EventHub:
+    """A source's event stream: subscriber queues and the alert tap.
+
+    Subscribers get bounded queues that drop their oldest event when
+    full, primed with :meth:`replay_events` so a late subscriber sees
+    the stream's shape at once.  An optional
+    :class:`~repro.telemetry.alerts.AlertEngine` observes every
+    published event (and every health document handed to
+    :meth:`observe_health`); its emissions are published as ``alert``
+    events on the same stream.
+    """
+
+    def __init__(self, alert_engine=None) -> None:
+        self._lock = threading.Lock()
+        self._subscribers: List[queue.Queue] = []
+        self.alert_engine = alert_engine
+        # The engine is not internally synchronized and producers
+        # publish from more than one thread.
+        self._alert_lock = threading.Lock()
+
+    def replay_events(self) -> List[Tuple[str, Dict]]:
+        """Events that prime a new subscriber (called under the lock)."""
+        return []
+
+    def subscribe(self) -> "queue.Queue":
+        subscriber: queue.Queue = queue.Queue(maxsize=SUBSCRIBER_BUFFER)
+        with self._lock:
+            for item in self.replay_events():
+                subscriber.put_nowait(item)
+            self._subscribers.append(subscriber)
+        return subscriber
+
+    def unsubscribe(self, subscriber: "queue.Queue") -> None:
+        with self._lock:
+            if subscriber in self._subscribers:
+                self._subscribers.remove(subscriber)
+
+    def alert(self, payload: Dict) -> None:
+        """Publish a structured alert event (AlertEngine emission)."""
+        self._publish("alert", payload)
+
+    def observe_health(self, health: Dict) -> None:
+        """Hand a health document to the alert engine."""
+        engine = self.alert_engine
+        if engine is None:
+            return
+        with self._alert_lock:
+            emitted = engine.observe_health(health)
+        for payload in emitted:
+            self.alert(payload)
+
+    def _publish(self, event: str, payload: Dict) -> None:
+        # The rules see every signal the stream sees — but never the
+        # "alert" events the engine itself emits.
+        engine = self.alert_engine
+        if engine is not None and event != "alert":
+            with self._alert_lock:
+                emitted = engine.observe(event, payload)
+            for alert_payload in emitted:
+                self.alert(alert_payload)
+        with self._lock:
+            subscribers = list(self._subscribers)
+        for subscriber in subscribers:
+            try:
+                subscriber.put_nowait((event, payload))
+            except queue.Full:
+                # Drop the oldest so a stalled client only loses events.
+                try:
+                    subscriber.get_nowait()
+                    subscriber.put_nowait((event, payload))
+                except (queue.Empty, queue.Full):
+                    pass
+
+
+class LiveRun(EventHub):
     """Thread-safe state of one running experiment fleet.
 
     Producers (the parallel runner's drainer thread, or the single-run
     CLI inline) call :meth:`put` / the typed methods; consumers (the
-    HTTP handlers, ``repro top``) read :meth:`merged`, :meth:`health`
+    HTTP handlers, ``repro top``) read :meth:`snapshot`, :meth:`health`
     and subscribe to the event stream.  All methods are safe from any
     thread.
     """
@@ -74,22 +146,17 @@ class LiveRun:
         stale_after: float = 30.0,
         progress=None,
         clock=time.monotonic,
+        alert_engine=None,
     ) -> None:
         if stale_after <= 0:
             raise ValueError("stale_after must be > 0 seconds")
+        super().__init__(alert_engine)
         self.stale_after = stale_after
         self.progress = progress  # ProgressReporter for stale warnings
         self._clock = clock
-        self._lock = threading.Lock()
-        self._subscribers: List[queue.Queue] = []
         #: Parent-side SpanTracer.ingest when host-span tracing is on:
         #: worker span records arriving over the feed are handed here.
         self.on_span = None
-        #: AlertEngine evaluating every published event (``--alerts``).
-        #: Guarded by its own lock — producers publish from more than
-        #: one thread and the engine is not internally synchronized.
-        self.alert_engine = None
-        self._alert_lock = threading.Lock()
         self.run_label = ""
         self.run_kernel = ""      # simulation kernel ("cycle"/"batch")
         self.total = 0
@@ -102,9 +169,7 @@ class LiveRun:
         self._workers: Dict[int, float] = {}      # worker id -> last beat
         self._warned_stale: set = set()
         self._last_window_at: Optional[float] = None
-        self._latest: Dict[int, Dict] = {}        # point -> window snapshot
-        self._windows_seen: Dict[int, int] = {}   # point -> flush count
-        self._final: Dict[int, Dict] = {}         # point -> final metrics
+        self._latest: Dict[int, Dict] = {}        # point -> latest snapshot
         self._aggregate: Optional[Dict] = None    # runner's exact merge
         self._gen = 0                             # merge-cache invalidation
 
@@ -134,7 +199,7 @@ class LiveRun:
         """Start (or switch to) a named run: clears per-point state.
 
         ``kernel`` records which simulation kernel the run executes
-        under; :meth:`merged` stamps it into every live aggregate so
+        under; :meth:`snapshot` stamps it into every live aggregate so
         ``/snapshot`` reports it mid-run, not only at the end.
         """
         with self._lock:
@@ -148,8 +213,6 @@ class LiveRun:
             self._warned_stale.clear()
             self._last_window_at = None
             self._latest.clear()
-            self._windows_seen.clear()
-            self._final.clear()
             self._aggregate = None
         self._publish("run", {"run": label, "status": "started"})
 
@@ -175,7 +238,6 @@ class LiveRun:
             self._warned_stale.discard(worker)
             self._last_window_at = now
             self._latest[index] = snapshot
-            self._windows_seen[index] = self._windows_seen.get(index, 0) + 1
             self._aggregate = None
             self._gen += 1
         self._publish("window", {
@@ -199,10 +261,6 @@ class LiveRun:
         self._publish("span", {"point": index, "worker": worker,
                                "span": record})
 
-    def alert(self, payload: Dict) -> None:
-        """Publish a structured alert event (AlertEngine emission)."""
-        self._publish("alert", payload)
-
     def point_retry(self, index: int, attempt: int, error: str) -> None:
         """A resilience-fleet worker died or timed out and is being
         retried (repro.resilience.fleet)."""
@@ -224,7 +282,6 @@ class LiveRun:
         with self._lock:
             self.done += 1
             if metrics is not None:
-                self._final[index] = metrics
                 self._latest[index] = metrics
             self._aggregate = None
             self._gen += 1
@@ -243,10 +300,10 @@ class LiveRun:
         self._publish("run", {"run": self.run_label, "status": "finished"})
 
     # ------------------------------------------------------------------ #
-    # Consumers.
+    # The served-source protocol.
     # ------------------------------------------------------------------ #
 
-    def merged(self) -> Dict:
+    def snapshot(self) -> Dict:
         """The latest merged fleet snapshot (``repro.metrics-aggregate/1``).
 
         Completed points contribute their final metrics; points still
@@ -271,6 +328,18 @@ class LiveRun:
                 self._aggregate = aggregate
         return aggregate
 
+    def metrics(self) -> str:
+        return to_prometheus(self.snapshot())
+
+    def replay_events(self) -> List[Tuple[str, Dict]]:
+        """The most recent window, so a smoke test curling ``/events``
+        after a short run still sees the stream's shape."""
+        if not self._latest:
+            return []
+        index = max(self._latest)
+        return [("window", {"point": index, "replay": True,
+                            "snapshot": self._latest[index]})]
+
     def stale_workers(self) -> List[Tuple[int, float]]:
         """(worker, heartbeat age) pairs past the staleness threshold."""
         with self._lock:
@@ -294,13 +363,7 @@ class LiveRun:
                     self._warned_stale.add(worker)
                 if fresh:
                     self.progress.stale_worker(worker, age)
-        engine = self.alert_engine
-        if engine is not None:
-            with self._alert_lock:
-                emitted = engine.observe_health(
-                    {"stale_workers": [worker for worker, _ in stale]})
-            for alert_payload in emitted:
-                self.alert(alert_payload)
+        self.observe_health({"stale_workers": [worker for worker, _ in stale]})
         return stale
 
     def health(self) -> Dict:
@@ -341,57 +404,46 @@ class LiveRun:
                 ),
             }
 
-    # ------------------------------------------------------------------ #
-    # Event stream (SSE backing).
-    # ------------------------------------------------------------------ #
 
-    def subscribe(self) -> "queue.Queue":
-        """Register an event consumer.  The queue is primed with the
-        most recent window event (when one exists) so late subscribers —
-        a smoke test curling ``/events`` after a short run — still see
-        the stream's shape immediately."""
-        subscriber: queue.Queue = queue.Queue(maxsize=SUBSCRIBER_BUFFER)
-        with self._lock:
-            if self._latest:
-                index = max(self._latest)
-                subscriber.put_nowait(("window", {
-                    "point": index, "replay": True,
-                    "snapshot": self._latest[index],
-                }))
-            self._subscribers.append(subscriber)
-        return subscriber
+# ---------------------------------------------------------------------- #
+# HTTP.
+# ---------------------------------------------------------------------- #
 
-    def unsubscribe(self, subscriber: "queue.Queue") -> None:
-        with self._lock:
-            if subscriber in self._subscribers:
-                self._subscribers.remove(subscriber)
+def _json(document: Dict, status: int = 200) -> Tuple[int, str, bytes]:
+    return status, "application/json", (json.dumps(document) + "\n").encode()
 
-    def _publish(self, event: str, payload: Dict) -> None:
-        # Alert evaluation rides the publish path so every signal the
-        # SSE stream sees, the rules see — but never recursively on the
-        # "alert" events the engine itself emits.
-        engine = self.alert_engine
-        if engine is not None and event != "alert":
-            with self._alert_lock:
-                emitted = engine.observe(event, payload)
-            for alert_payload in emitted:
-                self.alert(alert_payload)
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            try:
-                subscriber.put_nowait((event, payload))
-            except queue.Full:
-                # Drop the oldest so a stalled client only loses events.
-                try:
-                    subscriber.get_nowait()
-                    subscriber.put_nowait((event, payload))
-                except (queue.Empty, queue.Full):
-                    pass
+
+def _health(source) -> Tuple[int, str, bytes]:
+    health = source.health()
+    return _json(health, 503 if health["status"] == "degraded" else 200)
+
+
+def _alerts(source) -> Tuple[int, str, bytes]:
+    engine = source.alert_engine
+    if engine is None:
+        return 404, "text/plain", b"no alert rules loaded\n"
+    body = json.dumps(engine.document(), indent=2) + "\n"
+    return 200, "application/json", body.encode()
+
+
+#: path -> (source -> (status, content type, body)); ``/events`` is the
+#: one streamed route.
+ROUTES = {
+    "/metrics": lambda source: (200, "text/plain; version=0.0.4",
+                                source.metrics().encode()),
+    "/snapshot": lambda source: _json(source.snapshot()),
+    "/healthz": _health,
+    "/events": None,
+    "/alerts": _alerts,
+}
+ALIASES = {"/health": "/healthz", "/fleet/healthz": "/healthz"}
+
+_NOT_FOUND = (404, "text/plain", ("repro telemetry: " + " ".join(
+    [*ROUTES, *ALIASES]) + "\n").encode())
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes the four endpoints; the LiveRun rides on the server."""
+    """Routes :data:`ROUTES`; the source rides on the server."""
 
     server_version = "repro-telemetry/1"
     protocol_version = "HTTP/1.1"
@@ -401,48 +453,33 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         pass
 
-    @property
-    def live(self) -> LiveRun:
-        return self.server.live  # type: ignore[attr-defined]
-
-    def _respond(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
         path = self.path.split("?", 1)[0]
+        path = ALIASES.get(path, path)
+        source = self.server.source  # type: ignore[attr-defined]
         try:
-            if path == "/metrics":
-                body = to_prometheus(self.live.merged()).encode()
-                self._respond(200, "text/plain; version=0.0.4", body)
-            elif path == "/snapshot":
-                body = (json.dumps(self.live.merged()) + "\n").encode()
-                self._respond(200, "application/json", body)
-            elif path in ("/healthz", "/health"):
-                health = self.live.health()
-                status = 503 if health["status"] == "degraded" else 200
-                body = (json.dumps(health) + "\n").encode()
-                self._respond(status, "application/json", body)
-            elif path == "/events":
-                self._stream_events()
-            else:
-                self._respond(404, "text/plain",
-                              b"repro telemetry: /metrics /healthz "
-                              b"/snapshot /events\n")
+            if path == "/events":
+                self._stream_events(source)
+                return
+            route = ROUTES.get(path)
+            status, content_type, body = (route(source) if route
+                                          else _NOT_FOUND)
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up
 
-    def _stream_events(self) -> None:
+    def _stream_events(self, source: EventHub) -> None:
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
         # SSE is an unbounded stream: no Content-Length, close delimits.
         self.send_header("Connection", "close")
         self.end_headers()
-        subscriber = self.live.subscribe()
+        subscriber = source.subscribe()
         try:
             while not self.server.stopping:  # type: ignore[attr-defined]
                 try:
@@ -459,21 +496,21 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass
         finally:
-            self.live.unsubscribe(subscriber)
+            source.unsubscribe(subscriber)
 
 
 class TelemetryServer:
-    """The HTTP service wrapping a :class:`LiveRun`.
+    """The HTTP service over one source (:class:`LiveRun` or a fleet).
 
     ``port=0`` binds an OS-assigned free port; the actual port is on
     ``self.port`` (and in ``self.url``) after :meth:`start`.  The server
     runs on daemon threads and costs nothing to the simulation: handlers
-    only ever *read* LiveRun state under its lock.
+    only ever *read* source state under its lock.
     """
 
-    def __init__(self, live: LiveRun, port: int = 0,
+    def __init__(self, source: EventHub, port: int = 0,
                  host: str = "127.0.0.1") -> None:
-        self.live = live
+        self.source = source
         self.host = host
         self.port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -482,7 +519,7 @@ class TelemetryServer:
     def start(self) -> int:
         httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
         httpd.daemon_threads = True
-        httpd.live = self.live           # type: ignore[attr-defined]
+        httpd.source = self.source       # type: ignore[attr-defined]
         httpd.stopping = False           # type: ignore[attr-defined]
         self._httpd = httpd
         self.port = httpd.server_address[1]
@@ -497,9 +534,15 @@ class TelemetryServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def stop(self) -> None:
+    def stop(self, linger: float = 0.0) -> None:
+        """Shut down; ``linger`` seconds first keeps the endpoints up as
+        a scrape window after the run (announced on stdout)."""
         if self._httpd is None:
             return
+        if linger > 0:
+            print(f"telemetry server lingering {linger:.0f}s at {self.url}",
+                  flush=True)
+            time.sleep(linger)
         self._httpd.stopping = True      # type: ignore[attr-defined]
         self._httpd.shutdown()
         self._httpd.server_close()
@@ -514,3 +557,32 @@ class TelemetryServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+def serve(source: EventHub, port: int, name: str = "telemetry",
+          detail: str = " ".join(ROUTES)) -> TelemetryServer:
+    """Start serving ``source`` and announce ``serving <name> on <url>``.
+
+    Printed and flushed before the run, so scrapers find an
+    auto-assigned port (``port=0``) while the work is still in flight.
+    """
+    server = TelemetryServer(source, port=port)
+    server.start()
+    print(f"serving {name} on {server.url} ({detail})", flush=True)
+    return server
+
+
+def fetch_json(url: str, timeout: float) -> Dict:
+    """GET one JSON document from a served source.
+
+    A ``503`` (degraded health) still carries a valid body, so HTTP
+    error bodies are parsed, not raised.  An unreachable endpoint raises
+    ``OSError``; a body that is not JSON raises ``ValueError``.
+    """
+    import urllib.error
+    import urllib.request
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            return json.load(response)
+    except urllib.error.HTTPError as error:
+        return json.load(error)

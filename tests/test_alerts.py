@@ -24,14 +24,15 @@ import json
 
 import pytest
 
-from repro.telemetry import LiveRun
 from repro.telemetry.alerts import (
     PAGE_EXIT_CODE,
     AlertEngine,
     AlertRule,
+    close_alerts,
     load_rules,
     write_alerts,
 )
+from repro.telemetry.server import LiveRun, TelemetryServer, fetch_json
 from repro.telemetry.validate import main as validate_main, validate
 
 
@@ -325,3 +326,54 @@ def test_live_run_publishes_alert_events():
     assert alerts[0]["alert"] == "qos" and alerts[0]["state"] == "firing"
     assert live.health()["alerts"] == {"fired": 1, "firing": ["qos"]}
     assert engine.page_fired
+
+
+def test_run_server_serves_the_alert_document():
+    """``/alerts`` is one route of the shared table, so a served run
+    answers it the way the fleet does."""
+    engine = AlertEngine([_rule(name="qos", signal="violations",
+                                op=">=", threshold=1, severity="page")])
+    live = LiveRun(alert_engine=engine)
+    live.put(("violation", 0, 111, {"thread": 0, "window": 4}))
+    with TelemetryServer(live, port=0) as server:
+        document = fetch_json(f"{server.url}/alerts", timeout=5.0)
+    assert document == engine.document()
+    assert validate(document, "alerts") == []
+
+
+# ---------------------------------------------------------------------- #
+# The alert lifecycle the three entry points share.
+# ---------------------------------------------------------------------- #
+
+def test_close_alerts_summarises_writes_and_pages(tmp_path, capsys):
+    engine = AlertEngine([_rule(name="qos", signal="violations",
+                                op=">=", threshold=1, severity="page")])
+    engine.observe("violation", {})
+    path = tmp_path / "alerts.json"
+    assert close_alerts(engine, str(path)) == PAGE_EXIT_CODE
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [engine.summary_line(),
+                                         f"alerts -> {path}"]
+    assert "severity=page" in captured.err
+    assert json.loads(path.read_text()) == engine.document()
+    assert close_alerts(None, None) == 0
+
+
+@pytest.mark.parametrize("entry", ["run", "experiments", "fleet"])
+def test_alerts_out_requires_alerts_on_every_entry_point(entry, tmp_path,
+                                                         capsys):
+    from repro.cli import main as run_main
+    from repro.experiments.runner import main as experiments_main
+    from repro.telemetry.federation import main as fleet_main
+    main, argv = {
+        "run": (run_main, ["loads", "--warmup", "100", "--cycles", "100"]),
+        "experiments": (experiments_main, ["--list"]),
+        "fleet": (fleet_main, ["--workers", "http://127.0.0.1:9",
+                               "--duration", "1"]),
+    }[entry]
+    out = tmp_path / "alerts.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--alerts-out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--alerts-out requires --alerts" in capsys.readouterr().err
+    assert not out.exists()

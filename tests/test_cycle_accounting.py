@@ -28,7 +28,6 @@ from repro.experiments import parallel
 from repro.experiments.runner import run_experiment
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry import LiveRun, TelemetryServer
 from repro.telemetry.cycles import (
     BUCKETS,
     QUEUE_BUCKETS,
@@ -43,6 +42,7 @@ from repro.telemetry.history import (
     render_diff,
     render_history,
 )
+from repro.telemetry.server import LiveRun, TelemetryServer
 from repro.workloads.profiles import spec_trace
 
 KERNELS = ("cycle", "batch")

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from repro.experiments import REGISTRY, run_experiment
-from repro.experiments.base import ExperimentResult, cycle_budget
+from repro.experiments.base import ExperimentResult, cycle_budget, registry
+from repro.experiments.runner import run_experiment
 
 
 class TestInfrastructure:
@@ -17,7 +17,7 @@ class TestInfrastructure:
             "ablation-preempt", "ablation-memory", "ablation-fairness",
             "sweep-designspace", "sweep-smt", "policy-frontier",
         }
-        assert expected == set(REGISTRY)
+        assert expected == set(registry())
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):

@@ -29,15 +29,11 @@ import pytest
 from repro.common.config import VPCAllocation, baseline_config
 from repro.experiments import parallel
 from repro.experiments.parallel import SimPoint, run_points
-from repro.telemetry import (
-    FleetAggregator,
-    FleetServer,
-    LiveRun,
-    TelemetryServer,
-    merge_fleet,
-    merge_snapshots,
-)
 from repro.telemetry.alerts import AlertEngine, AlertRule
+from repro.telemetry.dashboard import main as top_main
+from repro.telemetry.federation import FleetAggregator, merge_fleet
+from repro.telemetry.metrics import merge_snapshots
+from repro.telemetry.server import LiveRun, TelemetryServer
 from repro.telemetry.validate import validate, validate_prometheus
 
 WINDOW = 500
@@ -101,7 +97,7 @@ def test_merge_fleet_flattens_in_worker_order():
     live_a = _finished_live("worker-a", [_point()])
     live_b = _finished_live("worker-b", [_point(traces=(("spec", "art"),
                                                         ("spec", "mcf")))])
-    snap_a, snap_b = live_a.merged(), live_b.merged()
+    snap_a, snap_b = live_a.snapshot(), live_b.snapshot()
     fleet = merge_fleet([snap_a, snap_b])
     expected = merge_snapshots(snap_a["per_point"] + snap_b["per_point"])
     assert fleet["points"] == 2
@@ -113,7 +109,7 @@ def test_merge_fleet_flattens_in_worker_order():
 
 def test_merge_fleet_skips_unreachable_and_mixed_kernels():
     live = _finished_live("worker-a", [_point()])
-    snapshot = live.merged()
+    snapshot = live.snapshot()
     fleet = merge_fleet([None, snapshot, None])
     assert fleet["points"] == 1
     other = json.loads(json.dumps(snapshot))
@@ -136,7 +132,7 @@ def fleet_of_two():
             TelemetryServer(live_b, port=0) as worker_b:
         fleet = FleetAggregator([worker_a.url, worker_b.url], timeout=2.0)
         fleet.refresh()
-        with FleetServer(fleet, port=0) as server:
+        with TelemetryServer(fleet, port=0) as server:
             yield server, fleet, (worker_a, worker_b)
 
 
@@ -193,9 +189,28 @@ def test_unreachable_worker_degrades_fleet():
         assert health["unreachable_workers"] == [1]
         # The reachable worker's points still merge.
         assert fleet.snapshot()["points"] == 1
-        with FleetServer(fleet, port=0) as server:
+        with TelemetryServer(fleet, port=0) as server:
             status, _ = _get(f"{server.url}/fleet/healthz")
             assert status == 503
+
+
+# ---------------------------------------------------------------------- #
+# ``repro top`` over both sources.
+# ---------------------------------------------------------------------- #
+
+def test_top_once_over_a_served_run(fleet_of_two, capsys):
+    _, _, (worker, _) = fleet_of_two
+    assert top_main(["--url", worker.url, "--once", "--plain"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("repro-top status=finished ")
+
+
+def test_top_once_over_a_fleet(fleet_of_two, capsys):
+    server, _, _ = fleet_of_two
+    assert top_main(["--url", server.url, "--fleet", "--once",
+                     "--plain"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("repro-fleet status=finished ")
 
 
 # ---------------------------------------------------------------------- #
@@ -305,7 +320,7 @@ def test_fleet_alert_engine_observes_stream_and_serves_alerts():
         assert len(alerts) == 1 and alerts[0]["alert"] == "retry-storm"
         assert fleet.health()["alerts"]["fired"] == 1
         assert "repro_fleet_alerts_fired 1" in fleet.metrics()
-        with FleetServer(fleet, port=0) as server:
+        with TelemetryServer(fleet, port=0) as server:
             status, body = _get(f"{server.url}/alerts")
             assert status == 200
             document = json.loads(body)
@@ -318,7 +333,7 @@ def test_alerts_endpoint_404_without_engine():
     with TelemetryServer(live, port=0) as worker:
         fleet = FleetAggregator([worker.url], timeout=2.0)
         fleet.refresh()
-        with FleetServer(fleet, port=0) as server:
+        with TelemetryServer(fleet, port=0) as server:
             status, body = _get(f"{server.url}/alerts")
             assert status == 404 and b"no alert rules" in body
 

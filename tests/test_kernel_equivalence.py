@@ -40,7 +40,8 @@ def _run(config, trace_factories, kernel, warmup, measure, metrics=False,
     system = CMPSystem(config, traces, kernel=kernel, **kwargs)
     collector = None
     if metrics:
-        from repro.telemetry import MetricsCollector, TelemetryBus
+        from repro.telemetry.bus import TelemetryBus
+        from repro.telemetry.metrics import MetricsCollector
         bus = system.attach_telemetry(TelemetryBus())
         collector = bus.attach(MetricsCollector(
             config.n_threads, window=500))

@@ -30,13 +30,9 @@ import pytest
 from repro.common.config import VPCAllocation, baseline_config
 from repro.experiments import parallel
 from repro.experiments.parallel import RunSpec, SimPoint, run_point, run_points
-from repro.telemetry import (
-    LiveRun,
-    ProgressReporter,
-    TelemetryServer,
-    merge_snapshots,
-    to_prometheus,
-)
+from repro.telemetry.metrics import merge_snapshots, to_prometheus
+from repro.telemetry.progress import ProgressReporter
+from repro.telemetry.server import LiveRun, TelemetryServer
 from repro.telemetry.validate import (
     main as validate_main,
     validate,
@@ -95,8 +91,8 @@ def test_merged_matches_runner_merge():
                                                    ("spec", "mcf")))])
     snapshots = [result.metrics for result in results]
     expected = merge_snapshots(snapshots)
-    assert live.merged() == expected
-    assert json.dumps(live.merged(), sort_keys=True) == \
+    assert live.snapshot() == expected
+    assert json.dumps(live.snapshot(), sort_keys=True) == \
         json.dumps(expected, sort_keys=True)
 
 
@@ -107,7 +103,7 @@ def test_finish_run_serves_exact_aggregate():
     aggregate = {"schema": "repro.metrics-aggregate/1", "points": 1,
                  "totals": {}, "per_point": [], "marker": object()}
     live.finish_run(aggregate)
-    assert live.merged() is aggregate
+    assert live.snapshot() is aggregate
     assert live.health()["status"] == "finished"
 
 
@@ -122,7 +118,7 @@ def test_mid_run_windows_move_the_merge():
             live.put(msg)
             if msg[0] == "window":
                 merges.append(
-                    live.merged()["totals"]["measured_cycles"])
+                    live.snapshot()["totals"]["measured_cycles"])
 
     base = live.begin_batch(1)
     run_point(_point(), RunSpec(metrics=WINDOW), feed=Tap(), index=base)
@@ -328,7 +324,7 @@ def test_prometheus_aggregate_labels_points():
     parallel.configure(jobs=1, metrics=WINDOW, live=live)
     run_points([_point(), _point(traces=(("spec", "art"),
                                          ("spec", "mcf")))])
-    text = to_prometheus(live.merged())
+    text = to_prometheus(live.snapshot())
     assert validate_prometheus(text) == []
     assert "repro_run_points 2" in text
     assert 'point="0"' in text and 'point="1"' in text

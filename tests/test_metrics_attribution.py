@@ -28,24 +28,29 @@ from repro.common.stats import jain_index
 from repro.core.monitor import QoSMonitor, run_monitored
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry import (
+from repro.telemetry.attribution import (
+    InterferenceAttributor,
+    merge_attribution,
+)
+from repro.telemetry.bus import RingBufferSink, TelemetryBus
+from repro.telemetry.events import (
     CAT_ARBITER,
     CAT_CACHE,
-    InterferenceAttributor,
-    MetricsCollector,
     PH_COUNTER,
     PH_INSTANT,
-    RingBufferSink,
-    TelemetryBus,
     TraceEvent,
-    build_report_card,
-    chrome_trace,
-    merge_attribution,
-    merge_report_cards,
+)
+from repro.telemetry.metrics import (
+    MetricsCollector,
     merge_snapshots,
+    to_prometheus,
+)
+from repro.telemetry.perfetto import chrome_trace
+from repro.telemetry.report import (
+    build_report_card,
+    merge_report_cards,
     render_fleet_card,
     render_report_card,
-    to_prometheus,
 )
 from repro.telemetry.validate import (
     validate,

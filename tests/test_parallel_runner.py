@@ -19,7 +19,8 @@ import pytest
 from repro.common.config import VPCAllocation, baseline_config, private_equivalent
 from repro.experiments import parallel
 from repro.experiments.parallel import SimPoint, run_point, run_points
-from repro.telemetry import ProgressReporter, RingBufferSink, TelemetryBus
+from repro.telemetry.bus import RingBufferSink, TelemetryBus
+from repro.telemetry.progress import ProgressReporter
 from repro.workloads import loads_trace, save_trace
 
 

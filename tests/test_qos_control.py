@@ -31,7 +31,7 @@ from repro.qos.classifier import (
 )
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry import RingBufferSink, TelemetryBus
+from repro.telemetry.bus import RingBufferSink, TelemetryBus
 from repro.telemetry.validate import validate
 from repro.workloads.profiles import (
     PHASED_MIXES,
@@ -463,7 +463,7 @@ class TestAcceptance:
 
     @pytest.fixture(scope="class")
     def frontier(self):
-        from repro.experiments import run_experiment
+        from repro.experiments.runner import run_experiment
         return run_experiment("policy-frontier", fast=True)
 
     def test_figure_document_validates(self, frontier):
@@ -493,7 +493,7 @@ class TestAcceptance:
             assert mix["points"]["vpc"]["epochs"] == 0
 
     def test_deterministic(self, frontier):
-        from repro.experiments import run_experiment
+        from repro.experiments.runner import run_experiment
         again = run_experiment("policy-frontier", fast=True)
         assert again.rows == frontier.rows
         assert json.dumps(again.figure, sort_keys=True) == \

@@ -30,7 +30,7 @@ from repro.experiments import parallel
 from repro.experiments.runner import run_experiment
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry import LiveRun, RequestLogSink, TelemetryServer
+from repro.telemetry.bus import RequestLogSink
 from repro.telemetry.requests import (
     SEGMENTS,
     SLORule,
@@ -42,6 +42,7 @@ from repro.telemetry.requests import (
     verify_requests,
     write_requests,
 )
+from repro.telemetry.server import LiveRun, TelemetryServer
 from repro.workloads.profiles import spec_trace
 
 KERNELS = ("cycle", "batch")
@@ -340,8 +341,12 @@ def test_fig10_documents_validate_and_snapshot_matches_disk(fig10_traced):
 
 
 def test_fig10_report_cards_show_p99_and_slo(fig10_traced):
-    from repro.telemetry import build_report_card, merge_report_cards
-    from repro.telemetry.report import render_fleet_card, render_report_card
+    from repro.telemetry.report import (
+        build_report_card,
+        merge_report_cards,
+        render_fleet_card,
+        render_report_card,
+    )
     _, disk, _ = fig10_traced
     cards = [
         build_report_card(n_threads=snap["n_threads"],

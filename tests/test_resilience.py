@@ -45,11 +45,9 @@ from repro.resilience.journal import (
 )
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry import (
-    InterferenceAttributor,
-    MetricsCollector,
-    TelemetryBus,
-)
+from repro.telemetry.attribution import InterferenceAttributor
+from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.metrics import MetricsCollector
 from repro.workloads import build_trace
 
 WARMUP, MEASURE = 6_000, 4_000
@@ -479,7 +477,7 @@ class TestCliCheckpointResume:
 
 class TestLiveRunResilienceCounters:
     def test_health_reports_retries_and_exclusions(self):
-        from repro.telemetry import LiveRun
+        from repro.telemetry.server import LiveRun
         live = LiveRun(stale_after=5.0)
         live.begin_run("x")
         live.point_retry(0, attempt=2, error="boom")

@@ -28,14 +28,10 @@ import pytest
 from repro.common.config import VPCAllocation, baseline_config
 from repro.experiments import parallel
 from repro.experiments.parallel import SimPoint, run_points
-from repro.telemetry import (
-    CAT_HOST,
-    LiveRun,
-    RingBufferSink,
-    TelemetryBus,
-    chrome_trace,
-)
-from repro.telemetry.perfetto import PID_HOST
+from repro.telemetry.bus import RingBufferSink, TelemetryBus
+from repro.telemetry.events import CAT_HOST
+from repro.telemetry.perfetto import PID_HOST, chrome_trace
+from repro.telemetry.server import LiveRun
 from repro.telemetry.spans import (
     SPANS_SCHEMA,
     TRACK_RUN,

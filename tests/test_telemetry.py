@@ -20,27 +20,25 @@ import pytest
 from repro.common.config import baseline_config
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry import (
+from repro.telemetry.bus import (
+    JsonlSink,
+    RingBufferSink,
+    TelemetryBus,
+    TraceSink,
+)
+from repro.telemetry.events import (
     CAT_ARBITER,
     CAT_KERNEL,
     CAT_REQUEST,
     CAT_RESOURCE,
-    CategoryFilterSink,
-    Histogram,
-    JsonlSink,
-    LatencyHistogramSink,
     PH_BEGIN,
     PH_END,
-    ProgressReporter,
-    RingBufferSink,
-    RunManifest,
-    TelemetryBus,
     TraceEvent,
-    TraceSink,
-    chrome_trace,
-    config_hash,
-    write_chrome_trace,
 )
+from repro.telemetry.histograms import Histogram, LatencyHistogramSink
+from repro.telemetry.manifest import RunManifest, config_hash
+from repro.telemetry.perfetto import chrome_trace, write_chrome_trace
+from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.validate import validate_chrome_trace
 from repro.workloads.microbench import loads_trace, stores_trace
 
@@ -96,13 +94,6 @@ class TestBusAndSinks:
         lines = stream.getvalue().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["ts"] == 11
-
-    def test_category_filter(self):
-        ring = RingBufferSink()
-        sink = CategoryFilterSink(ring, [CAT_KERNEL])
-        sink.emit(_event(category=CAT_KERNEL))
-        sink.emit(_event(category=CAT_REQUEST))
-        assert len(ring) == 1
 
 
 class TestZeroPerturbation:

@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.experiments import parallel
-from repro.telemetry import validate as validator
+import repro.telemetry.validate as validator
 
 RULES = {"rules": [{"name": "slow", "signal": "ipc", "op": "<",
                     "threshold": 10, "severity": "warn"}]}
