@@ -1,19 +1,23 @@
-"""View goldens: pin the CPI-stack and request documents, not just
-their invariants.
+"""View goldens: pin every view's document, not just its invariants.
 
 Conservation and cross-kernel identity hold for any refactor that moves
 cycles between buckets consistently, so the property tests in
 test_cycle_accounting.py / test_request_tracing.py cannot catch a
 changed stage taxonomy.  These goldens can: each configuration runs
-with both views attached to one system, and the documents must be
-byte-equal to ``golden/views.json`` on both kernels.  Each view
-attached alone must also reproduce the both-attached document, so
-views never perturb each other.
+with every view attached to one system — CPI stacks, request tracing,
+the windowed metrics document with its interference-attribution
+section, and (on VPC configurations) the QoS monitor's conformance
+summary — and the documents must be byte-equal to
+``golden/views.json`` on both kernels.  Each view attached alone must
+also reproduce the all-attached document, so views never perturb each
+other.
 
 The configurations cover every hook site: the three arbiter policies,
-an L3 in front of memory (DRAM channels unhooked, below-L2 time stays
-one ``dram_queue`` stage), the shared fair-queued DRAM channel, and a
-4-thread fig10 mix.
+an L3 in front of memory (DRAM channels unhooked for the lifecycle
+stages, below-L2 time stays one ``dram_queue`` stage), the shared
+fair-queued DRAM channel, a 4-thread fig10 mix, and the same mix on a
+32 KiB 4-way L2, whose sets fill inside the run so both capacity
+conditions fire.
 
 To re-record after an *intended* change to the view outputs::
 
@@ -30,7 +34,8 @@ from pathlib import Path
 import pytest
 
 from repro.cache.l3 import L3Config
-from repro.common.config import MemoryConfig, baseline_config
+from repro.common.config import L2Config, MemoryConfig, baseline_config
+from repro.core.monitor import QoSMonitor
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
 from repro.telemetry.cycles import BUCKETS
@@ -39,8 +44,10 @@ from repro.workloads.profiles import HETEROGENEOUS_MIXES, spec_trace
 
 GOLDEN = Path(__file__).parent / "golden" / "views.json"
 KERNELS = ("cycle", "batch")
-VIEWS = ("cpi_stacks", "requests")
+VIEWS = ("cpi_stacks", "requests", "metrics", "conformance")
 WARMUP, MEASURE = 800, 1_200
+#: Metrics window and QoS-monitor window, in cycles.
+WINDOW = 500
 PAIR = ["art", "mcf"]
 CONFIGS = {
     "vpc": (baseline_config(n_threads=2, arbiter="vpc"), PAIR),
@@ -52,20 +59,54 @@ CONFIGS = {
                           memory=MemoryConfig(sharing="shared")), PAIR),
     "mix1-vpc": (baseline_config(n_threads=4, arbiter="vpc"),
                  HETEROGENEOUS_MIXES["mix1"]),
+    "mix1-vpc-32k": (replace(baseline_config(n_threads=4, arbiter="vpc"),
+                             l2=L2Config(size_bytes=32 * 1024, ways=4)),
+                     HETEROGENEOUS_MIXES["mix1"]),
 }
 
 
-def _documents(name: str, kernel: str, views=VIEWS) -> dict:
+def _views(name: str) -> tuple:
+    """The views a configuration pins: the monitor audits VPC only."""
+    config, _ = CONFIGS[name]
+    if config.arbiter == "vpc":
+        return VIEWS
+    return tuple(view for view in VIEWS if view != "conformance")
+
+
+def _documents(name: str, kernel: str, views=None) -> dict:
     """Run one configuration with ``views`` attached to one system."""
     config, names = CONFIGS[name]
+    if views is None:
+        views = _views(name)
     traces = [spec_trace(bench, tid) for tid, bench in enumerate(names)]
     system = CMPSystem(config, traces, kernel=kernel)
     if "cpi_stacks" in views:
         system.attach_cycle_accounting()
     if "requests" in views:
         system.attach_request_tracing()
-    result = run_simulation(system, warmup=WARMUP, measure=MEASURE)
-    return {view: getattr(result, view) for view in views}
+    collector = attributor = monitor = None
+    if "metrics" in views:
+        from repro.telemetry.attribution import InterferenceAttributor
+        from repro.telemetry.bus import TelemetryBus
+        from repro.telemetry.metrics import MetricsCollector
+        bus = system.attach_telemetry(TelemetryBus())
+        n_threads = config.n_threads
+        collector = bus.attach(MetricsCollector(n_threads, window=WINDOW))
+        attributor = bus.attach(InterferenceAttributor(n_threads))
+    if "conformance" in views:
+        monitor = QoSMonitor(system, window=WINDOW)
+    result = run_simulation(system, warmup=WARMUP, measure=MEASURE,
+                            metrics=collector)
+    documents = {view: getattr(result, view) for view in views
+                 if view in ("cpi_stacks", "requests")}
+    if collector is not None:
+        attributor.finish(system.cycle)
+        documents["metrics"] = dict(result.metrics,
+                                    attribution=attributor.snapshot())
+    if monitor is not None:
+        monitor.finish(system.cycle)
+        documents["conformance"] = monitor.conformance()
+    return documents
 
 
 def _first_divergence(expected, actual, path=()):
@@ -132,12 +173,20 @@ def golden() -> dict:
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_views_match_golden(golden, name, kernel):
-    both = _documents(name, kernel)
-    _assert_same(golden[name], both, f"config {name}, kernel {kernel}")
-    for view in VIEWS:
+    every = _documents(name, kernel)
+    assert set(every) == set(golden[name])
+    _assert_same(golden[name], every, f"config {name}, kernel {kernel}")
+    for view in _views(name):
         alone = _documents(name, kernel, views=(view,))
-        _assert_same(both, alone,
+        _assert_same(every, alone,
                      f"config {name}, kernel {kernel}, {view} attached alone")
+
+
+def test_small_l2_fires_both_capacity_conditions(golden):
+    """The 32 KiB configuration exists to pin Condition-1/2 counts:
+    both must be non-zero for every thread, or it pins nothing."""
+    totals = golden["mix1-vpc-32k"]["metrics"]["totals"]
+    assert all(totals["cond1"]) and all(totals["cond2"])
 
 
 def test_divergence_names_thread_and_bucket():
