@@ -127,12 +127,15 @@ class _MemDataCallback:
 
 
 class _Resource:
-    """A shared resource: arbiter + busy window + utilization meter."""
+    """A shared resource: arbiter + busy window + utilization meter.
+    ``track`` names its busy timeline ("bank<id>.<name>")."""
 
-    def __init__(self, name: str, arbiter: Arbiter, base_latency: int) -> None:
+    def __init__(self, name: str, arbiter: Arbiter, base_latency: int,
+                 track: str) -> None:
         self.name = name
         self.arbiter = arbiter
         self.base_latency = base_latency
+        self.track = track
         self.meter = UtilizationMeter(name)
 
     def free(self, now: int) -> bool:
@@ -169,11 +172,11 @@ class CacheBank:
         self.memory = memory
 
         self.tag = _Resource("tag", arbiter_factory("tag", config.tag_latency),
-                             config.tag_latency)
+                             config.tag_latency, f"bank{bank_id}.tag")
         self.data = _Resource("data", arbiter_factory("data", config.data_read_latency),
-                              config.data_read_latency)
+                              config.data_read_latency, f"bank{bank_id}.data")
         self.bus = _Resource("bus", arbiter_factory("bus", config.bus_line_cycles),
-                             config.bus_line_cycles)
+                             config.bus_line_cycles, f"bank{bank_id}.bus")
         self.resources = (self.tag, self.data, self.bus)
 
         self.sgbs = [
@@ -199,8 +202,8 @@ class CacheBank:
         # Telemetry (repro.telemetry): None = disabled = free.
         self._trace = None
         # Lifecycle probe (repro.telemetry.probe): same contract.  The
-        # bank holds the state machines, so it reports their arbiter
-        # queue entries and grants.
+        # bank holds the state machines, so it reports request arrivals
+        # and their arbiter queue entries and grants.
         self._probe = None
 
     # ------------------------------------------------------------------ #
@@ -218,11 +221,11 @@ class CacheBank:
                 id=request.req_id,
                 args={"line": request.line, "bank": self.bank_id},
             ))
+        if self._probe is not None:
+            self._probe.accepted(request, now)
         if request.access is AccessType.WRITE:
             self._pending_stores[request.thread_id].append(request)
         else:
-            if self._probe is not None:
-                self._probe.accepted(request, now)
             self._load_q[request.thread_id].append(request)
 
     # ------------------------------------------------------------------ #
@@ -427,7 +430,7 @@ class CacheBank:
         )
         resource.arbiter.enqueue(entry, now)
         if self._probe is not None:
-            self._probe.queued(resource.name, sm, now)
+            self._probe.queued(resource, sm, now)
 
     def _grant(self, resource: _Resource, now: int) -> None:
         entry = resource.grant(now)
@@ -442,9 +445,9 @@ class CacheBank:
         arbiter non-empty before selecting — can skip ``grant``'s
         re-checks while sharing this logic verbatim."""
         sm: StateMachine = entry.payload
-        if self._probe is not None:
-            self._probe.granted(resource.name, sm, now)
         duration = resource.base_latency * entry.service_quanta
+        if self._probe is not None:
+            self._probe.granted(resource, sm, duration, now)
         if resource is self.tag:
             if sm.state == SMState.TAG_WAIT:
                 sm.state = SMState.TAG_BUSY
@@ -474,8 +477,7 @@ class CacheBank:
         if self._trace is not None:
             self._trace.emit(TraceEvent(
                 ts=now, phase=PH_COMPLETE, category=CAT_RESOURCE,
-                name=_STAGE_NAMES[sm.state],
-                track=f"bank{self.bank_id}.{resource.name}",
+                name=_STAGE_NAMES[sm.state], track=resource.track,
                 tid=sm.thread_id, dur=duration,
                 args={"req": sm.request.req_id},
             ))

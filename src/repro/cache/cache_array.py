@@ -117,6 +117,10 @@ class CacheArray:
         self._sets: List[CacheSet] = [
             CacheSet(ways, index) for index in range(sets)
         ]
+        # Valid lines per owner thread, kept current by insert and
+        # invalidate (the only ownership changes), so occupancy reads
+        # never scan the array.
+        self._owned: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -145,26 +149,32 @@ class CacheArray:
     def insert(self, line: int, thread_id: int) -> Eviction:
         """Install ``line`` for ``thread_id``, evicting if necessary."""
         cset = self._set(line)
+        owned = self._owned
         existing = cset.find(line)
         if existing is not None:
             # Refetch of a present line (e.g. racing fills); just refresh.
+            owned[cset.owner[existing]] -= 1
+            owned[thread_id] = owned.get(thread_id, 0) + 1
             cset.owner[existing] = thread_id
             cset.touch(existing)
             return Eviction(existing, None, -1, False)
         way = cset.free_way()
         if way is not None:
             cset.install(way, line, thread_id)
-            return Eviction(way, None, -1, False)
-        victim = self.policy.choose_victim(cset.view(), thread_id)
-        if not cset.valid[victim]:
-            raise RuntimeError("policy chose an invalid way with none free")
-        evicted = Eviction(
-            way=victim,
-            victim_line=cset.line_of[victim],
-            victim_owner=cset.owner[victim],
-            victim_dirty=cset.dirty[victim],
-        )
-        cset.install(victim, line, thread_id)
+            evicted = Eviction(way, None, -1, False)
+        else:
+            victim = self.policy.choose_victim(cset.view(), thread_id)
+            if not cset.valid[victim]:
+                raise RuntimeError("policy chose an invalid way with none free")
+            evicted = Eviction(
+                way=victim,
+                victim_line=cset.line_of[victim],
+                victim_owner=cset.owner[victim],
+                victim_dirty=cset.dirty[victim],
+            )
+            owned[evicted.victim_owner] -= 1
+            cset.install(victim, line, thread_id)
+        owned[thread_id] = owned.get(thread_id, 0) + 1
         return evicted
 
     def set_dirty(self, line: int, dirty: bool = True) -> None:
@@ -183,15 +193,13 @@ class CacheArray:
         cset = self._set(line)
         way = cset.find(line)
         if way is not None:
+            self._owned[cset.owner[way]] -= 1
             cset.invalidate(way)
 
     def occupancy_by_thread(self, n_threads: int) -> List[int]:
-        counts = [0] * n_threads
-        for cset in self._sets:
-            for way in range(cset.ways):
-                if cset.valid[way] and 0 <= cset.owner[way] < n_threads:
-                    counts[cset.owner[way]] += 1
-        return counts
+        """Valid lines owned by each of threads ``0..n_threads-1``."""
+        owned = self._owned
+        return [owned.get(tid, 0) for tid in range(n_threads)]
 
     @property
     def accesses(self) -> int:

@@ -96,6 +96,10 @@ class SharedL3:
         self._pending_count = [0] * n_threads
         self._mem_wait: Deque[_L3Access] = deque()
         self._wb_wait: Deque[Tuple[int, int]] = deque()  # (thread, victim line)
+        # Lifecycle probe (repro.telemetry.probe): None = disabled =
+        # free.  The port arbiter's enqueues and grants feed the
+        # arbiter-level views; the port is not a lifecycle stage.
+        self._probe = None
 
     # ------------------------------------------------------------------ #
     # Memory-side interface (what the L2 banks call).
@@ -131,6 +135,10 @@ class SharedL3:
             ),
             now,
         )
+        if self._probe is not None:
+            tid = access.thread_id
+            self._probe.arbiter_enqueued(self.arbiter.trace_name, tid, now,
+                                         self.arbiter.pending_for(tid))
 
     # ------------------------------------------------------------------ #
     # Per-cycle advance.
@@ -146,10 +154,21 @@ class SharedL3:
         if self.port.is_free(now) and len(self.arbiter):
             entry = self.arbiter.select(now)
             if entry is not None:
+                if self._probe is not None:
+                    self._report_grant(entry, now)
                 self.port.mark_busy(now, self.config.port_occupancy)
                 self._events.push_at(
                     now + self.config.latency, (_PORT_DONE, entry.payload)
                 )
+
+    def _report_grant(self, entry: ArbiterEntry, now: int) -> None:
+        """Tell the probe the port arbiter granted ``entry``."""
+        arbiter = self.arbiter
+        tid = entry.thread_id
+        self._probe.arbiter_granted(
+            arbiter.trace_name, tid, now,
+            entry.service_quanta * arbiter.service_latency,
+            arbiter.pending_for(tid))
 
     def _port_done(self, access: _L3Access, now: int) -> None:
         hit = self.array.lookup(access.line)

@@ -37,7 +37,7 @@ class MSHRFile:
         self.trace_name = "mshrs"
         # Lifecycle probe (repro.telemetry.probe): the owning thread's
         # reads enter the lifecycle at primary allocate and leave it at
-        # complete.
+        # complete; both change the file's occupancy.
         self._probe = None
         self.thread_id = thread_id
 
@@ -83,7 +83,8 @@ class MSHRFile:
         if self._trace is not None and now >= 0:
             self._emit_occupancy(now, "allocate", line)
         if self._probe is not None and now >= 0:
-            self._probe.mshr_allocated(self.thread_id, now)
+            self._probe.mshr_allocated(self.thread_id, self.trace_name,
+                                       len(self._entries), now)
         return True
 
     def complete(self, line: int, now: int = -1) -> "MSHREntry":
@@ -95,7 +96,8 @@ class MSHRFile:
         if self._trace is not None and now >= 0:
             self._emit_occupancy(now, "retire", line)
         if self._probe is not None and now >= 0:
-            self._probe.mshr_completed(self.thread_id, now)
+            self._probe.mshr_completed(self.thread_id, self.trace_name,
+                                       len(self._entries), now)
         return entry
 
     @property

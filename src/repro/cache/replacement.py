@@ -42,15 +42,17 @@ class SetView:
 class ReplacementPolicy(ABC):
     """Chooses a victim way when a set is full.
 
-    Telemetry follows the engine-wide contract: ``_trace`` is ``None``
-    until :meth:`CMPSystem.attach_telemetry` points it at a bus (one
-    ``is not None`` test per victimization when disabled).  ``clock``
-    supplies the current simulated cycle — ``choose_victim`` itself is
-    timing-free by design, so the system wires a clock in alongside the
-    bus rather than widening the policy interface.
+    Instrumentation follows the engine-wide contract: ``_trace`` (the
+    telemetry bus) and ``_probe`` (the lifecycle probe) are ``None``
+    until the system points them at a bus or a metrics view (one
+    ``is not None`` test each per victimization when disabled).
+    ``clock`` supplies the current simulated cycle — ``choose_victim``
+    itself is timing-free by design, so the system wires in its clock at
+    construction rather than widening the policy interface.
     """
 
     _trace = None
+    _probe = None
     trace_name = "capacity"
     clock = None
 

@@ -280,9 +280,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                    or args.report is not None or args.serve is not None
                    or args.alerts)
 
+    # A bus only for trace sinks: the metrics views count through the
+    # system's lifecycle probe.
     telemetry = None
     ring = jsonl = histograms = None
-    if resumed is None and (args.trace or args.histograms or observe):
+    if resumed is None and (args.trace or args.histograms):
         from repro.telemetry.bus import JsonlSink, RingBufferSink, TelemetryBus
         from repro.telemetry.histograms import LatencyHistogramSink
         telemetry = TelemetryBus()

@@ -105,6 +105,8 @@ class VPCCapacityManager(ReplacementPolicy):
             if self._trace is not None:
                 self._emit(set_view, requester, "cond1", best_way,
                            occupancy, excess=best_excess)
+            if self._probe is not None:
+                self._probe.victimized("cond1", requester, self.clock())
             return best_way
 
         # Condition 2: the requester's own LRU line.
@@ -113,6 +115,8 @@ class VPCCapacityManager(ReplacementPolicy):
                 self.condition2_evictions += 1
                 if self._trace is not None:
                     self._emit(set_view, requester, "cond2", way, occupancy)
+                if self._probe is not None:
+                    self._probe.victimized("cond2", requester, self.clock())
                 return way
 
         # The requester owns nothing in the set and nobody else is over
@@ -123,6 +127,8 @@ class VPCCapacityManager(ReplacementPolicy):
         self.condition2_evictions += 1
         if self._trace is not None:
             self._emit(set_view, requester, "cond2", lru_ways[0], occupancy)
+        if self._probe is not None:
+            self._probe.victimized("cond2", requester, self.clock())
         return lru_ways[0]
 
     def _emit(

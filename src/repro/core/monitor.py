@@ -2,12 +2,12 @@
 
 System software that programs the VPC control registers wants to *know*
 when a guarantee was not delivered (a hardware bug, an over-allocation,
-or an unaccounted preemption effect).  :class:`QoSMonitor` is a
-telemetry-bus subscriber (see docs/ARCHITECTURE.md "Observability"): it
-watches the ``arbiter`` event stream of a live system — every enqueue
-and every grant, with pending counts and granted service riding on the
-events — and, per monitoring window, checks the fair-queuing service
-bound for each thread that stayed backlogged through the window:
+or an unaccounted preemption effect).  :class:`QoSMonitor` is a view on
+the system's lifecycle probe (see docs/ARCHITECTURE.md "Observability"):
+it counts every arbiter enqueue and grant of a live system — the
+thread's queue depth after each, and the granted service — and, per
+monitoring window, checks the fair-queuing service bound for each
+thread that stayed backlogged through the window:
 
     service >= phi * window - allowance
 
@@ -16,9 +16,9 @@ where the allowance covers non-preemptibility and window-edge effects
 one EDF scheduling lag).  Windows where the bound fails are recorded as
 :class:`ServiceViolation`s.
 
-Because the audit is event-driven it works under the batch kernel's
-skip-ahead (no per-cycle polling); windows close lazily as event timestamps
-cross their boundaries, and :meth:`QoSMonitor.finish` flushes the
+Because the audit is hook-driven it works under the batch kernel's
+skip-ahead (no per-cycle polling); windows close lazily as hook cycle
+stamps cross their boundaries, and :meth:`QoSMonitor.finish` flushes the
 windows a run's tail spans.  Use :func:`run_monitored` to drive a
 system with a monitor attached.
 """
@@ -30,8 +30,6 @@ from typing import Dict, List, Tuple
 
 from repro.core.vpc_arbiter import VPCArbiter
 from repro.system.cmp import CMPSystem
-from repro.telemetry.bus import TelemetryBus
-from repro.telemetry.events import CAT_ARBITER, TraceEvent
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,8 @@ class ServiceViolation:
 
 
 class QoSMonitor:
-    """Watches the VPC arbiters of a :class:`CMPSystem` over its bus."""
+    """Watches the VPC arbiters of a :class:`CMPSystem` through its
+    lifecycle probe (attached by the constructor)."""
 
     def __init__(self, system: CMPSystem, window: int = 2_000) -> None:
         if window < 1:
@@ -72,15 +71,8 @@ class QoSMonitor:
         self._met: Dict[str, List[int]] = {
             name: [0] * n for name, _ in self._arbiters
         }
-        # Subscribe on the system's bus (creating one turns the
-        # instrumentation on; until then the arbiters emit nothing).
-        if system.telemetry is None:
-            system.attach_telemetry(TelemetryBus())
-        system.telemetry.attach(self)
-
-        n = system.config.n_threads
         self._window_start = system.cycle
-        # Live pending counts, updated from event args; seeded from the
+        # Live pending counts, updated by the hooks; seeded from the
         # arbiters since requests may already be in flight at attach.
         self._pending: Dict[str, List[int]] = {
             name: [arbiter.pending_for(tid) for tid in range(n)]
@@ -89,6 +81,7 @@ class QoSMonitor:
         self._granted: Dict[str, List[int]] = {}
         self._backlogged: Dict[str, List[bool]] = {}
         self._open_window()
+        system._attach_view(monitor=self)
 
     def _open_window(self) -> None:
         self._granted = {name: [0] * self.system.config.n_threads
@@ -101,26 +94,35 @@ class QoSMonitor:
         }
 
     # ------------------------------------------------------------------ #
-    # TraceSink protocol.
+    # Arbiter hooks (called by repro.telemetry.probe).
     # ------------------------------------------------------------------ #
 
-    def emit(self, event: TraceEvent) -> None:
-        if event.category != CAT_ARBITER:
-            return
+    def _advance(self, ts: int) -> None:
+        """Close every window that ended at or before ``ts``."""
         boundary = self._window_start + self.window
-        while event.ts >= boundary:
+        while ts >= boundary:
             self._close_window(boundary)
             boundary = self._window_start + self.window
-        track = event.track
-        pending = self._pending.get(track)
-        if pending is None:
-            return  # an arbiter this monitor was not built for
-        tid = event.tid
-        pending[tid] = event.args["pending"]
-        if event.name == "grant":
-            self._granted[track][tid] += event.dur
-            if pending[tid] == 0:
-                self._backlogged[track][tid] = False
+
+    def enqueued(self, track: str, tid: int, ts: int, pending: int) -> None:
+        """``tid`` holds ``pending`` entries in ``track``'s queue."""
+        self._advance(ts)
+        counts = self._pending.get(track)
+        if counts is not None:  # else an arbiter this monitor was not built for
+            counts[tid] = pending
+
+    def granted(self, track: str, tid: int, ts: int, duration: int,
+                pending: int) -> None:
+        """``track`` granted ``tid`` ``duration`` cycles, leaving
+        ``pending`` of its entries queued."""
+        self._advance(ts)
+        counts = self._pending.get(track)
+        if counts is None:
+            return
+        counts[tid] = pending
+        self._granted[track][tid] += duration
+        if pending == 0:
+            self._backlogged[track][tid] = False
 
     def finish(self, end: int) -> None:
         """Flush every window that closed at or before ``end``."""

@@ -312,9 +312,9 @@ class PointRun:
 
         ``resumable`` wraps each trace in a picklable cursor so the run
         can checkpoint (plain runs keep the raw generators — the
-        zero-overhead path).  ``bus`` is a telemetry bus to attach the
-        observers to (the CLI's, carrying its trace sinks) instead of a
-        private one; ``baseline_ipcs`` are solo IPCs the metrics
+        zero-overhead path).  ``bus`` is a telemetry bus carrying trace
+        sinks (the CLI's ``--trace``/``--histograms``); the views never
+        need one.  ``baseline_ipcs`` are solo IPCs the metrics
         collector tracks slowdown against; ``monitor`` adds a
         :class:`~repro.core.monitor.QoSMonitor` on VPC points with
         metrics on.
@@ -334,6 +334,7 @@ class PointRun:
             vpc_selection=point.vpc_selection,
             smt_degree=point.smt_degree,
             kernel=spec.kernel,
+            telemetry=bus,
         )
         if point.smt_degree == 1:
             # Both views assume one hardware thread per core; SMT points
@@ -344,20 +345,12 @@ class PointRun:
                 system.attach_request_tracing(slo_rules=spec.slo)
         n_threads = point.config.n_threads
         metrics = attributor = qos_monitor = None
-        if spec.metrics is not None and bus is None:
-            from repro.telemetry.bus import TelemetryBus
-            bus = TelemetryBus()
-        if bus is not None:
-            system.attach_telemetry(bus)
         if spec.metrics is not None:
-            from repro.telemetry.attribution import InterferenceAttributor
             from repro.telemetry.metrics import MetricsCollector
-            metrics = bus.attach(MetricsCollector(
+            metrics = system.attach_metrics(MetricsCollector(
                 n_threads, window=spec.metrics, baseline_ipcs=baseline_ipcs))
-            attributor = bus.attach(InterferenceAttributor(n_threads))
+            attributor = system.attach_attribution()
         if point.controller is not None:
-            # After the observers, so the controller's private collector
-            # lands on the final bus.
             from repro.qos import make_controller
             system.attach_qos_controller(make_controller(
                 point.controller,
@@ -480,8 +473,8 @@ def run_point(
     traces and the worker-side ``span_ctx``.
 
     With ``spec.metrics`` set the point runs fully observed — metrics
-    collector plus interference attributor on a private bus — and the
-    combined snapshot (with the CPI-stack and request documents
+    collector plus interference attributor on the lifecycle probe — and
+    the combined snapshot (with the CPI-stack and request documents
     mirrored in as ``"cpi_stacks"``/``"requests"``) returns on
     ``SimulationResult.metrics``, a plain dict that pickles home from
     worker processes.

@@ -74,12 +74,7 @@ class MemoryController:
                 DRAMChannel(config, thread_id=index // per_thread)
                 for index in range(n_threads * per_thread)
             ]
-
-    def attach_trace(self, bus) -> None:
-        """Point every channel at the telemetry bus (repro.telemetry)."""
-        for index, channel in enumerate(self.channels):
-            channel._trace = bus
-            if self._shared is None:
+            for index, channel in enumerate(self.channels):
                 channel.trace_name = f"dram.ch{index}"
 
     def _channel(self, thread_id: int) -> DRAMChannel:

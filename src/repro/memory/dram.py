@@ -118,8 +118,10 @@ class DRAMChannel:
                 dur=cfg.burst_cycles * d,
                 args={"line": access.line, "bank": bank},
             ))
-        if self._probe is not None and not is_write and access.tracked:
-            self._probe.dram_issued(self.thread_id, access.line, now)
+        if self._probe is not None:
+            self._probe.dram_issued(self.trace_name, self.thread_id,
+                                    access.line, access.tracked, data_start,
+                                    cfg.burst_cycles * d, now)
         if access.notify is not None:
             access.notify(data_end)
         return True

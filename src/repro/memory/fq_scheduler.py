@@ -212,8 +212,10 @@ class SharedDRAMChannel:
                 dur=cfg.burst_cycles * d,
                 args={"line": access.line},
             ))
-        if self._probe is not None and access.tracked and not access.is_write:
-            self._probe.dram_issued(access.thread_id, access.line, now)
+        if self._probe is not None:
+            self._probe.dram_issued(self.trace_name, access.thread_id,
+                                    access.line, access.tracked, data_start,
+                                    cfg.burst_cycles * d, now)
         if access.notify is not None:
             access.notify(data_end)
         return True

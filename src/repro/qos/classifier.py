@@ -10,9 +10,8 @@ a thread uses the shared cache:
 * **light** — the thread barely touches the L2 at all (its working set
   lives in the L1 or it is compute-bound).
 
-Signals come from the epoch deltas of windowed
-:class:`~repro.telemetry.metrics.MetricsCollector` series plus the
-driver's gauge pulls: L2 load intensity (loads per kilocycle), a miss-
+Signals come from the epoch deltas of the run's per-thread load
+counters (``CMPSystem.load_totals``) plus the driver's gauge pulls: L2 load intensity (loads per kilocycle), a miss-
 rate estimate derived from mean L2 load latency (an L2 hit costs tens
 of cycles, a DRAM miss well over a hundred — the same signal a
 hit/miss-counter register would give, available without new hardware

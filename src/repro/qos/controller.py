@@ -6,23 +6,22 @@ of control registers (phi_i bandwidth shares, beta_i capacity shares)
 and deliberately leaves the allocation *policy* to the OS (Section 4,
 "the mechanisms are policy-free").  This module is that missing policy
 layer — a controller invoked at fixed epoch boundaries by the
-simulation driver, observing each thread through telemetry-derived
-signals and reprogramming the shares **only** through
+simulation driver, observing each thread through the run's counters
+and reprogramming the shares **only** through
 :class:`~repro.core.registers.VPCControlRegisters`.  The control plane
 never touches an arbiter or a capacity manager directly; if a decision
 cannot be expressed as register writes, it cannot be made.
 
-:class:`QoSController` is the harness: it owns a private
-:class:`~repro.telemetry.metrics.MetricsCollector` on the system's
-telemetry bus (windowed at the epoch length), diffs its cumulative
-per-thread series at each epoch boundary into
-:class:`~repro.qos.classifier.EpochSignals`, runs the
+:class:`QoSController` is the harness: it diffs the run's cumulative
+per-thread load counters (``CMPSystem.load_totals``, kept by the
+lifecycle probe) and committed-instruction counts at each epoch
+boundary into :class:`~repro.qos.classifier.EpochSignals`, runs the
 :class:`~repro.qos.classifier.ThreadClassifier`, and delegates the
 actual allocation to a subclass ``decide`` hook.  Programming is
 transactional (``load_allocation``), every epoch is audited for quota
-conservation, and every decision is recorded both in memory (the
-``repro.qos-decisions/1`` document) and on the telemetry bus as
-instants plus ``qos.*`` counter tracks.
+conservation, and every decision is recorded in memory (the
+``repro.qos-decisions/1`` document) and, when a trace bus is attached,
+on it as instants plus ``qos.*`` counter tracks.
 
 Subclasses shipped with the repo:
 
@@ -47,7 +46,6 @@ from repro.telemetry.events import (
     PH_INSTANT,
     TraceEvent,
 )
-from repro.telemetry.metrics import MetricsCollector
 
 #: Schema tag on exported decision logs (repro.telemetry.validate).
 QOS_DECISIONS_SCHEMA = "repro.qos-decisions/1"
@@ -99,7 +97,6 @@ class QoSController:
         self.decisions: List[QoSDecision] = []
         self.epochs = 0
         self.system = None
-        self.collector: Optional[MetricsCollector] = None
         # Epoch-diff cursors (absolute counts at the last boundary).
         self._last_cycle = 0
         self._last_dispatched = [0] * n_threads
@@ -112,20 +109,13 @@ class QoSController:
 
     def attach(self, system) -> "QoSController":
         """Bind to a live system (called by
-        ``CMPSystem.attach_qos_controller``; the bus already exists)."""
+        ``CMPSystem.attach_qos_controller``; the probe already exists)."""
         if system.config.n_threads != self.n_threads:
             raise ValueError(
                 f"controller sized for {self.n_threads} threads, system "
                 f"has {system.config.n_threads}"
             )
         self.system = system
-        self.collector = system.telemetry.attach(
-            MetricsCollector(
-                self.n_threads,
-                window=self.epoch_cycles,
-                baseline_ipcs=self.baseline_ipcs,
-            )
-        )
         self.rebase(system)
         return self
 
@@ -136,9 +126,9 @@ class QoSController:
         self._last_dispatched = [
             system.thread_dispatched(tid) for tid in range(self.n_threads)
         ]
-        totals = self.collector.thread_totals()
-        self._last_loads = list(totals["loads"])
-        self._last_latency = list(totals["load_latency"])
+        totals = system.load_totals()
+        self._last_loads = totals["loads"]
+        self._last_latency = totals["load_latency"]
 
     # ------------------------------------------------------------------ #
     # The epoch tick.
@@ -152,7 +142,7 @@ class QoSController:
         dispatched = [
             system.thread_dispatched(tid) for tid in range(self.n_threads)
         ]
-        totals = self.collector.thread_totals()
+        totals = system.load_totals()
         ipcs = [
             (dispatched[tid] - self._last_dispatched[tid]) / cycles
             if cycles else 0.0
@@ -175,8 +165,8 @@ class QoSController:
             ]
         self._last_cycle = cycle
         self._last_dispatched = dispatched
-        self._last_loads = list(totals["loads"])
-        self._last_latency = list(totals["load_latency"])
+        self._last_loads = totals["loads"]
+        self._last_latency = totals["load_latency"]
         return EpochSignals(
             cycle=cycle,
             cycles=cycles,

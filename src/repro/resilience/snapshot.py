@@ -6,8 +6,8 @@ bit-identically in a *different process on a different day*:
 
 * the entire :class:`~repro.system.cmp.CMPSystem` object graph — caches,
   MSHRs, arbiter virtual-time registers, in-flight requests, the kernel
-  name — via one ``pickle`` (shared references, e.g. the telemetry bus
-  and its attached metrics collector, are preserved by the pickle memo;
+  name — via one ``pickle`` (shared references, e.g. the lifecycle
+  probe and the views attached to it, are preserved by the pickle memo;
   kernels keep no state of their own between ``run()`` calls);
 * every workload cursor: traces are wrapped in :class:`ResumableTrace`,
   which records its declarative spec plus the number of items consumed
@@ -47,8 +47,12 @@ from repro.workloads import build_trace
 #: Bump whenever the payload layout or any pickled class changes shape
 #: incompatibly; stale checkpoints then fail header validation instead
 #: of unpickling garbage.  2: the lifecycle probe replaced the arbiters'
-#: per-view hook slots (a schema-1 arbiter cannot unpickle).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: per-view hook slots (a schema-1 arbiter cannot unpickle).  3: the
+#: metrics collector, attributor and QoS monitor moved from the
+#: telemetry bus onto the probe, the QoS controller lost its private
+#: collector, and cache arrays count lines per owner (a schema-2 graph
+#: would resume with its views detached).
+CHECKPOINT_SCHEMA_VERSION = 3
 
 _MAGIC = b"REPRO-CKPT\n"
 
@@ -132,7 +136,7 @@ def write_checkpoint(path, system, state, point_key: str = "") -> None:
 
     ``state`` is the simulator's :class:`~repro.system.simulator
     .MeasureState`; the attached metrics collector/attributor (if any)
-    ride along inside the pickled system's telemetry bus.
+    ride along inside the pickled system's lifecycle probe.
     """
     payload = pickle.dumps({
         "system": system,
@@ -259,30 +263,17 @@ class Checkpointer:
 class ResumedRun:
     """A loaded checkpoint, ready to continue.
 
-    Exposes the revived ``system``/``state`` plus any metrics collector
-    and interference attributor found on the revived telemetry bus, so
-    callers can rewire observation hooks (live feeds) before calling
-    :meth:`run`.
+    Exposes the revived ``system``/``state`` plus the metrics collector
+    and interference attributor (``None`` when off) the revived system
+    carries on its lifecycle probe, so callers can rewire observation
+    hooks (live feeds) before calling :meth:`run`.
     """
 
     def __init__(self, payload: dict) -> None:
         self.system = payload["system"]
         self.state = payload["state"]
-        self.metrics = None
-        self.attributor = None
-        bus = self.system.telemetry
-        if bus is not None:
-            from repro.telemetry.attribution import InterferenceAttributor
-            from repro.telemetry.metrics import MetricsCollector
-            controller = self.system.qos_controller
-            # A QoS controller keeps a private collector on the same bus;
-            # the run's own is the other one.
-            private = controller.collector if controller is not None else None
-            for sink in getattr(bus, "sinks", []):
-                if isinstance(sink, MetricsCollector) and sink is not private:
-                    self.metrics = sink
-                elif isinstance(sink, InterferenceAttributor):
-                    self.attributor = sink
+        self.metrics = self.system.metrics_collector
+        self.attributor = self.system.attributor
 
     @property
     def cycle(self) -> int:

@@ -259,9 +259,12 @@ def run_batch(system, cycles: int) -> None:
     can_write = memory.can_accept_write
     trace = system.telemetry
     # The only mid-cycle reader of system.cycle is the replacement
-    # policies' clock, wired up by attach_telemetry — keep the attribute
-    # synchronized exactly when something can observe it.
-    sync_clock = trace is not None
+    # policies' clock, which stamps victimizations for the bus and for
+    # the probe's metrics view — keep the attribute synchronized
+    # exactly when one of them can observe it.
+    probe = system._probe
+    sync_clock = trace is not None or (
+        probe is not None and probe.metrics is not None)
 
     # Scheduling state — ephemeral, rebuilt every run() (see module
     # docstring).  Sleep flags seed from the (sticky) quiescence memo;

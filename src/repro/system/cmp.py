@@ -73,16 +73,21 @@ class CMPSystem:
         self.intra_thread_row = intra_thread_row
         self.vpc_selection = vpc_selection
         self.record_requests = record_requests
-        # Telemetry is attached at the end of __init__ (components must
-        # exist first); the request log is a bus subscriber.
+        # The telemetry bus serves --trace/--histograms sinks and the
+        # legacy request log; attached at the end of __init__
+        # (components must exist first).
         self.telemetry: Optional[TelemetryBus] = None
         self._request_log_sink: Optional[RequestLogSink] = None
-        # Cycle accounting (telemetry.cycles) and request tracing
-        # (telemetry.requests): attached on demand, None when disabled —
-        # same contract as the telemetry bus.  Both are fed by one
-        # lifecycle probe (telemetry.probe), created with the first.
+        # Views on the lifecycle probe (telemetry.probe), created with
+        # the first: cycle accounting (telemetry.cycles), request
+        # tracing (telemetry.requests), windowed metrics
+        # (telemetry.metrics), interference attribution
+        # (telemetry.attribution) and the QoS monitor (core.monitor).
+        # Each is None when disabled — same contract as the bus.
         self.cycle_accounting = None
         self.request_tracer = None
+        self.metrics_collector = None
+        self.attributor = None
         self._probe = None
         # QoS control plane (repro.qos): attached on demand, None when
         # disabled — the simulation driver fires its epoch hook only
@@ -172,6 +177,17 @@ class CMPSystem:
                 for tid in thread_ids:
                     self._core_of_thread[tid] = core
 
+        # Track names for the views and the trace; capacity managers
+        # stamp victimizations with this system's clock.
+        for index, core in enumerate(self.cores):
+            core.mshrs.trace_name = f"core{index}.mshrs"
+        for index, bank in enumerate(self.banks):
+            bank.array.policy.trace_name = f"bank{index}.capacity"
+        if self.l3 is not None:
+            self.l3.array.policy.trace_name = "l3.capacity"
+        for policy in self._capacity_policies():
+            policy.clock = self._now
+
         # Let software share-register writes reprogram the live arbiters.
         self.registers.subscribe(self._on_register_write)
 
@@ -191,6 +207,9 @@ class CMPSystem:
     def attach_telemetry(self, bus: TelemetryBus) -> TelemetryBus:
         """Enable tracing: point every instrumented component at ``bus``.
 
+        The bus carries ``TraceEvent`` records for trace sinks
+        (``--trace``, ``--histograms``) and the legacy request log; the
+        aggregating views count through the lifecycle probe instead.
         With no bus attached every instrumentation point is a single
         ``is not None`` test — the zero-overhead-when-disabled contract
         (docs/ARCHITECTURE.md "Observability").
@@ -199,24 +218,15 @@ class CMPSystem:
         for arbiters in self._vpc_arbiters.values():
             for arbiter in arbiters:
                 arbiter._trace = bus
-        for index, bank in enumerate(self.banks):
+        for bank in self.banks:
             bank._trace = bus
-            policy = bank.array.policy
+        for policy in self._capacity_policies():
             policy._trace = bus
-            policy.trace_name = f"bank{index}.capacity"
-            policy.clock = self._now
-        if self.l3 is not None:
-            policy = self.l3.array.policy
-            policy._trace = bus
-            policy.trace_name = "l3.capacity"
-            policy.clock = self._now
         self.crossbar._trace = bus
-        self.memory.attach_trace(bus)
-        for index, core in enumerate(self.cores):
-            mshrs = getattr(core, "mshrs", None)
-            if mshrs is not None:
-                mshrs._trace = bus
-                mshrs.trace_name = f"core{index}.mshrs"
+        for channel in self.memory.channels:
+            channel._trace = bus
+        for core in self.cores:
+            core.mshrs._trace = bus
         return bus
 
     def attach_cycle_accounting(self, acct=None):
@@ -230,6 +240,7 @@ class CMPSystem:
         if acct is None:
             acct = CycleAccounting(self.config.n_threads)
         self._attach_view(acct=acct)
+        self.cycle_accounting = acct
         return acct
 
     def attach_request_tracing(self, tracer=None, exemplar_k: int = 8,
@@ -246,54 +257,113 @@ class CMPSystem:
                                    exemplar_k=exemplar_k,
                                    slo_rules=tuple(slo_rules))
         self._attach_view(tracer=tracer)
+        self.request_tracer = tracer
         return tracer
 
-    def _attach_view(self, acct=None, tracer=None) -> None:
-        """Attach a view to the one lifecycle probe, wiring the probe
-        only onto components whose events an attached view consumes:
-        banks and DRAM channels for either view, cores and MSHR files
-        for CPI stacks only.  With an L3 in front of memory the DRAM
-        channels stay unhooked, and below-L2 time is one dram_queue
-        stage (the L3 port is not staged)."""
+    def attach_metrics(self, collector):
+        """Enable windowed metrics with one
+        :class:`~repro.telemetry.metrics.MetricsCollector` (pass it to
+        :func:`~repro.system.simulator.run_simulation` too, which pulls
+        its gauge samples at window boundaries).  Same
+        zero-overhead-when-disabled contract as
+        :meth:`attach_cycle_accounting`."""
+        self._attach_view(metrics=collector)
+        self.metrics_collector = collector
+        return collector
+
+    def attach_attribution(self, attributor=None):
+        """Enable interference attribution with one
+        :class:`~repro.telemetry.attribution.InterferenceAttributor`."""
+        from repro.telemetry.attribution import InterferenceAttributor
+        if attributor is None:
+            attributor = InterferenceAttributor(self.config.n_threads)
+        self._attach_view(attributor=attributor)
+        self.attributor = attributor
+        return attributor
+
+    def _attach_view(self, **views):
+        """Attach views to the one lifecycle probe (created on first
+        use) and return it.  The probe is wired only onto components
+        whose events an attached view consumes:
+
+        * banks for every view but the load counters, which the probe
+          keeps from request retirements alone;
+        * cores for CPI stacks, MSHR files for CPI stacks and metrics;
+        * the L3 port for the arbiter-level views (attribution, metrics,
+          the QoS monitor), capacity managers for metrics;
+        * DRAM channels for metrics, and for the lifecycle views unless
+          an L3 sits in front of memory (below-L2 time is then one
+          dram_queue stage; the L3 port is not staged).
+        """
         from repro.telemetry.probe import LifecycleProbe
-        if self.smt_degree != 1:
-            view = "request tracing" if acct is None else "cycle accounting"
+        if self.smt_degree != 1 and (views.get("acct") is not None
+                                     or views.get("tracer") is not None):
+            view = ("cycle accounting" if views.get("acct") is not None
+                    else "request tracing")
             raise ValueError(
                 f"{view} supports one hardware thread per core "
                 "(smt_degree == 1); SMT attribution is not modelled yet"
             )
         probe = self._probe
         if probe is None:
-            probe = self._probe = LifecycleProbe(dram_hooked=self.l3 is None)
+            probe = self._probe = LifecycleProbe(self.config.n_threads,
+                                                 dram_hooked=self.l3 is None)
+        probe.attach(**views)
+        collecting = probe.metrics is not None
+        if probe.staged or probe.counting:
             for bank in self.banks:
                 bank._probe = probe
-            if self.l3 is None:
-                for channel in self.memory.channels:
-                    channel._probe = probe
-        if acct is not None:
-            self.cycle_accounting = probe.acct = acct
+        if probe.counting and self.l3 is not None:
+            self.l3._probe = probe
+        if collecting or (probe.staged and self.l3 is None):
+            for channel in self.memory.channels:
+                channel._probe = probe
+        if probe.acct is not None:
             for core in self.cores:
-                core._probe = core.mshrs._probe = probe
-        if tracer is not None:
-            self.request_tracer = probe.tracer = tracer
+                core._probe = probe
+        if probe.acct is not None or collecting:
+            for core in self.cores:
+                core.mshrs._probe = probe
+        if collecting:
+            for policy in self._capacity_policies():
+                policy._probe = probe
+        return probe
+
+    def _capacity_policies(self) -> List[ReplacementPolicy]:
+        """Every replacement policy: one per bank, then the L3's."""
+        policies = [bank.array.policy for bank in self.banks]
+        if self.l3 is not None:
+            policies.append(self.l3.array.policy)
+        return policies
+
+    def load_totals(self) -> Dict[str, List[int]]:
+        """The run's per-thread load counters from the lifecycle probe:
+        loads retired and their latency sums, cumulative (the QoS
+        control plane diffs them at epoch boundaries)."""
+        probe = self._probe
+        if probe is None:
+            raise RuntimeError("load counters need the lifecycle probe; "
+                               "attach a view or a QoS controller first")
+        return {"loads": list(probe.loads),
+                "load_latency": list(probe.load_latency)}
 
     def attach_qos_controller(self, controller):
         """Enable the dynamic QoS control plane: bind a
         :class:`~repro.qos.QoSController` to this system.  The
-        controller observes through a private metrics collector on the
-        telemetry bus (attached here if none exists yet) and programs
-        shares exclusively through :attr:`registers` — it gets no other
-        handle into the machine.  Same zero-overhead-when-disabled
-        contract as :meth:`attach_cycle_accounting`; controller state is
-        part of the system object graph, so checkpoints carry it.
+        controller observes the run's load counters (:meth:`load_totals`,
+        kept by the lifecycle probe, created here if none exists yet)
+        and programs shares exclusively through :attr:`registers` — it
+        gets no other handle into the machine.  Same
+        zero-overhead-when-disabled contract as
+        :meth:`attach_cycle_accounting`; controller state is part of the
+        system object graph, so checkpoints carry it.
         """
         if self.config.arbiter != "vpc":
             raise ValueError(
                 "the QoS control plane programs VPC bandwidth shares; "
                 f"arbiter {self.config.arbiter!r} has no share registers"
             )
-        if self.telemetry is None:
-            self.attach_telemetry(TelemetryBus())
+        self._attach_view()
         controller.attach(self)
         self.qos_controller = controller
         return controller
@@ -350,10 +420,7 @@ class CMPSystem:
             # Runtime beta reprogramming: push the (already-validated)
             # register vector into every live capacity manager.  Plain
             # LRU policies have no quotas and ignore the write.
-            policies = [bank.array.policy for bank in self.banks]
-            if self.l3 is not None:
-                policies.append(self.l3.array.policy)
-            for policy in policies:
+            for policy in self._capacity_policies():
                 if hasattr(policy, "set_quotas"):
                     policy.set_quotas(self.registers.capacity)
             return
@@ -388,7 +455,7 @@ class CMPSystem:
                 id=request.req_id,
                 args={"request": request},
             ))
-        if self._probe is not None and request.is_read:
+        if self._probe is not None:
             self._probe.responded(request, now)
         self.crossbar.send_response(request.thread_id, request, now)
 

@@ -4,19 +4,25 @@ The paper's Figures 2-3 argue that cross-thread interference at shared-
 cache arbiters is invisible to conventional counters; a QoS scheme is
 only auditable if every cycle a thread spent *waiting* can be charged to
 the thread whose grant made it wait.  :class:`InterferenceAttributor`
-does exactly that, purely from the ``arbiter`` enqueue/grant events
-already on the telemetry bus — no new instrumentation in the engine.
+does exactly that, purely from the arbiter enqueues and grants the
+lifecycle probe (:mod:`repro.telemetry.probe`) reports — integers, no
+event objects.
 
-Mechanics.  Each ``grant`` event carries the granted thread and the real
-service duration; because a resource's arbiter is only consulted while
-its :class:`~repro.common.stats.UtilizationMeter` is free, grant busy
-intervals on one track never overlap.  The attributor mirrors each
-track's waiting set: an ``enqueue`` event opens a wait, and every grant
-charges its busy interval ``[ts, ts+dur)`` to the *granted* (aggressor)
-thread on every other entry still waiting.  An entry enqueued while the
-resource is busy is pre-charged the remainder of the in-progress
-interval.  When the waiting entry is itself granted, its wait closes and
-its accumulated per-aggressor charges move into the matrix.
+Mechanics.  Each grant reports the granted thread and the real service
+duration; because a resource's arbiter is only consulted while its
+:class:`~repro.common.stats.UtilizationMeter` is free, grant busy
+intervals on one track never overlap.  The rule: an enqueue opens a
+wait, and every grant charges its busy interval ``[ts, ts+dur)`` to the
+*granted* (aggressor) thread on every other entry still waiting.  An
+entry enqueued while the resource is busy is pre-charged the remainder
+of the in-progress interval.  When the waiting entry is itself granted,
+its wait closes and its per-aggressor charges move into the matrix.
+
+Implementation, O(threads) per event instead of O(waiting entries) per
+grant: each track keeps the cumulative cycles granted per aggressor.  A
+wait stores that vector at enqueue (plus its pre-charge), and its
+charges are the vector's growth by the grant that closes it — exactly
+the grants issued while it waited, which is what the rule adds up.
 
 Conservation invariant (tested property-based over random schedules):
 for every (resource, victim) pair,
@@ -27,7 +33,7 @@ where ``idle_wait`` is wait spent while the resource sat idle (nobody to
 blame — scheduling latency, not interference).  Waits still open when
 the run ends are dropped from both sides, keeping the identity exact.
 
-Grant events do not say *which* buffered entry was served, so waits are
+Grants do not say *which* buffered entry was served, so waits are
 matched FIFO per (track, thread).  Intra-thread reordering (the
 Read-over-Write optimization) can permute the matching, but per-thread
 delay totals are matching-invariant (``sum(grant ts) - sum(enqueue
@@ -40,34 +46,33 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from .events import CAT_ARBITER, TraceEvent
-
 ATTRIBUTION_SCHEMA = "repro.attribution/1"
 
-
-class _Wait:
-    """One entry's time in arbitration: enqueue ts + accrued charges."""
-
-    __slots__ = ("enqueued", "charges")
-
-    def __init__(self, enqueued: int) -> None:
-        self.enqueued = enqueued
-        self.charges: Dict[int, int] = {}
+#: One open wait: (enqueue cycle, the track's cumulative per-aggressor
+#: granted cycles at enqueue, pre-charged owner or -1, pre-charge).
+_Wait = Tuple[int, Tuple[int, ...], int, int]
 
 
 class _TrackState:
-    """Waiting set + busy interval for one resource track."""
+    """Waiting set, cumulative grants and busy interval for one track,
+    plus its rows of the attributor's per-track tables."""
 
-    __slots__ = ("waiting", "busy_until", "busy_owner")
+    __slots__ = ("waiting", "granted", "busy_until", "busy_owner",
+                 "matrix", "delay", "idle_wait", "waits_closed")
 
     def __init__(self, n_threads: int) -> None:
         self.waiting: List[Deque[_Wait]] = [deque() for _ in range(n_threads)]
+        self.granted = [0] * n_threads
         self.busy_until = 0
         self.busy_owner = -1
+        self.matrix = [[0] * n_threads for _ in range(n_threads)]
+        self.delay = [0] * n_threads
+        self.idle_wait = [0] * n_threads
+        self.waits_closed = [0] * n_threads
 
 
 class InterferenceAttributor:
-    """Bus sink building per-resource interference matrices.
+    """Per-resource interference matrices, fed by the lifecycle probe.
 
     ``matrix[track][victim][aggressor]`` counts the waiting cycles
     ``victim`` spent on ``track`` while it was busy serving a grant to
@@ -90,57 +95,59 @@ class InterferenceAttributor:
         state = self._tracks.get(name)
         if state is None:
             state = self._tracks[name] = _TrackState(self.n_threads)
-            n = self.n_threads
-            self.matrix[name] = [[0] * n for _ in range(n)]
-            self.delay[name] = [0] * n
-            self.idle_wait[name] = [0] * n
-            self.waits_closed[name] = [0] * n
+            self.matrix[name] = state.matrix
+            self.delay[name] = state.delay
+            self.idle_wait[name] = state.idle_wait
+            self.waits_closed[name] = state.waits_closed
         return state
 
     # ------------------------------------------------------------------ #
-    # TraceSink protocol.
+    # Arbiter hooks (called by repro.telemetry.probe).
     # ------------------------------------------------------------------ #
 
-    def emit(self, event: TraceEvent) -> None:
-        if event.category != CAT_ARBITER:
-            return
-        state = self._track(event.track)
-        tid = event.tid
-        if event.name == "enqueue":
-            wait = _Wait(event.ts)
-            if event.ts < state.busy_until and state.busy_owner >= 0:
-                # Born into an in-progress busy interval: pre-charge the
-                # remainder to its owner now, since the grant event that
-                # opened the interval has already been processed.
-                wait.charges[state.busy_owner] = state.busy_until - event.ts
-            state.waiting[tid].append(wait)
-        elif event.name == "grant":
-            queue = state.waiting[tid]
-            if queue:
-                self._close_wait(event.track, tid, queue.popleft(), event.ts)
-            # This grant's busy interval delays everyone still waiting.
-            if event.dur > 0:
-                end = event.ts + event.dur
-                for waits in state.waiting:
-                    for wait in waits:
-                        wait.charges[tid] = (
-                            wait.charges.get(tid, 0) + event.dur
-                        )
-                state.busy_until = end
-                state.busy_owner = tid
+    def enqueued(self, track: str, tid: int, ts: int) -> None:
+        """``tid`` entered ``track``'s arbiter queue at ``ts``."""
+        state = self._tracks.get(track) or self._track(track)
+        owner = state.busy_owner
+        precharge = 0
+        if ts < state.busy_until and owner >= 0:
+            # Born into an in-progress busy interval: the grant that
+            # opened it is already counted, so pre-charge its remainder.
+            precharge = state.busy_until - ts
+        else:
+            owner = -1
+        state.waiting[tid].append((ts, tuple(state.granted), owner,
+                                   precharge))
 
-    def _close_wait(
-        self, track: str, tid: int, wait: _Wait, granted_at: int
-    ) -> None:
-        delay = granted_at - wait.enqueued
-        charged = 0
-        row = self.matrix[track][tid]
-        for aggressor, cycles in wait.charges.items():
+    def granted(self, track: str, tid: int, ts: int, duration: int) -> None:
+        """``track`` granted ``tid`` ``duration`` service cycles at
+        ``ts``: the thread's oldest wait closes, and the busy interval
+        delays everyone still waiting."""
+        state = self._tracks.get(track) or self._track(track)
+        queue = state.waiting[tid]
+        if queue:
+            self._close_wait(state, tid, queue.popleft(), ts)
+        if duration > 0:
+            state.granted[tid] += duration
+            state.busy_until = ts + duration
+            state.busy_owner = tid
+
+    def _close_wait(self, state: _TrackState, tid: int, wait: _Wait,
+                    granted_at: int) -> None:
+        enqueued, base, owner, precharge = wait
+        row = state.matrix[tid]
+        granted = state.granted
+        charged = precharge
+        for aggressor in range(self.n_threads):
+            cycles = granted[aggressor] - base[aggressor]
             row[aggressor] += cycles
             charged += cycles
-        self.delay[track][tid] += delay
-        self.idle_wait[track][tid] += delay - charged
-        self.waits_closed[track][tid] += 1
+        if owner >= 0:
+            row[owner] += precharge
+        delay = granted_at - enqueued
+        state.delay[tid] += delay
+        state.idle_wait[tid] += delay - charged
+        state.waits_closed[tid] += 1
 
     def finish(self, end: int) -> None:
         """Drop still-open waits (their delay is not yet defined)."""

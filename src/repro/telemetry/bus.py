@@ -13,8 +13,12 @@ Design contract (see docs/ARCHITECTURE.md "Observability"):
   ``TraceSink`` protocol) and may implement ``close()``.  Fan-out,
   filtering and buffering policy live in the sink, not the producers.
 * **Producers never format.**  They emit ``TraceEvent`` records;
-  rendering (Perfetto JSON, JSONL, histograms, QoS audits) happens in
+  rendering (Perfetto JSON, JSONL, histograms) happens in
   sinks/exporters after the fact.
+
+The bus serves trace sinks and the legacy request log only; the
+aggregating views (metrics, attribution, the QoS audit) count through
+the lifecycle probe (:mod:`repro.telemetry.probe`) without events.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
-"""Time-series metrics over the telemetry bus (operator-grade numbers).
+"""Time-series metrics from the lifecycle probe (operator-grade numbers).
 
-The :class:`MetricsCollector` turns the raw event firehose into
-fixed-cycle-window time series — the layer between "I have a Perfetto
-trace" and "I can alert on a thread's slowdown":
+The :class:`MetricsCollector` keeps fixed-cycle-window integer counters
+— the layer between "I have a Perfetto trace" and "I can alert on a
+thread's slowdown":
 
-* **event-derived series** (no polling; windows are resolved lazily from
-  event timestamps, so the batch kernel needs no changes): per-
-  resource granted service cycles by thread, per-resource busy/
-  utilization, arbiter queue-depth high-water marks, MSHR occupancy,
-  capacity-manager Condition-1/Condition-2 victimizations, loads retired
-  and their latency;
+* **counted series** (no polling; the component hooks of
+  :mod:`repro.telemetry.probe` call the collector's typed methods with
+  plain integers, and windows are resolved lazily from the cycle stamp,
+  so the batch kernel needs no changes): per-resource granted service
+  cycles by thread, per-resource busy/utilization, arbiter queue-depth
+  high-water marks, MSHR occupancy, capacity-manager
+  Condition-1/Condition-2 victimizations, loads retired and their
+  latency;
 * **sampled series** (pulled at window boundaries by
   :func:`repro.system.simulator.run_simulation` when a collector is
   passed in): per-thread IPC-over-time, per-thread L2 way occupancy,
@@ -24,23 +26,12 @@ text exposition with :func:`to_prometheus`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.stats import jain_index
 
 from .attribution import merge_attribution
-from .events import (
-    CAT_ARBITER,
-    CAT_CACHE,
-    CAT_DRAM,
-    CAT_MSHR,
-    CAT_REQUEST,
-    CAT_RESOURCE,
-    PH_COMPLETE,
-    PH_END,
-    PH_INSTANT,
-    TraceEvent,
-)
 
 #: Schema tags on exported JSON (validated by repro.telemetry.validate).
 METRICS_SCHEMA = "repro.metrics/1"
@@ -48,13 +39,16 @@ AGGREGATE_SCHEMA = "repro.metrics-aggregate/1"
 
 
 class MetricsCollector:
-    """Aggregates bus events into per-window counters/gauges.
+    """Per-window counters and gauges, fed by the lifecycle probe.
 
-    ``window`` is in simulated cycles; event series are indexed by the
-    absolute window ``ts // window`` so out-of-order events across
-    categories (DRAM slices are stamped at data-bus start, which may
-    trail the emitting cycle) land in the right bucket without any
-    event-stream sorting.
+    ``window`` is in simulated cycles; counted series are indexed by the
+    absolute window ``ts // window`` of each hook's cycle stamp, so
+    out-of-order stamps (a DRAM burst is stamped at its data-bus start,
+    which may lie ahead of the issuing cycle) land in the right bucket
+    without any sorting.  ``events_seen`` counts the component events
+    the collector consumed — one per hook call, two per victimization
+    (the condition and the set's way-occupancy sample), matching the
+    telemetry-bus events the same hooks emit under ``--trace``.
     """
 
     def __init__(
@@ -76,32 +70,39 @@ class MetricsCollector:
             list(baseline_ipcs) if baseline_ipcs is not None else None
         )
         self.events_seen = 0
-        # Event-derived, keyed by absolute window index.
-        self._lo = None  # observed window index range
-        self._hi = None
-        self._service: Dict[str, Dict[int, List[int]]] = {}   # track -> widx -> per-thread cycles
-        self._busy: Dict[str, Dict[int, int]] = {}            # track -> widx -> busy cycles
-        self._queue_max: Dict[str, Dict[int, int]] = {}       # track -> widx -> max pending
-        self._mshr_max: Dict[str, Dict[int, int]] = {}        # track -> widx -> max outstanding
+        # Counted series, keyed by absolute window index; per-resource
+        # series keyed by track first (tracks appear on first use).
+        self._lo = -1  # observed window index range (-1: none yet)
+        self._hi = -1
+        self._service: Dict[str, Dict[int, List[int]]] = defaultdict(dict)   # per-thread cycles
+        self._busy: Dict[str, Dict[int, int]] = defaultdict(dict)            # busy cycles
+        self._queue_max: Dict[str, Dict[int, int]] = defaultdict(dict)       # max pending
+        self._mshr_max: Dict[str, Dict[int, int]] = defaultdict(dict)        # max outstanding
         self._cond: Dict[str, Dict[int, List[int]]] = {
             "cond1": {}, "cond2": {},
         }                                                      # widx -> per-thread counts
         self._loads: Dict[int, List[int]] = {}                 # widx -> per-thread retired loads
         self._load_latency: Dict[int, List[int]] = {}          # widx -> per-thread latency sums
+        # Cumulative per-thread load totals beside the windows.
+        self._loads_total = [0] * n_threads
+        self._latency_total = [0] * n_threads
         # Pull samples: (cycle, dispatched per thread, L2 ways per thread).
         self._samples: List[tuple] = []
         self._finished_at: Optional[int] = None
 
     # ------------------------------------------------------------------ #
-    # TraceSink protocol (event-derived series).
+    # Counted series (called by repro.telemetry.probe).
     # ------------------------------------------------------------------ #
 
     def _widx(self, ts: int) -> int:
+        """Window index of cycle ``ts``, widening the observed range."""
         widx = ts // self.window
-        if self._lo is None or widx < self._lo:
-            self._lo = widx
-        if self._hi is None or widx > self._hi:
+        if widx > self._hi:
+            if self._hi < 0:
+                self._lo = widx
             self._hi = widx
+        elif widx < self._lo:
+            self._lo = widx
         return widx
 
     def _thread_row(self, store: Dict[int, List[int]], widx: int) -> List[int]:
@@ -110,49 +111,73 @@ class MetricsCollector:
             row = store[widx] = [0] * self.n_threads
         return row
 
-    def emit(self, event: TraceEvent) -> None:
-        category = event.category
-        if category == CAT_ARBITER:
-            widx = self._widx(event.ts)
-            if event.name == "grant":
-                track = self._service.setdefault(event.track, {})
-                self._thread_row(track, widx)[event.tid] += event.dur
-            pending = event.args.get("pending") if event.args else None
-            if pending is not None:
-                track = self._queue_max.setdefault(event.track, {})
-                if pending > track.get(widx, 0):
-                    track[widx] = pending
-        elif category in (CAT_RESOURCE, CAT_DRAM):
-            if event.phase == PH_COMPLETE:
-                widx = self._widx(event.ts)
-                track = self._busy.setdefault(event.track, {})
-                track[widx] = track.get(widx, 0) + event.dur
-        elif category == CAT_REQUEST:
-            if event.phase == PH_END and event.tid >= 0:
-                widx = self._widx(event.ts)
-                request = event.args.get("request") if event.args else None
-                if request is not None and request.is_read:
-                    self._thread_row(self._loads, widx)[event.tid] += 1
-                    issued = getattr(request, "issued_cycle", -1)
-                    critical = getattr(request, "critical_word_cycle", -1)
-                    if issued >= 0 and critical >= issued:
-                        self._thread_row(self._load_latency, widx)[
-                            event.tid] += critical - issued
-        elif category == CAT_MSHR:
-            outstanding = event.args.get("outstanding") if event.args else None
-            if outstanding is not None:
-                widx = self._widx(event.ts)
-                track = self._mshr_max.setdefault(event.track, {})
-                if outstanding > track.get(widx, 0):
-                    track[widx] = outstanding
-        elif category == CAT_CACHE:
-            if event.phase == PH_INSTANT and event.name in self._cond:
-                widx = self._widx(event.ts)
-                if 0 <= event.tid < self.n_threads:
-                    self._thread_row(self._cond[event.name], widx)[
-                        event.tid] += 1
-        else:
-            return
+    def enqueued(self, track: str, ts: int, pending: int) -> None:
+        """An arbiter admitted an entry; its thread holds ``pending``
+        entries in ``track``'s queue afterwards."""
+        widx = self._widx(ts)
+        queue = self._queue_max[track]
+        if pending > queue.get(widx, 0):
+            queue[widx] = pending
+        self.events_seen += 1
+
+    def granted(self, track: str, tid: int, ts: int, duration: int,
+                pending: int, busy_track: Optional[str] = None) -> None:
+        """Arbiter ``track`` granted ``tid`` ``duration`` service cycles,
+        leaving ``pending`` of its entries queued.  With ``busy_track``
+        the grant also holds that resource busy for ``duration`` (an L2
+        bank resource; the L3 port keeps no busy series)."""
+        widx = self._widx(ts)
+        self._thread_row(self._service[track], widx)[tid] += duration
+        queue = self._queue_max[track]
+        if pending > queue.get(widx, 0):
+            queue[widx] = pending
+        self.events_seen += 1
+        if busy_track is not None:
+            busy = self._busy[busy_track]
+            busy[widx] = busy.get(widx, 0) + duration
+            self.events_seen += 1
+
+    def busy(self, track: str, ts: int, duration: int) -> None:
+        """Resource ``track`` is busy for ``duration`` cycles from ``ts``
+        (a DRAM data burst)."""
+        widx = self._widx(ts)
+        busy = self._busy[track]
+        busy[widx] = busy.get(widx, 0) + duration
+        self.events_seen += 1
+
+    def mshr(self, track: str, ts: int, outstanding: int) -> None:
+        """MSHR file ``track`` holds ``outstanding`` entries."""
+        widx = self._widx(ts)
+        mshrs = self._mshr_max[track]
+        if outstanding > mshrs.get(widx, 0):
+            mshrs[widx] = outstanding
+        self.events_seen += 1
+
+    def victimized(self, condition: str, tid: int, ts: int) -> None:
+        """A capacity manager evicted under ``condition`` for ``tid``:
+        two events, the condition and the set's way-occupancy sample."""
+        widx = self._widx(ts)
+        if 0 <= tid < self.n_threads:
+            self._thread_row(self._cond[condition], widx)[tid] += 1
+        self.events_seen += 2
+
+    def accepted(self) -> None:
+        """A request reached its bank (counted, not windowed)."""
+        self.events_seen += 1
+
+    def load_retired(self, tid: int, ts: int, latency: int) -> None:
+        """A load (demand or prefetch) retired at ``ts`` after
+        ``latency`` cycles from issue to critical word."""
+        widx = self._widx(ts)
+        self._thread_row(self._loads, widx)[tid] += 1
+        self._thread_row(self._load_latency, widx)[tid] += latency
+        self._loads_total[tid] += 1
+        self._latency_total[tid] += latency
+        self.events_seen += 1
+
+    def store_retired(self, ts: int) -> None:
+        """A store was acknowledged at ``ts``."""
+        self._widx(ts)
         self.events_seen += 1
 
     # ------------------------------------------------------------------ #
@@ -177,20 +202,11 @@ class MetricsCollector:
         self._widx(end - 1 if end > 0 else 0)
 
     def thread_totals(self) -> Dict[str, List[int]]:
-        """Cumulative per-thread event-derived totals since attachment:
-        loads retired and their latency sums (the windowed series summed
-        over every observed window).  The QoS control plane
-        (:mod:`repro.qos`) diffs these at epoch boundaries, so windows
-        need not align with controller epochs."""
-        loads = [0] * self.n_threads
-        latency = [0] * self.n_threads
-        for row in self._loads.values():
-            for tid in range(self.n_threads):
-                loads[tid] += row[tid]
-        for row in self._load_latency.values():
-            for tid in range(self.n_threads):
-                latency[tid] += row[tid]
-        return {"loads": loads, "load_latency": latency}
+        """Cumulative per-thread totals since attachment: loads retired
+        and their latency sums (kept beside the windows, equal to the
+        windowed series summed over every observed window)."""
+        return {"loads": list(self._loads_total),
+                "load_latency": list(self._latency_total)}
 
     # ------------------------------------------------------------------ #
     # Snapshot assembly.
@@ -262,7 +278,7 @@ class MetricsCollector:
             "ipcs": ipcs,
         }
         series: Dict = {}
-        if self._lo is not None:
+        if self._hi >= 0:
             out["window_base"] = self._lo
             out["windows"] = self._hi - self._lo + 1
             series["service_cycles"] = {

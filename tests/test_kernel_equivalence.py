@@ -12,7 +12,7 @@ batch kernel only elides cycles it can prove are no-ops, so any
 divergence is a bug.
 
 The matrix also covers the surfaces that historically break exactness
-claims: telemetry attachment (replacement-policy clocks read
+claims: the metrics view (replacement-policy clocks read
 ``system.cycle`` mid-cycle), metrics windows (chunked ``run()`` calls),
 and checkpoint/resume mid-measurement, including a checkpoint of a
 system with both views attached.
@@ -40,10 +40,8 @@ def _run(config, trace_factories, kernel, warmup, measure, metrics=False,
     system = CMPSystem(config, traces, kernel=kernel, **kwargs)
     collector = None
     if metrics:
-        from repro.telemetry.bus import TelemetryBus
         from repro.telemetry.metrics import MetricsCollector
-        bus = system.attach_telemetry(TelemetryBus())
-        collector = bus.attach(MetricsCollector(
+        collector = system.attach_metrics(MetricsCollector(
             config.n_threads, window=500))
     result = run_simulation(system, warmup=warmup, measure=measure,
                             metrics=collector)
@@ -112,10 +110,10 @@ class TestKernelEquivalence:
         assert system.skipped_cycles > 1_000
 
     def test_with_telemetry_and_metrics_windows(self):
-        # Telemetry wires the replacement-policy clock to system.cycle
-        # (a mid-cycle read the batch kernel must keep synchronized) and
-        # a metrics collector chunks the run into windows; both the
-        # result AND the metrics JSON must stay byte-identical.
+        # The metrics view stamps victimizations with the replacement-
+        # policy clock, system.cycle (a mid-cycle read the batch kernel
+        # must keep synchronized), and chunks the run into windows; both
+        # the result AND the metrics JSON must stay byte-identical.
         config = baseline_config(n_threads=2, arbiter="vpc")
         _, reference = _run(config, [loads_trace, stores_trace], "cycle",
                             6_000, 4_000, metrics=True)

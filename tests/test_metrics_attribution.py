@@ -33,19 +33,14 @@ from repro.telemetry.attribution import (
     merge_attribution,
 )
 from repro.telemetry.bus import RingBufferSink, TelemetryBus
-from repro.telemetry.events import (
-    CAT_ARBITER,
-    CAT_CACHE,
-    PH_COUNTER,
-    PH_INSTANT,
-    TraceEvent,
-)
+from repro.telemetry.events import CAT_CACHE, PH_COUNTER, PH_INSTANT
 from repro.telemetry.metrics import (
     MetricsCollector,
     merge_snapshots,
     to_prometheus,
 )
 from repro.telemetry.perfetto import chrome_trace
+from repro.telemetry.probe import LifecycleProbe
 from repro.telemetry.report import (
     build_report_card,
     merge_report_cards,
@@ -66,18 +61,20 @@ def _observed_system(arbiter="vpc", n_threads=2, window=1_000):
         vpc=VPCAllocation.equal(n_threads),
     )
     traces = [loads_trace(0), stores_trace(1)][:n_threads]
-    bus = TelemetryBus()
-    collector = bus.attach(MetricsCollector(n_threads, window=window))
-    attributor = bus.attach(InterferenceAttributor(n_threads))
     capacity = "vpc" if arbiter == "vpc" else "lru"
-    system = CMPSystem(config, traces, telemetry=bus,
-                       capacity_policy=capacity)
+    system = CMPSystem(config, traces, capacity_policy=capacity)
+    collector = system.attach_metrics(
+        MetricsCollector(n_threads, window=window))
+    attributor = system.attach_attribution()
     return system, collector, attributor
 
 
-def _arbiter_event(name, ts, tid, dur=0, track="bank0.data"):
-    return TraceEvent(ts=ts, phase=PH_INSTANT, category=CAT_ARBITER,
-                      name=name, track=track, tid=tid, dur=dur)
+def _enqueue(attributor, ts, tid, track="bank0.data"):
+    attributor.enqueued(track, tid, ts)
+
+
+def _grant(attributor, ts, tid, dur=0, track="bank0.data"):
+    attributor.granted(track, tid, ts, dur)
 
 
 class TestJainIndex:
@@ -182,14 +179,14 @@ class TestAttributionScripted:
     def test_hand_built_schedule_charges_exactly(self):
         attributor = InterferenceAttributor(2)
         # t0 enqueues and is granted immediately for 4 cycles.
-        attributor.emit(_arbiter_event("enqueue", ts=0, tid=0))
-        attributor.emit(_arbiter_event("grant", ts=0, tid=0, dur=4))
+        _enqueue(attributor, ts=0, tid=0)
+        _grant(attributor, ts=0, tid=0, dur=4)
         # t1 arrives mid-interval: 3 remaining cycles pre-charged to t0.
-        attributor.emit(_arbiter_event("enqueue", ts=1, tid=1))
-        attributor.emit(_arbiter_event("grant", ts=4, tid=1, dur=4))
+        _enqueue(attributor, ts=1, tid=1)
+        _grant(attributor, ts=4, tid=1, dur=4)
         # t0 comes back when the resource is idle: pure scheduling wait.
-        attributor.emit(_arbiter_event("enqueue", ts=10, tid=0))
-        attributor.emit(_arbiter_event("grant", ts=12, tid=0, dur=2))
+        _enqueue(attributor, ts=10, tid=0)
+        _grant(attributor, ts=12, tid=0, dur=2)
         attributor.finish(20)
         track = "bank0.data"
         assert attributor.matrix[track][1][0] == 3
@@ -202,10 +199,10 @@ class TestAttributionScripted:
 
     def test_self_interference_lands_on_the_diagonal(self):
         attributor = InterferenceAttributor(2)
-        attributor.emit(_arbiter_event("enqueue", ts=0, tid=0))
-        attributor.emit(_arbiter_event("enqueue", ts=0, tid=0))
-        attributor.emit(_arbiter_event("grant", ts=0, tid=0, dur=5))
-        attributor.emit(_arbiter_event("grant", ts=5, tid=0, dur=5))
+        _enqueue(attributor, ts=0, tid=0)
+        _enqueue(attributor, ts=0, tid=0)
+        _grant(attributor, ts=0, tid=0, dur=5)
+        _grant(attributor, ts=5, tid=0, dur=5)
         attributor.finish(10)
         matrix = attributor.matrix["bank0.data"]
         assert matrix[0][0] == 5  # waited behind its own earlier grant
@@ -215,9 +212,9 @@ class TestAttributionScripted:
 
     def test_open_waits_dropped_keeps_identity(self):
         attributor = InterferenceAttributor(2)
-        attributor.emit(_arbiter_event("enqueue", ts=0, tid=0))
-        attributor.emit(_arbiter_event("grant", ts=0, tid=0, dur=4))
-        attributor.emit(_arbiter_event("enqueue", ts=2, tid=1))  # never granted
+        _enqueue(attributor, ts=0, tid=0)
+        _grant(attributor, ts=0, tid=0, dur=4)
+        _enqueue(attributor, ts=2, tid=1)  # never granted
         attributor.finish(50)
         assert attributor.dropped_waits == 1
         assert attributor.delay["bank0.data"] == [0, 0]
@@ -228,27 +225,23 @@ class TestAttributionScripted:
         assert InterferenceAttributor.resource_class("dram.ch0") == "dram.ch0"
         attributor = InterferenceAttributor(2)
         for track in ("bank0.data", "bank1.data"):
-            attributor.emit(_arbiter_event("enqueue", ts=0, tid=0,
-                                           track=track))
-            attributor.emit(_arbiter_event("grant", ts=0, tid=0, dur=2,
-                                           track=track))
-            attributor.emit(_arbiter_event("enqueue", ts=1, tid=1,
-                                           track=track))
-            attributor.emit(_arbiter_event("grant", ts=2, tid=1, dur=2,
-                                           track=track))
+            _enqueue(attributor, ts=0, tid=0, track=track)
+            _grant(attributor, ts=0, tid=0, dur=2, track=track)
+            _enqueue(attributor, ts=1, tid=1, track=track)
+            _grant(attributor, ts=2, tid=1, dur=2, track=track)
         snap = attributor.snapshot()
         assert snap["resources"]["data"]["matrix"][1][0] == 2
         assert set(snap["tracks"]) == {"bank0.data", "bank1.data"}
 
     def test_merge_pads_mismatched_thread_counts(self):
         solo = InterferenceAttributor(1)
-        solo.emit(_arbiter_event("enqueue", ts=0, tid=0))
-        solo.emit(_arbiter_event("grant", ts=0, tid=0, dur=2))
+        _enqueue(solo, ts=0, tid=0)
+        _grant(solo, ts=0, tid=0, dur=2)
         duo = InterferenceAttributor(2)
-        duo.emit(_arbiter_event("enqueue", ts=0, tid=0))
-        duo.emit(_arbiter_event("grant", ts=0, tid=0, dur=4))
-        duo.emit(_arbiter_event("enqueue", ts=1, tid=1))
-        duo.emit(_arbiter_event("grant", ts=4, tid=1, dur=1))
+        _enqueue(duo, ts=0, tid=0)
+        _grant(duo, ts=0, tid=0, dur=4)
+        _enqueue(duo, ts=1, tid=1)
+        _grant(duo, ts=4, tid=1, dur=1)
         duo.finish(10)
         merged = merge_attribution([solo.snapshot(), duo.snapshot(), None])
         assert merged["n_threads"] == 2
@@ -282,7 +275,7 @@ class TestAttributionProperties:
             tid %= n_threads
             now += advance
             if is_enqueue:
-                attributor.emit(_arbiter_event("enqueue", ts=now, tid=tid))
+                _enqueue(attributor, ts=now, tid=tid)
                 waiting[tid] += 1
             else:
                 candidates = [t for t in range(n_threads) if waiting[t]]
@@ -290,8 +283,7 @@ class TestAttributionProperties:
                     continue
                 tid = candidates[tid % len(candidates)]
                 ts = max(now, busy_until)
-                attributor.emit(_arbiter_event("grant", ts=ts, tid=tid,
-                                               dur=dur))
+                _grant(attributor, ts=ts, tid=tid, dur=dur)
                 waiting[tid] -= 1
                 busy_until = max(busy_until, ts + dur)
                 now = ts
@@ -328,7 +320,7 @@ class TestFaultInjection:
         system, _, _ = _observed_system()
         system.run(20_000)  # steady state, queues backlogged
         # Fresh attributor: only the sabotaged interval is attributed.
-        attributor = system.telemetry.attach(InterferenceAttributor(2))
+        attributor = system.attach_attribution(InterferenceAttributor(2))
         monitor = QoSMonitor(system, window=2_000)
         for arbiter in system._vpc_arbiters["data"]:
             arbiter._r_l[1] += 2_000   # t1 deferred behind t0 for a while
@@ -378,9 +370,12 @@ class TestCapacityTelemetry:
         from repro.core.capacity import VPCCapacityManager
         bus = TelemetryBus()
         ring = bus.attach(RingBufferSink())
-        collector = bus.attach(MetricsCollector(2, window=100))
+        probe = LifecycleProbe(2, dram_hooked=True)
+        collector = MetricsCollector(2, window=100)
+        probe.attach(metrics=collector)
         policy = VPCCapacityManager([0.5, 0.5], 4)  # quota 2 each
         policy._trace = bus
+        policy._probe = probe
         policy.trace_name = "bank0.capacity"
         policy.clock = lambda: 123
         view = SetView(ways=4, owners=[1, 1, 1, 0],

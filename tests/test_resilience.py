@@ -38,6 +38,7 @@ from repro.resilience import (
     write_checkpoint,
 )
 from repro.resilience.chaos import corrupt_file
+from repro.resilience.snapshot import CHECKPOINT_SCHEMA_VERSION
 from repro.resilience.journal import (
     load_result,
     result_path,
@@ -45,8 +46,6 @@ from repro.resilience.journal import (
 )
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry.attribution import InterferenceAttributor
-from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.metrics import MetricsCollector
 from repro.workloads import build_trace
 
@@ -71,9 +70,8 @@ def _system(arbiter: str, wrapped: bool, with_metrics: bool = False):
     system = CMPSystem(config, traces)
     metrics = None
     if with_metrics:
-        bus = system.attach_telemetry(TelemetryBus())
-        metrics = bus.attach(MetricsCollector(2, window=500))
-        bus.attach(InterferenceAttributor(2))
+        metrics = system.attach_metrics(MetricsCollector(2, window=500))
+        system.attach_attribution()
     return system, metrics
 
 
@@ -150,17 +148,22 @@ class TestCheckpointFile:
         garbage.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
             read_checkpoint_header(garbage)
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_stale_schema_refused(self, tmp_path, schema):
         # A valid checkpoint from an older schema: its pickled classes
         # may not fit the current ones, so it is refused, never loaded.
+        assert schema < CHECKPOINT_SCHEMA_VERSION
         stale = tmp_path / "stale.ckpt"
         system, _ = _system("vpc", wrapped=True)
         write_checkpoint(stale, system, _state_stub(), point_key="old")
         magic, header, payload = stale.read_bytes().split(b"\n", 2)
         fields = json.loads(header)
-        fields["schema"] = 1
+        fields["schema"] = schema
         stale.write_bytes(magic + b"\n" + json.dumps(fields).encode()
                           + b"\n" + payload)
-        with pytest.raises(CheckpointError, match="1 != 2"):
+        with pytest.raises(CheckpointError,
+                           match=f"{schema} != {CHECKPOINT_SCHEMA_VERSION}"):
             load_checkpoint(stale)
 
 

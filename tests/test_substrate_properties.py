@@ -69,6 +69,44 @@ def test_cache_array_state_consistency(case):
                 assert cset.find(cset.line_of[way]) == way
 
 
+def _scanned_occupancy(array: CacheArray, n_threads: int):
+    """Reference occupancy: scan every way of every set."""
+    counts = [0] * n_threads
+    for cset in array._sets:
+        for way in range(cset.ways):
+            if cset.valid[way] and 0 <= cset.owner[way] < n_threads:
+                counts[cset.owner[way]] += 1
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(array_operations(), st.sampled_from(["lru", "vpc"]))
+def test_incremental_occupancy_matches_scan(case, policy_name):
+    """The per-owner line counts kept by insert and invalidate equal a
+    full scan after any mix of free-way fills, evictions, refetches by
+    another thread, and invalidations — under thread-oblivious LRU and
+    under the quota-keeping capacity manager."""
+    from repro.core.capacity import VPCCapacityManager
+
+    sets, ways, ops = case
+    n_threads = 4
+    policy = (LRUPolicy() if policy_name == "lru"
+              else VPCCapacityManager([1 / n_threads] * n_threads, ways))
+    array = CacheArray(sets=sets, ways=ways, policy=policy)
+    for op, line, thread in ops:
+        if op == "insert":
+            array.insert(line, thread)
+        elif op == "invalidate":
+            array.invalidate(line)
+        elif op == "dirty" and array.contains(line):
+            # A refetch of a resident line by the next thread over.
+            array.insert(line, (thread + 1) % n_threads)
+        else:
+            array.lookup(line)
+        assert (array.occupancy_by_thread(n_threads)
+                == _scanned_occupancy(array, n_threads))
+
+
 # --------------------------------------------------------------------- #
 # Store gathering buffer.
 # --------------------------------------------------------------------- #

@@ -372,3 +372,44 @@ class TestCLI:
         from repro.cli import main
         assert main(["loads", "--warmup", "1000", "--cycles", "1000"]) == 0
         assert "IPC" in capsys.readouterr().out
+
+
+def test_views_run_without_a_bus(monkeypatch):
+    """Metrics, attribution, the QoS monitor, a QoS controller, CPI
+    stacks and request tracing all count through the lifecycle probe:
+    a point with every one of them on attaches no telemetry bus and
+    builds no TraceEvent."""
+    from repro.experiments.parallel import PointRun, RunSpec, SimPoint
+    from repro.telemetry.requests import load_slo
+
+    built = []
+    original = TraceEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceEvent, "__init__", counting_init)
+    point = SimPoint(
+        config=baseline_config(n_threads=2, arbiter="vpc"),
+        traces=(("loads",), ("stores",)),
+        warmup=1_000, measure=3_000,
+        controller="lfoc", epoch_cycles=1_000,
+    )
+    spec = RunSpec(metrics=500, cpi_stacks=True, requests=True,
+                   slo=tuple(load_slo("400")))
+    point_run = PointRun.build(point, spec, monitor=True)
+    system = point_run.system
+    assert point_run.monitor is not None
+    assert system.qos_controller is not None
+    assert system.cycle_accounting is not None
+    assert system.request_tracer is not None
+    result = point_run.run()
+    assert system.telemetry is None
+    assert built == []
+    # Every view produced its document.
+    assert result.metrics["events_seen"] > 0
+    assert sum(result.metrics["attribution"]["interference_received"]) > 0
+    assert result.qos["epochs"] == 3
+    assert result.cpi_stacks is not None and result.requests is not None
+    assert point_run.monitor.conformance()["windows_checked"] > 0

@@ -39,6 +39,7 @@ from repro.core.monitor import QoSMonitor
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
 from repro.telemetry.cycles import BUCKETS
+from repro.telemetry.metrics import MetricsCollector
 from repro.telemetry.requests import SEGMENTS
 from repro.workloads.profiles import HETEROGENEOUS_MIXES, spec_trace
 
@@ -86,13 +87,9 @@ def _documents(name: str, kernel: str, views=None) -> dict:
         system.attach_request_tracing()
     collector = attributor = monitor = None
     if "metrics" in views:
-        from repro.telemetry.attribution import InterferenceAttributor
-        from repro.telemetry.bus import TelemetryBus
-        from repro.telemetry.metrics import MetricsCollector
-        bus = system.attach_telemetry(TelemetryBus())
-        n_threads = config.n_threads
-        collector = bus.attach(MetricsCollector(n_threads, window=WINDOW))
-        attributor = bus.attach(InterferenceAttributor(n_threads))
+        collector = system.attach_metrics(
+            MetricsCollector(config.n_threads, window=WINDOW))
+        attributor = system.attach_attribution()
     if "conformance" in views:
         monitor = QoSMonitor(system, window=WINDOW)
     result = run_simulation(system, warmup=WARMUP, measure=MEASURE,
