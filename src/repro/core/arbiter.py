@@ -56,12 +56,14 @@ class Arbiter(ABC):
     """Selects which pending entry accesses the shared resource next.
 
     Every arbiter — baseline or VPC — emits ``enqueue``/``grant``
-    telemetry when a bus is attached (``_trace`` is ``None`` otherwise:
-    the zero-overhead-when-disabled contract).  The interference
-    attributor and QoS metrics consume these events, so the baselines
-    the paper indicts are observable with the same instruments as the
-    VPC design that fixes them.  ``service_latency`` sizes the real
-    busy window a grant implies (``service_quanta`` base latencies).
+    trace events when a bus is attached (``_trace`` is ``None``
+    otherwise: the zero-overhead-when-disabled contract).  The
+    interference attributor and QoS metrics count the same enqueues and
+    grants through the lifecycle probe of the component that owns the
+    arbiter (an L2 bank or the L3 port), so the baselines the paper
+    indicts are observable with the same instruments as the VPC design
+    that fixes them.  ``service_latency`` sizes the real busy window a
+    grant implies (``service_quanta`` base latencies).
 
     The hierarchy is slotted (``abc.ABC`` contributes empty slots):
     enqueue/select attribute reads sit on the engine hot path.

@@ -135,6 +135,21 @@ class TestMetricsCollector:
                    for track in series["queue_depth_max"])
         assert "mshrs" in " ".join(series["mshr_max"])
 
+    def test_cumulative_load_totals_match_the_windows(self):
+        """The totals kept beside the windows equal the windowed series
+        summed, and the probe's run-wide load counters (attached at the
+        same cycle) agree with both."""
+        system, collector, _ = _observed_system(window=700)
+        result = run_simulation(system, warmup=1_000, measure=2_000,
+                                metrics=collector)
+        series = result.metrics["series"]
+        totals = collector.thread_totals()
+        assert totals["loads"] == [sum(row) for row in series["loads"]]
+        assert totals["load_latency"] == [
+            sum(row) for row in series["load_latency_sum"]]
+        assert sum(totals["loads"]) > 0
+        assert system.load_totals() == totals
+
     def test_slowdown_and_fairness_with_baselines(self):
         system, collector, _ = _observed_system(window=500)
         collector.baseline_ipcs = [0.5, 0.5]
@@ -263,30 +278,74 @@ _SCHEDULE = st.lists(
 )
 
 
+def _schedule_ops(steps, n_threads):
+    """Turn drawn steps into (kind, ts, tid, dur) arbiter operations;
+    returns the ops and the final cycle."""
+    ops = []
+    waiting = [0] * n_threads
+    now = 0
+    busy_until = 0
+    for is_enqueue, tid, advance, dur in steps:
+        tid %= n_threads
+        now += advance
+        if is_enqueue:
+            ops.append(("enqueue", now, tid, 0))
+            waiting[tid] += 1
+        else:
+            candidates = [t for t in range(n_threads) if waiting[t]]
+            if not candidates:
+                continue
+            tid = candidates[tid % len(candidates)]
+            ts = max(now, busy_until)
+            ops.append(("grant", ts, tid, dur))
+            waiting[tid] -= 1
+            busy_until = max(busy_until, ts + dur)
+            now = ts
+    return ops, now
+
+
+def _per_wait_reference(ops, n_threads):
+    """The charge rule applied literally: every grant adds its duration
+    to every entry still waiting (after closing the granted thread's
+    oldest wait); an entry born mid-interval is pre-charged the
+    remainder.  Returns (matrix, delay, idle_wait)."""
+    waiting = [[] for _ in range(n_threads)]
+    matrix = [[0] * n_threads for _ in range(n_threads)]
+    delay = [0] * n_threads
+    idle = [0] * n_threads
+    busy_until, owner = 0, -1
+    for kind, ts, tid, dur in ops:
+        if kind == "enqueue":
+            charges = [0] * n_threads
+            if ts < busy_until and owner >= 0:
+                charges[owner] = busy_until - ts
+            waiting[tid].append((ts, charges))
+            continue
+        if waiting[tid]:
+            enqueued, charges = waiting[tid].pop(0)
+            for aggressor, cycles in enumerate(charges):
+                matrix[tid][aggressor] += cycles
+            delay[tid] += ts - enqueued
+            idle[tid] += ts - enqueued - sum(charges)
+        if dur > 0:
+            for waits in waiting:
+                for _, charges in waits:
+                    charges[tid] += dur
+            busy_until, owner = ts + dur, tid
+    return matrix, delay, idle
+
+
 class TestAttributionProperties:
     @settings(max_examples=60, deadline=None)
     @given(steps=_SCHEDULE, n_threads=st.integers(1, 4))
     def test_conservation_over_random_schedules(self, steps, n_threads):
         attributor = InterferenceAttributor(n_threads)
-        waiting = [0] * n_threads
-        now = 0
-        busy_until = 0
-        for is_enqueue, tid, advance, dur in steps:
-            tid %= n_threads
-            now += advance
-            if is_enqueue:
-                _enqueue(attributor, ts=now, tid=tid)
-                waiting[tid] += 1
+        ops, now = _schedule_ops(steps, n_threads)
+        for kind, ts, tid, dur in ops:
+            if kind == "enqueue":
+                _enqueue(attributor, ts=ts, tid=tid)
             else:
-                candidates = [t for t in range(n_threads) if waiting[t]]
-                if not candidates:
-                    continue
-                tid = candidates[tid % len(candidates)]
-                ts = max(now, busy_until)
                 _grant(attributor, ts=ts, tid=tid, dur=dur)
-                waiting[tid] -= 1
-                busy_until = max(busy_until, ts + dur)
-                now = ts
         attributor.finish(now + 100)
         assert attributor.conservation_errors() == []
         # Serialized snapshots must re-verify from the numbers alone.
@@ -298,6 +357,28 @@ class TestAttributionProperties:
             "series": {}, "attribution": snap,
         }
         assert validate(fake_metrics, "metrics") == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_SCHEDULE, n_threads=st.integers(1, 4))
+    def test_grant_time_charging_equals_per_wait_charging(self, steps,
+                                                          n_threads):
+        """Charging a closing wait the growth of its track's cumulative
+        per-aggressor grants gives exactly the per-wait rule's matrix,
+        delays and idle waits."""
+        attributor = InterferenceAttributor(n_threads)
+        ops, now = _schedule_ops(steps, n_threads)
+        for kind, ts, tid, dur in ops:
+            if kind == "enqueue":
+                _enqueue(attributor, ts=ts, tid=tid)
+            else:
+                _grant(attributor, ts=ts, tid=tid, dur=dur)
+        attributor.finish(now + 100)
+        if not ops:
+            return
+        matrix, delay, idle = _per_wait_reference(ops, n_threads)
+        assert attributor.matrix["bank0.data"] == matrix
+        assert attributor.delay["bank0.data"] == delay
+        assert attributor.idle_wait["bank0.data"] == idle
 
     @pytest.mark.parametrize("arbiter", ["vpc", "fcfs", "row-fcfs"])
     def test_conservation_on_a_real_system(self, arbiter):
