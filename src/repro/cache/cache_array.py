@@ -165,7 +165,8 @@ class CacheArray:
         else:
             victim = self.policy.choose_victim(cset.view(), thread_id)
             if not cset.valid[victim]:
-                raise RuntimeError("policy chose an invalid way with none free")
+                raise RuntimeError(
+                    "policy chose an invalid way with none free")
             evicted = Eviction(
                 way=victim,
                 victim_line=cset.line_of[victim],

@@ -108,7 +108,7 @@ class QoSMonitor:
         """``tid`` holds ``pending`` entries in ``track``'s queue."""
         self._advance(ts)
         counts = self._pending.get(track)
-        if counts is not None:  # else an arbiter this monitor was not built for
+        if counts is not None:  # None: not an arbiter this monitor audits
             counts[tid] = pending
 
     def granted(self, track: str, tid: int, ts: int, duration: int,

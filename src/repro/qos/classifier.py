@@ -11,12 +11,12 @@ a thread uses the shared cache:
   lives in the L1 or it is compute-bound).
 
 Signals come from the epoch deltas of the run's per-thread load
-counters (``CMPSystem.load_totals``) plus the driver's gauge pulls: L2 load intensity (loads per kilocycle), a miss-
-rate estimate derived from mean L2 load latency (an L2 hit costs tens
-of cycles, a DRAM miss well over a hundred — the same signal a
-hit/miss-counter register would give, available without new hardware
-counters), per-thread way occupancy, IPC, and — when solo baselines
-are known — slowdown.
+counters (``CMPSystem.load_totals``) plus the driver's gauge pulls: L2
+load intensity (loads per kilocycle), a miss-rate estimate derived from
+mean L2 load latency (an L2 hit costs tens of cycles, a DRAM miss well
+over a hundred — the same signal a hit/miss-counter register would
+give, available without new hardware counters), per-thread way
+occupancy, IPC, and — when solo baselines are known — slowdown.
 
 Labels feed allocation decisions, so they must not flap when a thread
 sits on a threshold: a *raw* label must persist for ``hysteresis``

@@ -71,13 +71,15 @@ class MetricsCollector:
         )
         self.events_seen = 0
         # Counted series, keyed by absolute window index; per-resource
-        # series keyed by track first (tracks appear on first use).
+        # series keyed by track first (tracks appear on first use):
+        # track -> widx -> per-thread service cycles / busy cycles /
+        # max pending / max MSHRs outstanding.
         self._lo = -1  # observed window index range (-1: none yet)
         self._hi = -1
-        self._service: Dict[str, Dict[int, List[int]]] = defaultdict(dict)   # per-thread cycles
-        self._busy: Dict[str, Dict[int, int]] = defaultdict(dict)            # busy cycles
-        self._queue_max: Dict[str, Dict[int, int]] = defaultdict(dict)       # max pending
-        self._mshr_max: Dict[str, Dict[int, int]] = defaultdict(dict)        # max outstanding
+        self._service: Dict[str, Dict[int, List[int]]] = defaultdict(dict)
+        self._busy: Dict[str, Dict[int, int]] = defaultdict(dict)
+        self._queue_max: Dict[str, Dict[int, int]] = defaultdict(dict)
+        self._mshr_max: Dict[str, Dict[int, int]] = defaultdict(dict)
         self._cond: Dict[str, Dict[int, List[int]]] = {
             "cond1": {}, "cond2": {},
         }                                                      # widx -> per-thread counts

@@ -14,6 +14,7 @@ from repro.common.records import AccessType, make_request
 from repro.core.monitor import QoSMonitor, run_monitored
 from repro.system.cmp import CMPSystem
 from repro.workloads import loads_trace, stores_trace
+from repro.workloads.profiles import HETEROGENEOUS_MIXES, spec_trace
 
 
 def vpc_system(record_requests=False):
@@ -67,6 +68,27 @@ class TestQoSMonitor:
         violation = monitor.violations[0]
         assert violation.window_end - violation.window_start == 2_000
         assert violation.granted < violation.guaranteed
+
+
+    def test_audit_is_kernel_identical_on_a_busy_mix(self):
+        """fig10's mix1 audited at a short window: both kernels keep the
+        same conformance ledger, with eligible windows for the two
+        threads that stay backlogged (values recorded when the monitor
+        still read the telemetry bus)."""
+        ledgers = {}
+        for kernel in ("cycle", "batch"):
+            config = baseline_config(n_threads=4, arbiter="vpc")
+            traces = [spec_trace(name, tid) for tid, name
+                      in enumerate(HETEROGENEOUS_MIXES["mix1"])]
+            system = CMPSystem(config, traces, kernel=kernel)
+            monitor = QoSMonitor(system, window=500)
+            run_monitored(system, 20_000, monitor)
+            ledgers[kernel] = monitor.conformance()
+        assert ledgers["cycle"] == ledgers["batch"]
+        per_thread = ledgers["batch"]["per_thread"]
+        assert ledgers["batch"]["windows_checked"] == 40
+        assert [row["eligible_windows"] for row in per_thread] == [8, 10, 0, 0]
+        assert [row["met_windows"] for row in per_thread] == [8, 10, 0, 0]
 
 
 class TestLatencySummary:
