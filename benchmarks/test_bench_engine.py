@@ -98,36 +98,17 @@ def _as_is(system):
     return system
 
 
-def _force_untraced(system):
-    """Strip every telemetry hook, mirroring ``attach_telemetry`` — the
-    reference 'engine baseline' even if tracing ever became default-on."""
-    system.telemetry = None
-    for arbiters in system._vpc_arbiters.values():
-        for arbiter in arbiters:
-            arbiter._trace = None
-    for bank in system.banks:
-        bank._trace = None
-        bank.array.policy._trace = None
-    system.crossbar._trace = None
-    for channel in system.memory.channels:
-        channel._trace = None
-    for core in system.cores:
-        mshrs = getattr(core, "mshrs", None)
-        if mshrs is not None:
-            mshrs._trace = None
-    if system.l3 is not None:
-        system.l3.array.policy._trace = None
-    return system
-
-
 def _force_unprobed(system):
     """Strip every lifecycle-probe hook (CPI stacks, request tracing,
-    metrics, attribution, the QoS monitor and the load counters),
-    mirroring ``CMPSystem._attach_view``."""
+    metrics, attribution, the QoS monitor, the trace sink, the latency
+    views and the load counters), mirroring ``CMPSystem._attach_view``
+    — the reference 'engine baseline' even if a view ever became
+    default-on."""
     system.cycle_accounting = None
     system.request_tracer = None
     system.metrics_collector = None
     system.attributor = None
+    system.telemetry = None
     system._probe = None
     for bank in system.banks:
         bank._probe = None
@@ -137,6 +118,7 @@ def _force_unprobed(system):
         core.mshrs._probe = None
     for channel in system.memory.channels:
         channel._probe = None
+    system.crossbar._probe = None
     if system.l3 is not None:
         system.l3._probe = None
         system.l3.array.policy._probe = None
@@ -200,7 +182,6 @@ def _spans_alerts_disabled_step(system, cycles, span_ctx=None, engine=None):
 #: against one with every hook forcibly stripped; driver-level views
 #: compare their disabled control flow against a bare ``run()``.
 DISABLED_PATHS = {
-    "trace": (_force_untraced, _bare_step),
     "probe": (_force_unprobed, _bare_step),
     "serve": (_as_is, _serve_disabled_step),
     "resilience": (_as_is, _resilience_disabled_step),
@@ -289,14 +270,12 @@ def test_bench_traced_simulation(benchmark):
     """The same 2-thread CMP with full tracing enabled into a ring
     buffer — the cost of turning observability *on* (not bounded; the
     contract only covers the disabled path)."""
-    from repro.telemetry.bus import RingBufferSink, TelemetryBus
+    from repro.telemetry.bus import RingBufferSink
 
     config = baseline_config(n_threads=2, arbiter="vpc",
                              vpc=VPCAllocation.equal(2))
-    bus = TelemetryBus()
-    bus.attach(RingBufferSink())
     system = CMPSystem(config, [loads_trace(0), stores_trace(1)],
-                       telemetry=bus)
+                       telemetry=RingBufferSink())
     system.run(5_000)
     benchmark.pedantic(system.run, args=(10_000,), iterations=1, rounds=3)
 
@@ -304,7 +283,7 @@ def test_bench_traced_simulation(benchmark):
 def test_bench_metrics_enabled_simulation(benchmark):
     """The same 2-thread CMP with the aggregating views on its lifecycle
     probe — the cost of turning the observability *aggregation* layer
-    on (windowed MetricsCollector + InterferenceAttributor, no bus).
+    on (windowed MetricsCollector + InterferenceAttributor, no trace).
     Compare against test_bench_simulation_cycles_per_second for the
     metrics-enabled overhead, which test_metrics_enabled_overhead_bounded
     bounds; test_disabled_overhead_under_two_percent guards the

@@ -37,15 +37,6 @@ from repro.common.latch import NEVER, VariableDelayQueue
 from repro.common.records import AccessType, MemoryRequest
 from repro.common.stats import Counters, UtilizationMeter
 from repro.core.arbiter import Arbiter, ArbiterEntry
-from repro.telemetry.events import (
-    CAT_REQUEST,
-    CAT_RESOURCE,
-    CAT_SGB,
-    PH_BEGIN,
-    PH_COMPLETE,
-    PH_INSTANT,
-    TraceEvent,
-)
 
 
 class SMState(IntEnum):
@@ -95,18 +86,6 @@ _WBDATA_DONE = 5
 _FILLDATA_DONE = 6
 _MEM_DATA = 7
 _MISSTAG_DONE = 8
-
-# Occupancy-slice labels for the telemetry exporter, keyed by the
-# *_BUSY state a grant moves the state machine into.
-_STAGE_NAMES = {
-    SMState.TAG_BUSY: "tag",
-    SMState.MISSTAG_BUSY: "misstag",
-    SMState.FILLTAG_BUSY: "filltag",
-    SMState.DATA_BUSY: "data",
-    SMState.WBDATA_BUSY: "wbdata",
-    SMState.FILLDATA_BUSY: "filldata",
-    SMState.BUS_BUSY: "bus",
-}
 
 
 class _MemDataCallback:
@@ -199,11 +178,10 @@ class CacheBank:
         self._wbmem_wait: Deque[StateMachine] = deque()
 
         self.counters = Counters()
-        # Telemetry (repro.telemetry): None = disabled = free.
-        self._trace = None
-        # Lifecycle probe (repro.telemetry.probe): same contract.  The
-        # bank holds the state machines, so it reports request arrivals
-        # and their arbiter queue entries and grants.
+        # Lifecycle probe (repro.telemetry.probe): None = disabled =
+        # free.  The bank holds the state machines, so it reports
+        # request arrivals, store merges, and arbiter queue entries and
+        # grants.
         self._probe = None
 
     # ------------------------------------------------------------------ #
@@ -212,17 +190,8 @@ class CacheBank:
 
     def accept(self, request: MemoryRequest, now: int) -> None:
         request.arrived_bank_cycle = now
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=now, phase=PH_BEGIN, category=CAT_REQUEST,
-                name="store" if request.is_write else
-                     ("prefetch" if request.is_prefetch else "load"),
-                track=f"t{request.thread_id}", tid=request.thread_id,
-                id=request.req_id,
-                args={"line": request.line, "bank": self.bank_id},
-            ))
         if self._probe is not None:
-            self._probe.accepted(request, now)
+            self._probe.accepted(request, self.bank_id, now)
         if request.access is AccessType.WRITE:
             self._pending_stores[request.thread_id].append(request)
         else:
@@ -326,12 +295,9 @@ class CacheBank:
                 self.counters.add("stores_received")
                 if outcome == "merged":
                     self.counters.add("stores_gathered")
-                    if self._trace is not None:
-                        self._trace.emit(TraceEvent(
-                            ts=now, phase=PH_INSTANT, category=CAT_SGB,
-                            name="gather", track=f"bank{self.bank_id}.sgb",
-                            tid=tid, args={"line": request.line},
-                        ))
+                    if self._probe is not None:
+                        self._probe.gathered(self.bank_id, tid,
+                                             request.line, now)
 
     # ------------------------------------------------------------------ #
     # Controller admission (round-robin across threads, Section 3.1).
@@ -474,13 +440,6 @@ class CacheBank:
             sm.request.critical_word_cycle = critical
             self._events.push_at(critical, (_RESPOND, sm))
             self._events.push_at(now + duration, (_BUS_DONE, sm))
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=now, phase=PH_COMPLETE, category=CAT_RESOURCE,
-                name=_STAGE_NAMES[sm.state], track=resource.track,
-                tid=sm.thread_id, dur=duration,
-                args={"req": sm.request.req_id},
-            ))
 
     # ------------------------------------------------------------------ #
     # Event handling (stage completions).

@@ -98,7 +98,8 @@ class SharedL3:
         self._wb_wait: Deque[Tuple[int, int]] = deque()  # (thread, victim line)
         # Lifecycle probe (repro.telemetry.probe): None = disabled =
         # free.  The port arbiter's enqueues and grants feed the
-        # arbiter-level views; the port is not a lifecycle stage.
+        # arbiter-level views and the trace; the port is not a
+        # lifecycle stage.
         self._probe = None
 
     # ------------------------------------------------------------------ #
@@ -136,9 +137,8 @@ class SharedL3:
             now,
         )
         if self._probe is not None:
-            tid = access.thread_id
-            self._probe.arbiter_enqueued(self.arbiter.trace_name, tid, now,
-                                         self.arbiter.pending_for(tid))
+            self._probe.arbiter_enqueued(self.arbiter, access.thread_id,
+                                         now)
 
     # ------------------------------------------------------------------ #
     # Per-cycle advance.
@@ -155,20 +155,13 @@ class SharedL3:
             entry = self.arbiter.select(now)
             if entry is not None:
                 if self._probe is not None:
-                    self._report_grant(entry, now)
+                    self._probe.arbiter_granted(
+                        self.arbiter, entry.thread_id, now,
+                        entry.service_quanta * self.arbiter.service_latency)
                 self.port.mark_busy(now, self.config.port_occupancy)
                 self._events.push_at(
                     now + self.config.latency, (_PORT_DONE, entry.payload)
                 )
-
-    def _report_grant(self, entry: ArbiterEntry, now: int) -> None:
-        """Tell the probe the port arbiter granted ``entry``."""
-        arbiter = self.arbiter
-        tid = entry.thread_id
-        self._probe.arbiter_granted(
-            arbiter.trace_name, tid, now,
-            entry.service_quanta * arbiter.service_latency,
-            arbiter.pending_for(tid))
 
     def _port_done(self, access: _L3Access, now: int) -> None:
         hit = self.array.lookup(access.line)

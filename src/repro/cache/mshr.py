@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.telemetry.events import CAT_MSHR, PH_COUNTER, TraceEvent
-
 
 @dataclass
 class MSHREntry:
@@ -32,24 +30,13 @@ class MSHRFile:
         self._entries: Dict[int, MSHREntry] = {}
         self.primary_misses = 0
         self.secondary_misses = 0
-        # Telemetry (repro.telemetry): None = disabled = free.
-        self._trace = None
         self.trace_name = "mshrs"
-        # Lifecycle probe (repro.telemetry.probe): the owning thread's
-        # reads enter the lifecycle at primary allocate and leave it at
-        # complete; both change the file's occupancy.
+        # Lifecycle probe (repro.telemetry.probe): None = disabled =
+        # free.  The owning thread's reads enter the lifecycle at
+        # primary allocate and leave it at complete; both change the
+        # file's occupancy.
         self._probe = None
         self.thread_id = thread_id
-
-    def _emit_occupancy(self, now: int, what: str, line: int) -> None:
-        # Counter events carry numeric series only (Perfetto renders each
-        # args key as one counter series; strings would corrupt the
-        # track).  ``what``/``line`` detail belongs to request spans.
-        self._trace.emit(TraceEvent(
-            ts=now, phase=PH_COUNTER, category=CAT_MSHR,
-            name=self.trace_name, track=self.trace_name,
-            args={"outstanding": len(self._entries)},
-        ))
 
     def lookup(self, line: int) -> Optional[MSHREntry]:
         return self._entries.get(line)
@@ -80,8 +67,6 @@ class MSHRFile:
             line=line, primary_seq=seq, is_prefetch=is_prefetch
         )
         self.primary_misses += 1
-        if self._trace is not None and now >= 0:
-            self._emit_occupancy(now, "allocate", line)
         if self._probe is not None and now >= 0:
             self._probe.mshr_allocated(self.thread_id, self.trace_name,
                                        len(self._entries), now)
@@ -93,8 +78,6 @@ class MSHRFile:
         entry = self._entries.pop(line, None)
         if entry is None:
             raise KeyError(f"no MSHR outstanding for line {line:#x}")
-        if self._trace is not None and now >= 0:
-            self._emit_occupancy(now, "retire", line)
         if self._probe is not None and now >= 0:
             self._probe.mshr_completed(self.thread_id, self.trace_name,
                                        len(self._entries), now)

@@ -42,16 +42,15 @@ class SetView:
 class ReplacementPolicy(ABC):
     """Chooses a victim way when a set is full.
 
-    Instrumentation follows the engine-wide contract: ``_trace`` (the
-    telemetry bus) and ``_probe`` (the lifecycle probe) are ``None``
-    until the system points them at a bus or a metrics view (one
-    ``is not None`` test each per victimization when disabled).
-    ``clock`` supplies the current simulated cycle — ``choose_victim``
-    itself is timing-free by design, so the system wires in its clock at
-    construction rather than widening the policy interface.
+    Instrumentation follows the engine-wide contract: ``_probe`` (the
+    lifecycle probe) is ``None`` until the system wires it for a metrics
+    view or a trace sink (one ``is not None`` test per victimization
+    when disabled).  ``clock`` supplies the current simulated cycle —
+    ``choose_victim`` itself is timing-free by design, so the system
+    wires in its clock at construction rather than widening the policy
+    interface.
     """
 
-    _trace = None
     _probe = None
     trace_name = "capacity"
     clock = None

@@ -22,8 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, List, Optional
 
-from repro.telemetry.events import CAT_ARBITER, PH_INSTANT, TraceEvent
-
 
 _entry_order = itertools.count()
 
@@ -55,22 +53,20 @@ class ArbiterEntry:
 class Arbiter(ABC):
     """Selects which pending entry accesses the shared resource next.
 
-    Every arbiter — baseline or VPC — emits ``enqueue``/``grant``
-    trace events when a bus is attached (``_trace`` is ``None``
-    otherwise: the zero-overhead-when-disabled contract).  The
-    interference attributor and QoS metrics count the same enqueues and
-    grants through the lifecycle probe of the component that owns the
-    arbiter (an L2 bank or the L3 port), so the baselines the paper
-    indicts are observable with the same instruments as the VPC design
-    that fixes them.  ``service_latency`` sizes the real busy window a
-    grant implies (``service_quanta`` base latencies).
+    An arbiter holds only its queues and (for VPC) its virtual-time
+    registers; it carries no instrumentation.  The component that owns
+    it (an L2 bank or the L3 port) reports every enqueue and grant
+    through its lifecycle probe, which reads ``trace_name`` and
+    ``pending_for`` here — so the baselines the paper indicts are
+    observable with the same instruments as the VPC design that fixes
+    them.  ``service_latency`` sizes the real busy window a grant
+    implies (``service_quanta`` base latencies).
 
     The hierarchy is slotted (``abc.ABC`` contributes empty slots):
     enqueue/select attribute reads sit on the engine hot path.
     """
 
-    __slots__ = ("n_threads", "service_latency", "grants", "_trace",
-                 "trace_name")
+    __slots__ = ("n_threads", "service_latency", "grants", "trace_name")
 
     def __init__(self, n_threads: int, service_latency: int = 1) -> None:
         if n_threads < 1:
@@ -82,7 +78,6 @@ class Arbiter(ABC):
         self.n_threads = n_threads
         self.service_latency = service_latency
         self.grants = 0
-        self._trace = None
         self.trace_name = "arbiter"
 
     @abstractmethod
@@ -103,21 +98,6 @@ class Arbiter(ABC):
                 f"thread {entry.thread_id} out of range [0, {self.n_threads})"
             )
 
-    def _emit_enqueue(self, entry: ArbiterEntry, now: int, pending: int) -> None:
-        self._trace.emit(TraceEvent(
-            ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
-            name="enqueue", track=self.trace_name, tid=entry.thread_id,
-            args={"pending": pending},
-        ))
-
-    def _emit_grant(self, entry: ArbiterEntry, now: int, pending: int) -> None:
-        self._trace.emit(TraceEvent(
-            ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
-            name="grant", track=self.trace_name, tid=entry.thread_id,
-            dur=entry.service_quanta * self.service_latency,
-            args={"pending": pending},
-        ))
-
 
 class FCFSArbiter(Arbiter):
     """Strict arrival-order service across all threads."""
@@ -134,8 +114,6 @@ class FCFSArbiter(Arbiter):
         entry.arrival = now
         self._queue.append(entry)
         self._pending[entry.thread_id] += 1
-        if self._trace is not None:
-            self._emit_enqueue(entry, now, self._pending[entry.thread_id])
 
     def select(self, now: int) -> Optional[ArbiterEntry]:
         if not self._queue:
@@ -143,8 +121,6 @@ class FCFSArbiter(Arbiter):
         self.grants += 1
         entry = self._queue.popleft()
         self._pending[entry.thread_id] -= 1
-        if self._trace is not None:
-            self._emit_grant(entry, now, self._pending[entry.thread_id])
         return entry
 
     def __len__(self) -> int:
@@ -178,8 +154,6 @@ class RoWFCFSArbiter(Arbiter):
         else:
             self._reads.append(entry)
         self._pending[entry.thread_id] += 1
-        if self._trace is not None:
-            self._emit_enqueue(entry, now, self._pending[entry.thread_id])
 
     def select(self, now: int) -> Optional[ArbiterEntry]:
         if self._reads:
@@ -190,8 +164,6 @@ class RoWFCFSArbiter(Arbiter):
             return None
         self.grants += 1
         self._pending[entry.thread_id] -= 1
-        if self._trace is not None:
-            self._emit_grant(entry, now, self._pending[entry.thread_id])
         return entry
 
     def __len__(self) -> int:

@@ -24,12 +24,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.cache.replacement import ReplacementPolicy, SetView
-from repro.telemetry.events import (
-    CAT_CACHE,
-    PH_COUNTER,
-    PH_INSTANT,
-    TraceEvent,
-)
 
 
 def ways_quota(capacity_shares: Sequence[float], ways: int) -> List[int]:
@@ -102,21 +96,18 @@ class VPCCapacityManager(ReplacementPolicy):
                 best_way = way
         if best_way >= 0:
             self.condition1_evictions += 1
-            if self._trace is not None:
-                self._emit(set_view, requester, "cond1", best_way,
-                           occupancy, excess=best_excess)
             if self._probe is not None:
-                self._probe.victimized("cond1", requester, self.clock())
+                self._report(set_view, requester, "cond1", best_way,
+                             occupancy, best_excess)
             return best_way
 
         # Condition 2: the requester's own LRU line.
         for way in lru_ways:
             if set_view.owners[way] == requester:
                 self.condition2_evictions += 1
-                if self._trace is not None:
-                    self._emit(set_view, requester, "cond2", way, occupancy)
                 if self._probe is not None:
-                    self._probe.victimized("cond2", requester, self.clock())
+                    self._report(set_view, requester, "cond2", way,
+                                 occupancy)
                 return way
 
         # The requester owns nothing in the set and nobody else is over
@@ -125,38 +116,19 @@ class VPCCapacityManager(ReplacementPolicy):
         # insert can proceed (the guarantee of every quota-holding thread
         # is still respected because none of them is over quota by <= 0).
         self.condition2_evictions += 1
-        if self._trace is not None:
-            self._emit(set_view, requester, "cond2", lru_ways[0], occupancy)
         if self._probe is not None:
-            self._probe.victimized("cond2", requester, self.clock())
+            self._report(set_view, requester, "cond2", lru_ways[0],
+                         occupancy)
         return lru_ways[0]
 
-    def _emit(
-        self,
-        set_view: SetView,
-        requester: int,
-        condition: str,
-        way: int,
-        occupancy: List[int],
-        excess: int = 0,
-    ) -> None:
-        """One victimization: a condition instant plus the set's per-
-        thread way-occupancy as a counter sample (a Perfetto counter
-        track per set).  Occupancy is pre-eviction — the state the
-        decision was made against."""
-        now = self.clock() if self.clock is not None else 0
-        self._trace.emit(TraceEvent(
-            ts=now, phase=PH_INSTANT, category=CAT_CACHE,
-            name=condition, track=self.trace_name, tid=requester,
-            args={"set": set_view.index, "way": way,
-                  "victim": set_view.owners[way], "excess": excess},
-        ))
-        self._trace.emit(TraceEvent(
-            ts=now, phase=PH_COUNTER, category=CAT_CACHE,
-            name="ways", track=f"{self.trace_name}.set{set_view.index}",
-            args={f"t{tid}": occupancy[tid]
-                  for tid in range(self.n_threads)},
-        ))
+    def _report(self, set_view: SetView, requester: int, condition: str,
+                way: int, occupancy: List[int], excess: int = 0) -> None:
+        """One victimization, to the probe: the condition, the set and
+        way, and the set's per-thread way occupancy before the eviction
+        — the state the decision was made against."""
+        self._probe.victimized(condition, requester, self.clock(),
+                               self.trace_name, set_view, way, occupancy,
+                               excess)
 
     def guarantees_respected(self, set_view: SetView) -> bool:
         """Audit helper: no thread below quota while another is above.

@@ -39,7 +39,6 @@ from collections import deque
 from typing import Deque, List, Optional, Sequence
 
 from repro.core.arbiter import Arbiter, ArbiterEntry
-from repro.telemetry.events import CAT_ARBITER, PH_INSTANT, TraceEvent
 
 
 class VPCArbiter(Arbiter):
@@ -87,7 +86,7 @@ class VPCArbiter(Arbiter):
         self._buffers: List[Deque[ArbiterEntry]] = [deque() for _ in range(n_threads)]
         self._size = 0  # incremental total; len() sits on the bank hot path
         # Instrumentation: real service cycles granted per thread.
-        # (_trace / trace_name / service_latency live on the base class.)
+        # (trace_name / service_latency live on the base class.)
         self.service_granted: List[int] = [0] * n_threads
 
     # ------------------------------------------------------------------ #
@@ -151,13 +150,6 @@ class VPCArbiter(Arbiter):
             self._r_s[tid] = float(now)  # Eq. 6
         buffer.append(entry)
         self._size += 1
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
-                name="enqueue", track=self.trace_name, tid=tid,
-                args={"pending": len(self._buffers[tid]),
-                      "vstart": self._r_s[tid]},
-            ))
 
     def select(self, now: int) -> Optional[ArbiterEntry]:
         # Hot path: this runs on every grant of every shared resource.
@@ -220,14 +212,6 @@ class VPCArbiter(Arbiter):
             best_entry.service_quanta * self.service_latency
         )
         self.grants += 1
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
-                name="grant", track=self.trace_name, tid=best_tid,
-                dur=best_entry.service_quanta * self.service_latency,
-                args={"pending": len(self._buffers[best_tid]),
-                      "vfinish": best_finish},
-            ))
         return best_entry
 
     def _pick_within_thread(self, buffer: Deque[ArbiterEntry]) -> ArbiterEntry:

@@ -85,9 +85,11 @@ class RunSpec:
       .ResilienceConfig` routing batches through the journaled,
       checkpointing fleet;
     * ``progress``, ``telemetry``, ``live``, ``spans`` — parent-side
-      observers: a progress reporter, an orchestration-event bus, the
-      ``--serve`` :class:`~repro.telemetry.server.LiveRun` feed (which
-      needs ``metrics``), and a host-time
+      observers: a progress reporter, the trace sink orchestration
+      events land in (the runner's ``--trace``
+      :class:`~repro.telemetry.bus.RingBufferSink`), the ``--serve``
+      :class:`~repro.telemetry.server.LiveRun` feed (which needs
+      ``metrics``), and a host-time
       :class:`~repro.telemetry.spans.SpanTracer`.  They hold threads,
       sockets and files, so they never cross into a worker process: a
       pickled spec carries its settings only.
@@ -282,7 +284,7 @@ class PointRun:
     The one path from a :class:`SimPoint` plus a :class:`RunSpec` to a
     finished :class:`SimulationResult`: :func:`run_point` is
     ``PointRun.build(point, spec).run()``.  The single-run CLI builds
-    its own (adding its trace bus, the solo baselines its metrics
+    its own (adding its trace sink, the solo baselines its metrics
     collector tracks, and a QoS monitor for the report card) so it can
     read ``system`` and ``monitor`` afterwards; both checkpoint-resume
     paths (the fleet's and ``--resume-checkpoint``) finish through
@@ -306,18 +308,17 @@ class PointRun:
 
     @classmethod
     def build(cls, point: SimPoint, spec: RunSpec, resumable: bool = False,
-              bus=None, baseline_ipcs=None,
+              sink=None, baseline_ipcs=None,
               monitor: bool = False) -> "PointRun":
         """Build the point's system and attach what ``spec`` asks for.
 
         ``resumable`` wraps each trace in a picklable cursor so the run
         can checkpoint (plain runs keep the raw generators — the
-        zero-overhead path).  ``bus`` is a telemetry bus carrying trace
-        sinks (the CLI's ``--trace``/``--histograms``); the views never
-        need one.  ``baseline_ipcs`` are solo IPCs the metrics
-        collector tracks slowdown against; ``monitor`` adds a
-        :class:`~repro.core.monitor.QoSMonitor` on VPC points with
-        metrics on.
+        zero-overhead path).  ``sink`` is the CLI's ``--trace`` sink,
+        attached to the system's lifecycle probe.  ``baseline_ipcs``
+        are solo IPCs the metrics collector tracks slowdown against;
+        ``monitor`` adds a :class:`~repro.core.monitor.QoSMonitor` on
+        VPC points with metrics on.
         """
         if resumable:
             from repro.resilience.snapshot import ResumableTrace
@@ -334,7 +335,7 @@ class PointRun:
             vpc_selection=point.vpc_selection,
             smt_degree=point.smt_degree,
             kernel=spec.kernel,
-            telemetry=bus,
+            telemetry=sink,
         )
         if point.smt_degree == 1:
             # Both views assume one hardware thread per core; SMT points

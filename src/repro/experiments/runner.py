@@ -275,14 +275,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 + " ".join(kept + ["--resume", str(run_dir)]))
 
     progress = ring = None
-    telemetry = None
     if args.progress or args.serve is not None:
         from repro.telemetry.progress import ProgressReporter
         progress = ProgressReporter()
     if args.trace:
-        from repro.telemetry.bus import RingBufferSink, TelemetryBus
-        telemetry = TelemetryBus()
-        ring = telemetry.attach(RingBufferSink())
+        from repro.telemetry.bus import RingBufferSink
+        ring = RingBufferSink()
     if args.stacks is not None and not args.cpi_stacks:
         parser.error("--stacks requires --cpi-stacks")
     slo_rules = ()
@@ -297,9 +295,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = None
     if args.spans is not None:
         from repro.telemetry.spans import SpanTracer
-        # Sharing the --trace bus (when present) lands host-time spans
+        # Sharing the --trace sink (when present) lands host-time spans
         # in the same Perfetto export as the orchestration events.
-        tracer = SpanTracer(sink=telemetry)
+        tracer = SpanTracer(sink=ring)
     from repro.telemetry.alerts import close_alerts, open_alerts
     engine = open_alerts(parser, args)
     metrics_window = None
@@ -328,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "add --controller or --policy lfoc")
     try:
         parallel.configure(jobs=args.jobs, cache=not args.no_cache,
-                           progress=progress, telemetry=telemetry,
+                           progress=progress, telemetry=ring,
                            metrics=metrics_window, live=live,
                            resilience=resilience,
                            kernel=args.kernel or DEFAULT_KERNEL,

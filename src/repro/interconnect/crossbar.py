@@ -15,7 +15,6 @@ from typing import Iterator, List
 from repro.common.config import CrossbarConfig
 from repro.common.latch import DelayLine
 from repro.common.records import MemoryRequest
-from repro.telemetry.events import CAT_XBAR, PH_COMPLETE, TraceEvent
 
 
 class Crossbar:
@@ -31,30 +30,23 @@ class Crossbar:
         self._responses: List[DelayLine] = [
             DelayLine(config.response_latency) for _ in range(n_cores)
         ]
-        # Telemetry (repro.telemetry): None = disabled = free.
-        self._trace = None
+        # Lifecycle probe (repro.telemetry.probe): None = disabled =
+        # free; wired only for a trace sink, the one view of transport.
+        self._probe = None
 
     def send_request(self, core_id: int, request: MemoryRequest, now: int) -> None:
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=now, phase=PH_COMPLETE, category=CAT_XBAR,
-                name="xbar-req", track=f"t{request.thread_id}",
-                tid=request.thread_id, dur=self.config.latency,
-                args={"req": request.req_id},
-            ))
+        if self._probe is not None:
+            self._probe.crossed("xbar-req", request, self.config.latency,
+                                now)
         self._requests[core_id].push(now, request)
 
     def deliver_requests(self, core_id: int, now: int) -> Iterator[MemoryRequest]:
         return self._requests[core_id].pop_ready(now)
 
     def send_response(self, core_id: int, request: MemoryRequest, now: int) -> None:
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=now, phase=PH_COMPLETE, category=CAT_XBAR,
-                name="xbar-resp", track=f"t{request.thread_id}",
-                tid=request.thread_id, dur=self.config.response_latency,
-                args={"req": request.req_id},
-            ))
+        if self._probe is not None:
+            self._probe.crossed("xbar-resp", request,
+                                self.config.response_latency, now)
         self._responses[core_id].push(now, request)
 
     def deliver_responses(self, core_id: int, now: int) -> Iterator[MemoryRequest]:

@@ -19,7 +19,6 @@ from typing import Callable, Deque, Optional
 
 from repro.common.config import MemoryConfig
 from repro.common.latch import NEVER
-from repro.telemetry.events import CAT_DRAM, PH_COMPLETE, TraceEvent
 
 
 @dataclass
@@ -45,10 +44,8 @@ class DRAMChannel:
         self.reads_done = 0
         self.writes_done = 0
         self.bus_busy_cycles = 0
-        # Telemetry (repro.telemetry): None = disabled = free.
-        self._trace = None
         self.trace_name = "dram"
-        # Lifecycle probe (repro.telemetry.probe): same contract.
+        # Lifecycle probe (repro.telemetry.probe): None = disabled = free.
         self._probe = None
 
     # ------------------------------------------------------------------ #
@@ -110,17 +107,10 @@ class DRAMChannel:
         self._bank_free[bank] = data_end + cfg.t_rp * d
         self._bus_free = data_end
         self.bus_busy_cycles += cfg.burst_cycles * d
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=data_start, phase=PH_COMPLETE, category=CAT_DRAM,
-                name="write" if is_write else "read",
-                track=self.trace_name, tid=self.thread_id,
-                dur=cfg.burst_cycles * d,
-                args={"line": access.line, "bank": bank},
-            ))
         if self._probe is not None:
             self._probe.dram_issued(self.trace_name, self.thread_id,
-                                    access.line, access.tracked, data_start,
+                                    access.line, is_write, bank,
+                                    access.tracked, data_start,
                                     cfg.burst_cycles * d, now)
         if access.notify is not None:
             access.notify(data_end)

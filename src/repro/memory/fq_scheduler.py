@@ -27,7 +27,6 @@ from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.common.config import MemoryConfig
 from repro.common.latch import NEVER
-from repro.telemetry.events import CAT_DRAM, PH_COMPLETE, TraceEvent
 
 
 @dataclass
@@ -78,11 +77,10 @@ class SharedDRAMChannel:
         self.reads_done = 0
         self.writes_done = 0
         self.service_granted = [0] * n_threads
-        # Telemetry (repro.telemetry): None = disabled = free.
-        self._trace = None
         self.trace_name = "dram.shared"
-        # Lifecycle probe (repro.telemetry.probe); the shared channel
-        # charges each access to its own thread.
+        # Lifecycle probe (repro.telemetry.probe): None = disabled =
+        # free.  The shared channel charges each access to its own
+        # thread.
         self._probe = None
 
     # ------------------------------------------------------------------ #
@@ -204,17 +202,10 @@ class SharedDRAMChannel:
         data_end = data_start + cfg.burst_cycles * d
         self._bank_free[access.line % self.n_banks] = data_end + cfg.t_rp * d
         self._bus_free = data_end
-        if self._trace is not None:
-            self._trace.emit(TraceEvent(
-                ts=data_start, phase=PH_COMPLETE, category=CAT_DRAM,
-                name="write" if access.is_write else "read",
-                track=self.trace_name, tid=access.thread_id,
-                dur=cfg.burst_cycles * d,
-                args={"line": access.line},
-            ))
         if self._probe is not None:
             self._probe.dram_issued(self.trace_name, access.thread_id,
-                                    access.line, access.tracked, data_start,
+                                    access.line, access.is_write, None,
+                                    access.tracked, data_start,
                                     cfg.burst_cycles * d, now)
         if access.notify is not None:
             access.notify(data_end)

@@ -51,8 +51,10 @@ from repro.workloads import build_trace
 #: metrics collector, attributor and QoS monitor moved from the
 #: telemetry bus onto the probe, the QoS controller lost its private
 #: collector, and cache arrays count lines per owner (a schema-2 graph
-#: would resume with its views detached).
-CHECKPOINT_SCHEMA_VERSION = 3
+#: would resume with its views detached).  4: the trace became a view on
+#: the probe, so arbiters and every other component lost their
+#: ``_trace`` slot (a schema-3 arbiter cannot unpickle).
+CHECKPOINT_SCHEMA_VERSION = 4
 
 _MAGIC = b"REPRO-CKPT\n"
 

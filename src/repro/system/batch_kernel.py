@@ -60,7 +60,6 @@ from __future__ import annotations
 from heapq import heappop
 
 from repro.common.latch import NEVER
-from repro.telemetry.events import CAT_KERNEL, PH_INSTANT, TraceEvent
 
 
 def _resource_context(resource):
@@ -257,14 +256,13 @@ def run_batch(system, cycles: int) -> None:
             prop_channels.append(channel)
     can_read = memory.can_accept_read
     can_write = memory.can_accept_write
-    trace = system.telemetry
     # The only mid-cycle reader of system.cycle is the replacement
-    # policies' clock, which stamps victimizations for the bus and for
-    # the probe's metrics view — keep the attribute synchronized
+    # policies' clock, which stamps victimizations for the probe's
+    # metrics view and its trace sink — keep the attribute synchronized
     # exactly when one of them can observe it.
     probe = system._probe
-    sync_clock = trace is not None or (
-        probe is not None and probe.metrics is not None)
+    traced = probe is not None and probe.sink is not None
+    sync_clock = traced or (probe is not None and probe.metrics is not None)
 
     # Scheduling state — ephemeral, rebuilt every run() (see module
     # docstring).  Sleep flags seed from the (sticky) quiescence memo;
@@ -411,13 +409,8 @@ def run_batch(system, cycles: int) -> None:
         delta = target - (now + 1)
         system.skipped_cycles += delta
         taken += 1
-        if trace is not None:
-            trace.emit(TraceEvent(
-                ts=now + 1, phase=PH_INSTANT, category=CAT_KERNEL,
-                name="skip", track="kernel", dur=delta,
-                args={"to": target,
-                      "skipped_total": system.skipped_cycles},
-            ))
+        if traced:
+            probe.skipped(now + 1, delta, target, system.skipped_cycles)
         now = target
 
     # Settle: every sleeping core owes per-cycle accounting up to the

@@ -33,8 +33,6 @@ from repro.cpu.isa import TraceItem
 from repro.interconnect.crossbar import Crossbar
 from repro.memory.controller import MemoryController
 from repro.system.kernel import DEFAULT_KERNEL, KERNELS
-from repro.telemetry.bus import RequestLogSink, TelemetryBus
-from repro.telemetry.events import CAT_REQUEST, PH_END, TraceEvent
 
 
 class CMPSystem:
@@ -50,7 +48,7 @@ class CMPSystem:
         record_requests: bool = False,
         smt_degree: int = 1,
         kernel: str = DEFAULT_KERNEL,
-        telemetry: Optional[TelemetryBus] = None,
+        telemetry=None,
     ) -> None:
         config.validate()
         if len(traces) != config.n_threads:
@@ -73,17 +71,18 @@ class CMPSystem:
         self.intra_thread_row = intra_thread_row
         self.vpc_selection = vpc_selection
         self.record_requests = record_requests
-        # The telemetry bus serves --trace/--histograms sinks and the
-        # legacy request log; attached at the end of __init__
-        # (components must exist first).
-        self.telemetry: Optional[TelemetryBus] = None
-        self._request_log_sink: Optional[RequestLogSink] = None
+        # The trace sink (``--trace``: anything with ``emit``), one
+        # more view on the lifecycle probe; QoS and feedback decisions
+        # and CPI counter tracks emit to it too.  It and the request log
+        # attach at the end of __init__ (components must exist first).
+        self.telemetry = None
+        self._request_log = None
         # Views on the lifecycle probe (telemetry.probe), created with
         # the first: cycle accounting (telemetry.cycles), request
         # tracing (telemetry.requests), windowed metrics
         # (telemetry.metrics), interference attribution
         # (telemetry.attribution) and the QoS monitor (core.monitor).
-        # Each is None when disabled — same contract as the bus.
+        # Each is None when disabled, so a disabled view is free.
         self.cycle_accounting = None
         self.request_tracer = None
         self.metrics_collector = None
@@ -108,9 +107,9 @@ class CMPSystem:
         # Arbiters grouped by the resource they guard ("tag", "data",
         # "bus"), so per-resource control-register writes reach exactly
         # the right arbiters (the paper's general allocation form).
-        # Baseline (FCFS / RoW-FCFS) arbiters register here too so
-        # telemetry attachment and the interference attributor see every
-        # arbiter regardless of policy; register writes stay VPC-only.
+        # Baseline (FCFS / RoW-FCFS) arbiters register here too, so
+        # every arbiter gets its "bank<index>.<resource>" track name
+        # regardless of policy; register writes stay VPC-only.
         self._vpc_arbiters: Dict[str, List[Arbiter]] = {
             "tag": [], "data": [], "bus": [], "l3": [],
         }
@@ -192,47 +191,23 @@ class CMPSystem:
         self.registers.subscribe(self._on_register_write)
 
         if telemetry is not None:
-            self.attach_telemetry(telemetry)
+            self.telemetry = telemetry
+            self._attach_view(sink=telemetry)
         if record_requests:
-            # The legacy request log rides the telemetry bus like any
-            # other subscriber (a private bus if none was supplied).
-            if self.telemetry is None:
-                self.attach_telemetry(TelemetryBus())
-            self._request_log_sink = self.telemetry.attach(RequestLogSink())
+            from repro.telemetry.histograms import RequestLog
+            self._request_log = RequestLog()
+            self._attach_view(log=self._request_log)
 
     # ------------------------------------------------------------------ #
-    # Telemetry.
+    # Telemetry: views on the one lifecycle probe.  With none attached
+    # every instrumentation point is a single ``is not None`` test — the
+    # zero-overhead-when-disabled contract (docs/ARCHITECTURE.md
+    # "Observability").
     # ------------------------------------------------------------------ #
-
-    def attach_telemetry(self, bus: TelemetryBus) -> TelemetryBus:
-        """Enable tracing: point every instrumented component at ``bus``.
-
-        The bus carries ``TraceEvent`` records for trace sinks
-        (``--trace``, ``--histograms``) and the legacy request log; the
-        aggregating views count through the lifecycle probe instead.
-        With no bus attached every instrumentation point is a single
-        ``is not None`` test — the zero-overhead-when-disabled contract
-        (docs/ARCHITECTURE.md "Observability").
-        """
-        self.telemetry = bus
-        for arbiters in self._vpc_arbiters.values():
-            for arbiter in arbiters:
-                arbiter._trace = bus
-        for bank in self.banks:
-            bank._trace = bus
-        for policy in self._capacity_policies():
-            policy._trace = bus
-        self.crossbar._trace = bus
-        for channel in self.memory.channels:
-            channel._trace = bus
-        for core in self.cores:
-            core.mshrs._trace = bus
-        return bus
 
     def attach_cycle_accounting(self, acct=None):
         """Enable per-thread CPI-stack accounting with one
-        :class:`~repro.telemetry.cycles.CycleAccounting` instance.  Same
-        zero-overhead-when-disabled contract as :meth:`attach_telemetry`.
+        :class:`~repro.telemetry.cycles.CycleAccounting` instance.
         The accounting state is part of the system object graph, so
         checkpoints carry it for free.
         """
@@ -246,10 +221,8 @@ class CMPSystem:
     def attach_request_tracing(self, tracer=None, exemplar_k: int = 8,
                                slo_rules=()):
         """Enable request-scope tracing with one
-        :class:`~repro.telemetry.requests.RequestTracer`.  Same
-        zero-overhead-when-disabled contract as
-        :meth:`attach_cycle_accounting`; the tracer state rides the
-        system object graph through checkpoints.
+        :class:`~repro.telemetry.requests.RequestTracer`; the tracer
+        state rides the system object graph through checkpoints.
         """
         from repro.telemetry.requests import RequestTracer
         if tracer is None:
@@ -264,9 +237,7 @@ class CMPSystem:
         """Enable windowed metrics with one
         :class:`~repro.telemetry.metrics.MetricsCollector` (pass it to
         :func:`~repro.system.simulator.run_simulation` too, which pulls
-        its gauge samples at window boundaries).  Same
-        zero-overhead-when-disabled contract as
-        :meth:`attach_cycle_accounting`."""
+        its gauge samples at window boundaries)."""
         self._attach_view(metrics=collector)
         self.metrics_collector = collector
         return collector
@@ -281,19 +252,34 @@ class CMPSystem:
         self.attributor = attributor
         return attributor
 
+    def attach_histograms(self, histograms=None):
+        """Enable per-thread, per-stage latency histograms
+        (``--histograms``) with one
+        :class:`~repro.telemetry.histograms.LatencyHistograms`, handed
+        every retired demand load."""
+        from repro.telemetry.histograms import LatencyHistograms
+        if histograms is None:
+            histograms = LatencyHistograms()
+        self._attach_view(histograms=histograms)
+        return histograms
+
     def _attach_view(self, **views):
         """Attach views to the one lifecycle probe (created on first
         use) and return it.  The probe is wired only onto components
         whose events an attached view consumes:
 
-        * banks for every view but the load counters, which the probe
-          keeps from request retirements alone;
-        * cores for CPI stacks, MSHR files for CPI stacks and metrics;
+        * banks for every view but the load counters, the histograms
+          and the request log, which the probe feeds from request
+          retirements alone;
+        * cores for CPI stacks, MSHR files for CPI stacks, metrics and
+          the trace;
         * the L3 port for the arbiter-level views (attribution, metrics,
-          the QoS monitor), capacity managers for metrics;
-        * DRAM channels for metrics, and for the lifecycle views unless
-          an L3 sits in front of memory (below-L2 time is then one
-          dram_queue stage; the L3 port is not staged).
+          the QoS monitor, the trace), capacity managers for metrics
+          and the trace;
+        * DRAM channels for metrics and the trace, and for the
+          lifecycle views unless an L3 sits in front of memory (below-L2
+          time is then one dram_queue stage; the L3 port is not staged);
+        * the crossbar for the trace alone.
         """
         from repro.telemetry.probe import LifecycleProbe
         if self.smt_degree != 1 and (views.get("acct") is not None
@@ -310,23 +296,26 @@ class CMPSystem:
                                                  dram_hooked=self.l3 is None)
         probe.attach(**views)
         collecting = probe.metrics is not None
-        if probe.staged or probe.counting:
+        traced = probe.sink is not None
+        if probe.staged or probe.arbitrated:
             for bank in self.banks:
                 bank._probe = probe
-        if probe.counting and self.l3 is not None:
+        if probe.arbitrated and self.l3 is not None:
             self.l3._probe = probe
-        if collecting or (probe.staged and self.l3 is None):
+        if collecting or traced or (probe.staged and self.l3 is None):
             for channel in self.memory.channels:
                 channel._probe = probe
         if probe.acct is not None:
             for core in self.cores:
                 core._probe = probe
-        if probe.acct is not None or collecting:
+        if probe.acct is not None or collecting or traced:
             for core in self.cores:
                 core.mshrs._probe = probe
-        if collecting:
+        if collecting or traced:
             for policy in self._capacity_policies():
                 policy._probe = probe
+        if traced:
+            self.crossbar._probe = probe
         return probe
 
     def _capacity_policies(self) -> List[ReplacementPolicy]:
@@ -353,10 +342,8 @@ class CMPSystem:
         controller observes the run's load counters (:meth:`load_totals`,
         kept by the lifecycle probe, created here if none exists yet)
         and programs shares exclusively through :attr:`registers` — it
-        gets no other handle into the machine.  Same
-        zero-overhead-when-disabled contract as
-        :meth:`attach_cycle_accounting`; controller state is part of the
-        system object graph, so checkpoints carry it.
+        gets no other handle into the machine.  Controller state is
+        part of the system object graph, so checkpoints carry it.
         """
         if self.config.arbiter != "vpc":
             raise ValueError(
@@ -378,8 +365,8 @@ class CMPSystem:
         """Completed demand+prefetch loads, in retirement order (only
         populated with ``record_requests=True``; live list, so callers
         may ``clear()`` it between measurement intervals)."""
-        sink = self._request_log_sink
-        return sink.requests if sink is not None else []
+        log = self._request_log
+        return log.requests if log is not None else []
 
     # ------------------------------------------------------------------ #
     # Component factories and wiring callbacks.
@@ -444,17 +431,7 @@ class CMPSystem:
 
     def _respond(self, request: MemoryRequest, now: int) -> None:
         # Retirement point: loads at the critical word, stores at the
-        # gather-buffer ACK — exactly once per accepted request, closing
-        # the span the bank opened in ``accept``.
-        if self.telemetry is not None:
-            self.telemetry.emit(TraceEvent(
-                ts=now, phase=PH_END, category=CAT_REQUEST,
-                name="store" if request.is_write else
-                     ("prefetch" if request.is_prefetch else "load"),
-                track=f"t{request.thread_id}", tid=request.thread_id,
-                id=request.req_id,
-                args={"request": request},
-            ))
+        # gather-buffer ACK — exactly once per accepted request.
         if self._probe is not None:
             self._probe.responded(request, now)
         self.crossbar.send_response(request.thread_id, request, now)

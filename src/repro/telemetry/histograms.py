@@ -1,11 +1,14 @@
-"""Per-thread / per-stage latency histograms over the telemetry bus.
+"""The retired-read views: latency histograms and the request log.
 
-A :class:`LatencyHistogramSink` subscribes to request-retirement events
-and bins each pipeline stage of every demand load into power-of-two
-buckets.  It subsumes the list-building half of ``repro.analysis
-.latency`` — the same stage definitions (``stage_latencies``) feed both
-— but with O(log max_latency) memory per (thread, stage) population, so
-it can watch arbitrarily long runs.
+Both are views on the lifecycle probe (:mod:`repro.telemetry.probe`),
+handed each read as it retires.  :class:`LatencyHistograms`
+(``--histograms``) bins each pipeline stage of every demand load into
+power-of-two buckets.  It subsumes the list-building half of
+``repro.analysis.latency`` — the same stage definitions
+(``stage_latencies``) feed both — but with O(log max_latency) memory per
+(thread, stage) population, so it can watch arbitrarily long runs.
+:class:`RequestLog` (``record_requests``) keeps the stamped requests
+that ``repro.analysis.latency`` reads.
 
 Exact ``count`` / ``mean`` / ``max`` are maintained alongside the
 buckets; percentiles are bucket-resolution approximations (reported as
@@ -21,8 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analysis.latency import stage_latencies
-
-from .events import CAT_REQUEST, PH_END, TraceEvent
+from repro.common.records import MemoryRequest
 
 
 class Histogram:
@@ -71,21 +73,16 @@ class Histogram:
         return out
 
 
-class LatencyHistogramSink:
+class LatencyHistograms:
     """Bins every retired demand load by (thread, stage)."""
 
     def __init__(self):
         self.histograms: Dict[Tuple[int, str], Histogram] = {}
 
-    def emit(self, event: TraceEvent) -> None:
-        if event.category != CAT_REQUEST or event.phase != PH_END:
-            return
-        args = event.args
-        request = args.get("request") if args else None
-        if request is None or not request.is_read or request.is_prefetch:
-            return
+    def record(self, thread_id: int, request: MemoryRequest) -> None:
+        """Bin one demand load, retired at its critical word."""
         for stage, latency in stage_latencies(request).items():
-            key = (event.tid, stage)
+            key = (thread_id, stage)
             hist = self.histograms.get(key)
             if hist is None:
                 hist = self.histograms[key] = Histogram()
@@ -110,3 +107,30 @@ class LatencyHistogramSink:
                 f"{hist.percentile(0.99):>7.0f} {hist.maximum:>7}"
             )
         return "\n".join(lines)
+
+
+class RequestLog:
+    """Retired reads (demand and prefetch), in retirement order — bounded.
+
+    Backs ``CMPSystem.request_log``: the analysis helpers
+    (``repro.analysis.latency``) consume the stamped ``MemoryRequest``
+    objects.  The log keeps the *first* ``capacity`` retirements (so
+    results are identical to an unbounded list on any run that fits the
+    bound) and counts the rest in ``dropped``.  Exact tail quantiles
+    over every demand load come from request tracing
+    (``repro.telemetry.requests``), not this log.
+    """
+
+    def __init__(self, capacity: int = 100_000):
+        if capacity < 0:
+            raise ValueError("request-log capacity must be >= 0")
+        self.capacity = capacity
+        self.requests: List[MemoryRequest] = []
+        self.dropped = 0
+
+    def record(self, request: MemoryRequest) -> None:
+        """Keep one retired read, or count it once the log is full."""
+        if len(self.requests) < self.capacity:
+            self.requests.append(request)
+        else:
+            self.dropped += 1

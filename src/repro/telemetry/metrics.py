@@ -48,7 +48,7 @@ class MetricsCollector:
     without any sorting.  ``events_seen`` counts the component events
     the collector consumed — one per hook call, two per victimization
     (the condition and the set's way-occupancy sample), matching the
-    telemetry-bus events the same hooks emit under ``--trace``.
+    trace events the probe builds from the same hooks under ``--trace``.
     """
 
     def __init__(

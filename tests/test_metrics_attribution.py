@@ -32,7 +32,7 @@ from repro.telemetry.attribution import (
     InterferenceAttributor,
     merge_attribution,
 )
-from repro.telemetry.bus import RingBufferSink, TelemetryBus
+from repro.telemetry.bus import RingBufferSink
 from repro.telemetry.events import CAT_CACHE, PH_COUNTER, PH_INSTANT
 from repro.telemetry.metrics import (
     MetricsCollector,
@@ -449,13 +449,11 @@ class TestCapacityTelemetry:
     def _traced_policy():
         from repro.cache.replacement import SetView
         from repro.core.capacity import VPCCapacityManager
-        bus = TelemetryBus()
-        ring = bus.attach(RingBufferSink())
+        ring = RingBufferSink()
         probe = LifecycleProbe(2, dram_hooked=True)
         collector = MetricsCollector(2, window=100)
-        probe.attach(metrics=collector)
+        probe.attach(metrics=collector, sink=ring)
         policy = VPCCapacityManager([0.5, 0.5], 4)  # quota 2 each
-        policy._trace = bus
         policy._probe = probe
         policy.trace_name = "bank0.capacity"
         policy.clock = lambda: 123

@@ -19,7 +19,7 @@ import pytest
 from repro.common.config import VPCAllocation, baseline_config, private_equivalent
 from repro.experiments import parallel
 from repro.experiments.parallel import SimPoint, run_point, run_points
-from repro.telemetry.bus import RingBufferSink, TelemetryBus
+from repro.telemetry.bus import RingBufferSink
 from repro.telemetry.progress import ProgressReporter
 from repro.workloads import loads_trace, save_trace
 
@@ -211,9 +211,8 @@ def test_progress_reporter_ticks_per_point():
 
 
 def test_orchestration_telemetry_events():
-    bus = TelemetryBus()
-    ring = bus.attach(RingBufferSink())
-    parallel.configure(telemetry=bus)
+    ring = RingBufferSink()
+    parallel.configure(telemetry=ring)
     point = _target_point()
     run_points([point, _two_thread_point()])
     names = sorted(event.name for event in ring)

@@ -31,7 +31,7 @@ from repro.qos.classifier import (
 )
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry.bus import RingBufferSink, TelemetryBus
+from repro.telemetry.bus import RingBufferSink
 from repro.telemetry.validate import validate
 from repro.workloads.profiles import (
     PHASED_MIXES,
@@ -320,11 +320,10 @@ class TestKernelBitIdentityWithController:
 class TestTelemetry:
     def test_decisions_land_on_the_bus(self):
         config = baseline_config(n_threads=2, arbiter="vpc")
-        bus = TelemetryBus()
-        ring = bus.attach(RingBufferSink())
+        ring = RingBufferSink()
         system = CMPSystem(config, [spec_trace("art", 0),
                                     spec_trace("mcf", 1)],
-                           telemetry=bus)
+                           telemetry=ring)
         system.attach_qos_controller(LFOCController(2, epoch_cycles=2_000))
         run_simulation(system, warmup=2_000, measure=4_000)
         events = [e for e in ring if e.track.startswith("qos.")]
@@ -338,11 +337,10 @@ class TestTelemetry:
     def test_feedback_allocator_emits_decisions(self):
         from repro.policy.feedback import FeedbackAllocator
         config = baseline_config(n_threads=2, arbiter="vpc")
-        bus = TelemetryBus()
-        ring = bus.attach(RingBufferSink())
+        ring = RingBufferSink()
         system = CMPSystem(config, [spec_trace("art", 0),
                                     spec_trace("mcf", 1)],
-                           telemetry=bus)
+                           telemetry=ring)
         system.run(2_000)
         allocator = FeedbackAllocator(system, thread_id=1, target_ipc=0.9,
                                       epoch_cycles=1_000)

@@ -30,7 +30,7 @@ from repro.experiments import parallel
 from repro.experiments.runner import run_experiment
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
-from repro.telemetry.bus import RequestLogSink
+from repro.telemetry.histograms import RequestLog
 from repro.telemetry.requests import (
     SEGMENTS,
     SLORule,
@@ -155,10 +155,12 @@ def test_bounded_request_log_keeps_first_retirements():
     config = baseline_config(n_threads=2, arbiter="fcfs")
     traces = [spec_trace("art", 0), spec_trace("mcf", 1)]
     system = CMPSystem(config, traces, record_requests=True)
-    bounded = system.telemetry.attach(RequestLogSink(capacity=3))
     run_simulation(system, warmup=0, measure=2_000)
     full = system.request_log  # default capacity: nothing dropped here
     assert len(full) > 3
+    bounded = RequestLog(capacity=3)
+    for request in full:
+        bounded.record(request)
     assert bounded.dropped == len(full) - 3
     assert bounded.requests == full[:3]
 
