@@ -124,11 +124,12 @@ def chrome_trace(events: Iterable[TraceEvent]) -> List[dict]:
 
     Async begin/end spans are balanced on the way out: a request still in
     flight when capture stops gets a synthetic end (marked
-    ``truncated``) at the last observed timestamp, and an end whose
-    begin predates capture (ring-buffer eviction) gets a synthetic
-    begin.  Perfetto renders unbalanced async events as garbage, and the
-    schema validator treats them as errors, so the exporter never emits
-    them.
+    ``truncated``) at the last observed simulated timestamp — host
+    events (``CAT_RUN``, ``CAT_HOST``) run on the wall clock, so they
+    never advance it — and an end whose begin predates capture
+    (ring-buffer eviction) gets a synthetic begin.  Perfetto renders
+    unbalanced async events as garbage, and the schema validator treats
+    them as errors, so the exporter never emits them.
     """
     tracks = _TrackIds()
     out: List[dict] = []
@@ -159,7 +160,7 @@ def chrome_trace(events: Iterable[TraceEvent]) -> List[dict]:
             record["args"] = (_counter_args(event.args)
                               if event.phase == PH_COUNTER
                               else _json_args(event.args))
-        if event.ts + event.dur > last_ts:
+        if pid != PID_HOST and event.ts + event.dur > last_ts:
             last_ts = event.ts + event.dur
         if event.phase == PH_BEGIN:
             open_spans[(event.category, record["id"])] = record
