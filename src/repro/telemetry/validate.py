@@ -50,6 +50,7 @@ from repro.telemetry.cycles import (
     DECOMPOSITION_SCHEMA,
     verify_stack,
 )
+from repro.telemetry.events import CAT_HOST, CAT_RUN
 from repro.telemetry.metrics import AGGREGATE_SCHEMA, METRICS_SCHEMA
 from repro.telemetry.report import FLEET_REPORT_SCHEMA, REPORT_SCHEMA
 from repro.telemetry.requests import REQUESTS_SCHEMA, verify_requests
@@ -104,14 +105,19 @@ def _objects(items, where: str, errors: List[str]):
 # ---------------------------------------------------------------------- #
 
 _KNOWN_PHASES = {"B", "E", "X", "i", "I", "C", "b", "e", "n", "M", "s", "t", "f"}
+#: Categories stamped in host wall-clock microseconds; every other event
+#: is stamped in simulated cycles (repro.telemetry.perfetto).
+_HOST_CATEGORIES = (CAT_RUN, CAT_HOST)
 
 
 def validate_chrome_trace(payload) -> List[str]:
     """Problems in a Chrome ``trace_event`` trace (empty = valid): the
     container shape, per-record keys, phase-specific fields (``dur`` for
     ``X``, ``id`` for ``b``/``e``, ``s`` for instants, numeric ``args``
-    series for ``C`` counters, ``args.name`` for metadata), and balanced
-    async spans per ``(cat, id)``."""
+    series for ``C`` counters, ``args.name`` for metadata), balanced
+    async spans per ``(cat, id)``, and no exporter-synthesized
+    ``truncated`` end later than every real event on its own clock
+    (host wall-clock time or simulated cycles)."""
     if isinstance(payload, dict):
         events = payload.get("traceEvents")
         if not isinstance(events, list):
@@ -122,6 +128,8 @@ def validate_chrome_trace(payload) -> List[str]:
         return [f"trace must be a list or object, got {type(payload).__name__}"]
     errors: List[str] = []
     open_spans: Dict[Tuple[str, str], int] = {}
+    latest: Dict[bool, float] = {}  # host clock? -> latest real event end
+    truncated: List[Tuple[str, bool, float]] = []
     for index, record in _objects(events, "event", errors):
         where = f"event[{index}]"
         phase = record.get("ph")
@@ -137,6 +145,15 @@ def validate_chrome_trace(payload) -> List[str]:
                 errors.append(f"{where}: metadata without args.name")
             continue
         errors += _fields(record, where, ts=_num)
+        if _num(record.get("ts")):
+            host = record.get("cat") in _HOST_CATEGORIES
+            if isinstance(args, dict) and args.get("truncated"):
+                if phase == "e":
+                    truncated.append((where, host, record["ts"]))
+            else:
+                dur = record.get("dur")
+                end = record["ts"] + (dur if _num(dur) else 0)
+                latest[host] = max(latest.get(host, end), end)
         if phase == "X" and not _num(record.get("dur")):
             errors.append(f"{where}: 'X' slice without 'dur'")
         elif phase in ("b", "e"):
@@ -161,6 +178,11 @@ def validate_chrome_trace(payload) -> List[str]:
                           for key, value in args.items() if not _num(value))
     errors.extend(f"unclosed async span {span} (depth {depth})"
                   for span, depth in open_spans.items() if depth)
+    for where, host, ts in truncated:
+        if host not in latest or ts > latest[host]:
+            clock = "host" if host else "simulated"
+            errors.append(f"{where}: truncated end at {ts} lies after "
+                          f"every real event on the {clock} clock")
     return errors
 
 
