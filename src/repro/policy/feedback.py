@@ -136,7 +136,7 @@ class FeedbackAllocator:
         return decision
 
     def _emit(self, decision: AllocationDecision) -> None:
-        """Mirror the decision onto the telemetry bus (when attached):
+        """Mirror the decision into the trace sink (when attached):
         an instant on the shared ``qos.controller`` track plus the
         subject's share as a counter, so feedback epochs line up with
         the rest of the trace in Perfetto."""

@@ -20,8 +20,8 @@ boundary into :class:`~repro.qos.classifier.EpochSignals`, runs the
 actual allocation to a subclass ``decide`` hook.  Programming is
 transactional (``load_allocation``), every epoch is audited for quota
 conservation, and every decision is recorded in memory (the
-``repro.qos-decisions/1`` document) and, when a trace bus is attached,
-on it as instants plus ``qos.*`` counter tracks.
+``repro.qos-decisions/1`` document) and, when a trace sink is attached,
+in it as instants plus ``qos.*`` counter tracks.
 
 Subclasses shipped with the repo:
 
