@@ -38,6 +38,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -545,186 +546,189 @@ def _cache_store(point: SimPoint, result: SimulationResult) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Fan-out.
+# Fan-out: one booking, three executors.
 # ---------------------------------------------------------------------- #
 
+class Batch:
+    """The books of one :func:`run_points` call, the same whichever
+    executor (inline, process pool, journaled fleet) calls :meth:`start`
+    as it dispatches a point and :meth:`finish` with its result; workers
+    stream on ``feed`` as point ``base + i``.  ``CAT_RUN`` events are
+    wall-clock microseconds from batch start, not simulated cycles."""
+
+    def __init__(self, points: Sequence[SimPoint], spec: RunSpec) -> None:
+        self.points, self.spec, self.feed = points, spec, spec.live
+        self.results: List[Optional[SimulationResult]] = [None] * len(points)
+        # Observed runs (metrics, CPI stacks, request tracing) bypass the
+        # cache: cached results carry none of those documents, and hits
+        # must not depend on observability settings.
+        self.use_cache = (spec.cache and spec.metrics is None
+                          and not spec.cpi_stacks and not spec.requests)
+        self.base = (spec.live.begin_batch(len(points))
+                     if spec.live is not None else 0)
+        self.span = (spec.spans.begin("batch", points=len(points))
+                     if spec.spans is not None else None)
+        self._t0 = time.monotonic()
+        self._started: Dict[int, Tuple[int, object]] = {}
+        if spec.progress is not None:
+            spec.progress.begin(len(points))
+
+    def _wall_us(self) -> int:
+        return int((time.monotonic() - self._t0) * 1e6)
+
+    def cached(self, index: int) -> bool:
+        """Book a cache hit for point ``index``, if it is one."""
+        point, spans = self.points[index], self.spec.spans
+        if not (self.use_cache and point.cacheable):
+            return False
+        hit = _cache_load(point)
+        cache_stats["misses" if hit is None else "hits"] += 1
+        if spans is not None:
+            from repro.telemetry.spans import TRACK_SCHED
+            spans.instant("cache-miss" if hit is None else "cache-hit",
+                          TRACK_SCHED, parent=self.span, point=index)
+        if hit is None:
+            return False
+        if self.spec.telemetry is not None:
+            self.spec.telemetry.emit(TraceEvent(
+                ts=self._wall_us(), phase=PH_INSTANT, category=CAT_RUN,
+                name="cache-hit", track="run.points", args={"point": index},
+            ))
+        self.finish(index, hit, cached=True)
+        return True
+
+    def start(self, index: int):
+        """Book a dispatch; returns the worker's span context, if any."""
+        spans, span = self.spec.spans, None
+        if spans is not None:
+            from repro.telemetry.spans import TRACK_SCHED
+            span = spans.begin(f"point{index}", TRACK_SCHED,
+                               parent=self.span, point=index)
+        self._started[index] = (self._wall_us(), span)
+        if span is None or self.feed is None:
+            return None
+        return spans.child_context(span)
+
+    def finish(self, index: int, result: SimulationResult,
+               cached: bool = False) -> None:
+        """Book a point's result; ``cached`` marks one that was not
+        simulated here (a cache hit or a point replayed from a journal)."""
+        spec, point = self.spec, self.points[index]
+        self.results[index] = result
+        if not cached and self.use_cache and point.cacheable:
+            _cache_store(point, result)
+        started_us, span = self._started.pop(index, (None, None))
+        if spec.telemetry is not None and started_us is not None:
+            spec.telemetry.emit(TraceEvent(
+                ts=started_us, phase=PH_COMPLETE, category=CAT_RUN,
+                name=f"point{index}", track="run.points",
+                dur=max(1, self._wall_us() - started_us),
+                args={"point": index},
+            ))
+        if spec.live is not None:
+            spec.live.point_done(self.base + index, result.metrics)
+        if span is not None:
+            spec.spans.end(span, cycles=result.cycles)
+        if spec.progress is not None:
+            spec.progress.point_done(cached=cached)
+
+
+@contextmanager
+def _live_feed(live):
+    """A managed queue (its proxy pickles) that workers stream on and a
+    thread drains into ``live``, polling for stale heartbeats when idle."""
+    if live is None:
+        yield None
+        return
+    import multiprocessing
+    import queue
+    manager = multiprocessing.Manager()
+    feed = manager.Queue()
+    stop = threading.Event()
+
+    def drain() -> None:
+        while True:
+            try:
+                live.put(feed.get(timeout=0.2))
+            except queue.Empty:
+                if stop.is_set():
+                    return
+                live.check_stale()
+
+    drainer = threading.Thread(target=drain, name="repro-live-drain",
+                               daemon=True)
+    drainer.start()
+    try:
+        yield feed
+    finally:
+        stop.set()
+        drainer.join(timeout=10.0)
+        manager.shutdown()
+
+
+def _run_pool(batch: Batch, todo: List[int]) -> None:
+    """The pool executor: completions are booked as they land."""
+    spec = batch.spec
+    pool = ProcessPoolExecutor(max_workers=min(spec.jobs, len(todo)))
+    pending = {}
+    try:
+        for index in todo:
+            span_ctx = batch.start(index)
+            pending[pool.submit(run_point, batch.points[index], spec,
+                                batch.feed, batch.base + index,
+                                span_ctx=span_ctx)] = index
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                batch.finish(pending.pop(future), future.result())
+        pool.shutdown()
+    except KeyboardInterrupt:
+        # Ctrl-C: don't wait for in-flight points (they can be minutes
+        # long) — drop the queue and kill the workers so the CLI can
+        # report and exit promptly.
+        for future in pending:
+            future.cancel()
+        for proc in list(getattr(pool, "_processes", {}).values()):
+            proc.terminate()
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+
+
 def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
-    """Run every point, in order, honoring the configured jobs/cache.
-
-    Cached results are returned without simulating; the remainder run on
-    a process pool when more than one job is configured (and there is
-    more than one point to run), inline otherwise.  Completions are
-    consumed as they land (not in submission order) so the configured
-    progress reporter ticks live; result order is positional and
-    unaffected.  Orchestration telemetry (``CAT_RUN``) is wall-clock
-    microseconds from batch start — a different time base from the
-    simulation's cycle-stamped events, kept apart by track name.
-
-    With a resilience policy configured the batch instead routes through
-    the journaled fleet (``repro.resilience.fleet``): completed points
-    replayed from the run directory, survivors checkpointed, failures
-    retried with backoff.
-    """
+    """Run every point, in order, honoring the configured spec: cached
+    results without simulating, the rest on the journaled fleet under a
+    resilience policy, on a process pool when more than one job and more
+    than one point are left, and inline otherwise.  One :class:`Batch`
+    books them all; result order is positional."""
     spec = _spec
     if spec.policy is not None or spec.controller is not None:
         points = [apply_policy(point, spec) for point in points]
-    if spec.resilience is not None:
-        from repro.resilience import fleet
-        results_r = fleet.run_points_resilient(points, spec)
-        if spec.metrics is not None:
-            metrics_log.extend(
-                result.metrics for result in results_r
-                if result is not None and result.metrics is not None
-            )
-        return results_r
-    results: List[Optional[SimulationResult]] = [None] * len(points)
-    todo: List[int] = []
-    progress, telemetry = spec.progress, spec.telemetry
-    live, spans = spec.live, spec.spans
-    base = live.begin_batch(len(points)) if live is not None else 0
-    batch_span = None
-    open_points: Dict[int, object] = {}
-    if spans is not None:
-        from repro.telemetry.spans import TRACK_SCHED
-        batch_span = spans.begin("batch", points=len(points))
-    # Metrics runs bypass the cache entirely: cached results carry no
-    # snapshots, and polluting the cache with observed runs would make
-    # hit results depend on observability settings.  Cycle-accounted
-    # and request-traced runs bypass it for the same reason (stacks and
-    # tail-latency documents are observability).
-    use_cache = (spec.cache and spec.metrics is None
-                 and not spec.cpi_stacks and not spec.requests)
-    batch_t0 = time.monotonic()
-
-    def wall_us() -> int:
-        return int((time.monotonic() - batch_t0) * 1e6)
-
-    if progress is not None:
-        progress.begin(len(points))
-    for index, point in enumerate(points):
-        if use_cache and point.cacheable:
-            cached = _cache_load(point)
-            if cached is not None:
-                cache_stats["hits"] += 1
-                results[index] = cached
-                if spans is not None:
-                    spans.instant("cache-hit", TRACK_SCHED,
-                                  parent=batch_span, point=index)
-                if telemetry is not None:
-                    telemetry.emit(TraceEvent(
-                        ts=wall_us(), phase=PH_INSTANT, category=CAT_RUN,
-                        name="cache-hit", track="run.points",
-                        args={"point": index},
-                    ))
-                if progress is not None:
-                    progress.point_done(cached=True)
-                continue
-            cache_stats["misses"] += 1
-            if spans is not None:
-                spans.instant("cache-miss", TRACK_SCHED,
-                              parent=batch_span, point=index)
-        todo.append(index)
-
-    def finish(index: int, result: SimulationResult, started_us: int) -> None:
-        results[index] = result
-        if use_cache and points[index].cacheable:
-            _cache_store(points[index], result)
-        if telemetry is not None:
-            telemetry.emit(TraceEvent(
-                ts=started_us, phase=PH_COMPLETE, category=CAT_RUN,
-                name=f"point{index}", track="run.points",
-                dur=max(1, wall_us() - started_us),
-                args={"point": index},
-            ))
-        if live is not None:
-            live.point_done(base + index, result.metrics)
-        if spans is not None:
-            sched_span = open_points.pop(index, None)
-            if sched_span is not None:
-                spans.end(sched_span, cycles=result.cycles)
-        if progress is not None:
-            progress.point_done(cached=False)
-
-    if len(todo) > 1 and spec.jobs > 1:
-        feed = drainer = stop_draining = manager = None
-        if live is not None:
-            # Workers stream through a managed queue (picklable proxy);
-            # this drainer translates the wire tuples into LiveRun calls
-            # with the parent's clock and polls for stale heartbeats.
-            import multiprocessing
-            manager = multiprocessing.Manager()
-            feed = manager.Queue()
-            stop_draining = threading.Event()
-
-            def drain() -> None:
-                import queue as _queue
-                while True:
-                    try:
-                        live.put(feed.get(timeout=0.2))
-                    except _queue.Empty:
-                        if stop_draining.is_set():
-                            return
-                        live.check_stale()
-
-            drainer = threading.Thread(target=drain, name="repro-live-drain",
-                                       daemon=True)
-            drainer.start()
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(spec.jobs, len(todo)))
-            try:
-                pending = {}
-                for index in todo:
-                    span_ctx = None
-                    if spans is not None:
-                        open_points[index] = spans.begin(
-                            f"point{index}", TRACK_SCHED,
-                            parent=batch_span, point=index)
-                        if feed is not None:
-                            span_ctx = spans.child_context(
-                                open_points[index])
-                    pending[pool.submit(run_point, points[index], spec,
-                                        feed, base + index,
-                                        span_ctx=span_ctx)] = (
-                        index, wall_us()
-                    )
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, started_us = pending.pop(future)
-                        finish(index, future.result(), started_us)
-                pool.shutdown()
-            except KeyboardInterrupt:
-                # Ctrl-C: don't wait for in-flight points (they can be
-                # minutes long) — drop the queue and kill the workers so
-                # the CLI can report and exit promptly.
-                for future in pending:
-                    future.cancel()
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    proc.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        finally:
-            if drainer is not None:
-                stop_draining.set()
-                drainer.join(timeout=10.0)
-                manager.shutdown()
-    else:
+    batch = Batch(points, spec)
+    todo = [index for index in range(len(points)) if not batch.cached(index)]
+    excluded = ()
+    if spec.resilience is None and (len(todo) < 2 or spec.jobs < 2):
         for index in todo:
-            span_ctx = None
-            if spans is not None:
-                open_points[index] = spans.begin(
-                    f"point{index}", TRACK_SCHED, parent=batch_span,
-                    point=index)
-                if live is not None:
-                    span_ctx = spans.child_context(open_points[index])
-            finish(index, run_point(points[index], spec, live, base + index,
-                                    span_ctx=span_ctx),
-                   wall_us())
-    if spans is not None:
-        spans.end(batch_span)
+            span_ctx = batch.start(index)
+            batch.finish(index, run_point(points[index], spec, spec.live,
+                                          batch.base + index,
+                                          span_ctx=span_ctx))
+    else:
+        with _live_feed(spec.live) as feed:
+            batch.feed = feed
+            if spec.resilience is None:
+                _run_pool(batch, todo)
+            else:
+                from repro.resilience.fleet import run_points_resilient
+                excluded = run_points_resilient(batch, todo)
+    if spec.spans is not None:
+        spec.spans.end(batch.span)
     if spec.metrics is not None:
         metrics_log.extend(
-            result.metrics for result in results
+            result.metrics for result in batch.results
             if result is not None and result.metrics is not None
         )
-    return results  # type: ignore[return-value]
+    if excluded:
+        from repro.resilience.fleet import PointsExcludedError
+        raise PointsExcludedError(excluded, batch.results,
+                                  spec.resilience.run_dir)
+    return batch.results  # type: ignore[return-value]

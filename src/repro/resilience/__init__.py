@@ -19,7 +19,6 @@ from repro.resilience.fleet import (
     FleetAborted,
     PointsExcludedError,
     ResilienceConfig,
-    run_points_resilient,
 )
 from repro.resilience.journal import (
     JournalError,
@@ -52,7 +51,6 @@ __all__ = [
     "ResilienceConfig",
     "RunJournal",
     "replay",
-    "run_points_resilient",
     "Checkpointer",
     "ResumableTrace",
     "ResumedRun",

@@ -1,11 +1,12 @@
 """Fault-tolerant experiment fleet: journaled, checkpointing, retrying.
 
-The fast path (``repro.experiments.parallel.run_points``) assumes
-workers never die; this module assumes they do.  Each point runs in its
-own ``multiprocessing.Process`` — unlike a ``ProcessPoolExecutor``, one
-SIGKILLed worker cannot poison a shared pool — under a per-point
-timeout, with bounded retries on an exponential backoff, and exclusion
-(with a clear report) once a point keeps failing.
+An executor of ``repro.experiments.parallel.run_points``: its process
+pool assumes workers never die; this one assumes they do.  Each point
+runs in its own ``multiprocessing.Process`` — unlike a
+``ProcessPoolExecutor``, one SIGKILLed worker cannot poison a shared
+pool — under a per-point timeout, with bounded retries on an
+exponential backoff, and exclusion (with a clear report) once a point
+keeps failing.
 
 Everything observable lands in the run directory's journal
 (:mod:`repro.resilience.journal`); finished results are sidecar pickles
@@ -22,8 +23,9 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.resilience.chaos import ChaosConfig, ChaosInjector
 from repro.resilience.journal import (
@@ -64,7 +66,7 @@ class FleetAborted(RuntimeError):
 class PointsExcludedError(RuntimeError):
     """Some points kept failing and were excluded from the batch.
 
-    Carries the salvageable partial ``results`` (``None`` at excluded
+    Carries the whole batch's ``results`` (``None`` at excluded
     positions) and the exclusion report; callers decide whether partial
     aggregates are acceptable.
     """
@@ -85,35 +87,30 @@ class PointsExcludedError(RuntimeError):
         self.run_dir = run_dir
 
 
-class _JournalHook:
-    """Worker-side ``Checkpointer.on_saved`` → journal adapter."""
-
-    def __init__(self, journal: RunJournal, key: str, index: int) -> None:
-        self.journal = journal
-        self.key = key
-        self.index = index
-
-    def __call__(self, cycle: int) -> None:
-        self.journal.checkpoint_saved(self.key, self.index, cycle)
-
-
-def _fleet_worker(point, spec, run_dir, key, index, attempt) -> None:
-    """Child-process entry: run (or resume) one point under ``spec``
-    (a :class:`repro.experiments.parallel.RunSpec`), store its result.
+def _fleet_worker(point, spec, run_dir, key, index, attempt, feed,
+                  feed_index, span_ctx) -> None:
+    """Child-process entry: run (or resume) one point, streaming on
+    ``feed`` as ``feed_index`` like a pool worker, and store its result.
 
     Exit code 0 with a readable sidecar is the only success signal the
     parent trusts; any exception here prints its traceback and exits 1.
     """
     try:
-        result = _run_or_resume(point, spec, run_dir, key, index, attempt)
-        store_result(result_path(run_dir, key), result)
+        run, checkpointer = _point_run(point, spec, run_dir, key, index,
+                                       attempt, monitor=feed is not None)
+        if run.metrics is None:
+            feed = None  # revived from a checkpoint written without views
+        store_result(result_path(run_dir, key),
+                     run.run(feed, feed_index, checkpointer, span_ctx))
     except Exception:
         traceback.print_exc()
         sys.exit(1)
 
 
-def _run_or_resume(point, spec, run_dir, key, index, attempt):
-    from repro.experiments.parallel import PointRun, run_point
+def _point_run(point, spec, run_dir, key, index, attempt, monitor):
+    """The point's :class:`~repro.experiments.parallel.PointRun`, revived
+    from its checkpoint when a sound one exists, and its checkpointer."""
+    from repro.experiments.parallel import PointRun
     journal = RunJournal(run_dir)
     every = spec.resilience.checkpoint_every
     chaos_config = spec.resilience.chaos
@@ -124,7 +121,7 @@ def _run_or_resume(point, spec, run_dir, key, index, attempt):
     ckpt = checkpoint_path(run_dir, key)
     if every:
         checkpointer = Checkpointer(ckpt, every, point_key=key, chaos=chaos)
-        checkpointer.on_saved = _JournalHook(journal, key, index)
+        checkpointer.on_saved = partial(journal.checkpoint_saved, key, index)
         if ckpt.exists():
             try:
                 resumed = open_checkpoint(ckpt, expect_key=key)
@@ -141,15 +138,16 @@ def _run_or_resume(point, spec, run_dir, key, index, attempt):
                 # The views' state rode the checkpoint pickle (it lives
                 # on the system), so the resumed documents equal an
                 # uninterrupted run's.
-                return PointRun.revive(resumed).run(checkpoint=checkpointer)
-    return run_point(point, spec, checkpoint=checkpointer,
-                     resumable=bool(every))
+                return PointRun.revive(resumed), checkpointer
+    return PointRun.build(point, spec, resumable=bool(every),
+                          monitor=monitor), checkpointer
 
 
 class _Slot:
     """One point's scheduling state in the parent."""
 
-    __slots__ = ("index", "key", "attempt", "tries", "not_before")
+    __slots__ = ("index", "key", "attempt", "tries", "not_before",
+                 "span_ctx")
 
     def __init__(self, index: int, key: str, attempt: int) -> None:
         self.index = index
@@ -157,39 +155,28 @@ class _Slot:
         self.attempt = attempt   # global attempt counter (journal-seeded)
         self.tries = 0           # attempts made by THIS invocation
         self.not_before = 0.0    # backoff gate (monotonic seconds)
+        self.span_ctx = None     # the worker's span context (all tries)
 
 
-def run_points_resilient(points: Sequence, spec) -> List:
-    """Run a batch of points under ``spec.resilience``.
+def run_points_resilient(batch, todo: Sequence[int]) -> List[Tuple]:
+    """The journaled executor of ``run_points``: run the points ``todo``
+    of ``batch`` (a :class:`repro.experiments.parallel.Batch`, which
+    books them) and return the exclusions.
 
-    ``spec`` is the batch's :class:`repro.experiments.parallel.RunSpec`;
-    workers receive it whole, the observers (``progress``, ``live``,
-    ``spans``) stay in this process.
-
-    Replays the run directory first: points already finished there are
-    returned without simulating.  The rest run process-per-point; a
-    worker death, hang (via ``point_timeout``), or corrupt result is a
-    retriable failure with exponential backoff, and a point that fails
-    ``max_retries + 1`` times this invocation is excluded — reported via
-    :class:`PointsExcludedError` carrying the partial results.
-
-    ``KeyboardInterrupt`` terminates the fleet, journals the
-    interruption, and re-raises — the CLI layer prints the exact
-    ``--resume`` command.
-
-    ``spec.spans`` is a :class:`repro.telemetry.spans.SpanTracer`: each
-    worker attempt gets a host-time span (spawn → exit, with outcome),
-    retries/backoffs and exclusions get ``host.retry`` instants, and
-    every durable journal append lands as a ``host.journal`` instant.
+    A point finished in the run directory is booked as cached; the rest
+    run process-per-point.  A worker death, hang (``point_timeout``) or
+    corrupt result is retried with exponential backoff; a point failing
+    ``max_retries + 1`` times this invocation is excluded.  Retries,
+    exclusions, attempt spans and journal instants are booked here.
+    ``KeyboardInterrupt`` kills the workers, is journaled, and re-raises.
     """
     from repro.experiments.parallel import cache_key
 
+    spec = batch.spec
     resilience = spec.resilience
     progress, live, spans = spec.progress, spec.live, spec.spans
     run_dir = Path(resilience.run_dir)
     state = replay(run_dir)
-    keys = [cache_key(point) for point in points]
-    results: List = [None] * len(points)
     journal = RunJournal(run_dir)
     if spans is not None:
         from repro.telemetry.spans import (
@@ -202,22 +189,19 @@ def run_points_resilient(points: Sequence, spec) -> List:
         spans.instant("journal-replay", TRACK_JOURNAL,
                       records=state.started, run_dir=str(run_dir))
 
-    if progress is not None:
-        progress.begin(len(points))
     pending: List[_Slot] = []
     reused = 0
-    for index, key in enumerate(keys):
+    for index in todo:
+        key = cache_key(batch.points[index])
         prior = state.completed_result(key)
         if prior is not None:
-            results[index] = prior
+            batch.finish(index, prior, cached=True)
             reused += 1
-            if progress is not None:
-                progress.point_done(cached=True)
             continue
         attempts = state.records[key].attempts if key in state.records else 0
         pending.append(_Slot(index, key, attempts))
     journal.run_started(
-        exp_id=state.exp_id or "", n_points=len(points),
+        exp_id=state.exp_id or "", n_points=len(todo),
         resumed=state.started > 0, reused=reused,
     )
 
@@ -230,13 +214,14 @@ def run_points_resilient(points: Sequence, spec) -> List:
     finished_this_run = 0
     ctx = multiprocessing.get_context()
 
-    def fail(slot: _Slot, error: str) -> None:
-        nonlocal excluded
+    def fail(slot: _Slot, span, error: str, **outcome) -> None:
+        if span is not None:
+            spans.end(span, **outcome)
         if slot.tries >= resilience.max_retries + 1:
             journal.point_excluded(slot.key, slot.index, slot.attempt, error)
             excluded.append((slot.index, slot.key, slot.attempt, error))
             if live is not None:
-                live.point_excluded(slot.index, error)
+                live.point_excluded(batch.base + slot.index, error)
             if spans is not None:
                 spans.instant("excluded", TRACK_RETRY, point=slot.index,
                               attempt=slot.attempt, error=error)
@@ -247,7 +232,7 @@ def run_points_resilient(points: Sequence, spec) -> List:
             journal.point_failed(slot.key, slot.index, slot.attempt, error,
                                  retry_in=delay)
             if live is not None:
-                live.point_retry(slot.index, slot.attempt, error)
+                live.point_retry(batch.base + slot.index, slot.attempt, error)
             if spans is not None:
                 spans.instant("retry-backoff", TRACK_RETRY, point=slot.index,
                               attempt=slot.attempt, delay_s=delay,
@@ -264,12 +249,15 @@ def run_points_resilient(points: Sequence, spec) -> List:
                 if ready is None:
                     break
                 pending.remove(ready)
+                if not ready.tries:
+                    ready.span_ctx = batch.start(ready.index)
                 ready.attempt += 1
                 ready.tries += 1
                 proc = ctx.Process(
                     target=_fleet_worker,
-                    args=(points[ready.index], spec, str(run_dir),
-                          ready.key, ready.index, ready.attempt),
+                    args=(batch.points[ready.index], spec, str(run_dir),
+                          ready.key, ready.index, ready.attempt, batch.feed,
+                          batch.base + ready.index, ready.span_ctx),
                 )
                 proc.start()
                 journal.point_started(ready.key, ready.index, ready.attempt,
@@ -295,26 +283,21 @@ def run_points_resilient(points: Sequence, spec) -> List:
                                 spans.end(attempt_span, outcome="finished")
                             journal.point_finished(slot.key, slot.index,
                                                    slot.attempt)
-                            results[slot.index] = result
+                            batch.finish(slot.index, result)
                             finished_this_run += 1
-                            if progress is not None:
-                                progress.point_done(cached=False)
                             if (abort_after is not None
                                     and finished_this_run >= abort_after):
                                 raise FleetAborted(
                                     f"chaos abort_after={abort_after} "
                                     f"reached in {run_dir}")
                             continue
-                        if spans is not None:
-                            spans.end(attempt_span, outcome="bad-result")
-                        fail(slot, "worker exited 0 but its result "
-                                   "sidecar is missing or unreadable")
+                        fail(slot, attempt_span, "worker exited 0 but its "
+                             "result sidecar is missing or unreadable",
+                             outcome="bad-result")
                     else:
-                        if spans is not None:
-                            spans.end(attempt_span, outcome="died",
-                                      exitcode=proc.exitcode)
-                        fail(slot, f"worker exited with code "
-                                   f"{proc.exitcode}")
+                        fail(slot, attempt_span,
+                             f"worker exited with code {proc.exitcode}",
+                             outcome="died", exitcode=proc.exitcode)
                 elif deadline is not None and now > deadline:
                     proc.terminate()
                     proc.join(timeout=5.0)
@@ -322,9 +305,8 @@ def run_points_resilient(points: Sequence, spec) -> List:
                         proc.kill()
                         proc.join()
                     del active[proc]
-                    if spans is not None:
-                        spans.end(attempt_span, outcome="timeout")
-                    fail(slot, f"timed out after {timeout:g}s")
+                    fail(slot, attempt_span, f"timed out after {timeout:g}s",
+                         outcome="timeout")
             if pending and not active:
                 gate = min(s.not_before for s in pending)
                 wait = gate - time.monotonic()
@@ -345,11 +327,7 @@ def run_points_resilient(points: Sequence, spec) -> List:
             journal.run_interrupted("KeyboardInterrupt")
         journal.close()
         raise
-    journal.run_finished(
-        completed=sum(1 for r in results if r is not None),
-        excluded=len(excluded),
-    )
+    journal.run_finished(completed=len(todo) - len(excluded),
+                         excluded=len(excluded))
     journal.close()
-    if excluded:
-        raise PointsExcludedError(excluded, results, run_dir)
-    return results
+    return excluded

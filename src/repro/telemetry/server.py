@@ -167,6 +167,8 @@ class LiveRun(EventHub):
         self.finished = False
         self._next_base = 0
         self._workers: Dict[int, float] = {}      # worker id -> last beat
+        self._holders: Dict[int, int] = {}        # open point -> worker
+        self._closed: set = set()                 # points done/excluded
         self._warned_stale: set = set()
         self._last_window_at: Optional[float] = None
         self._latest: Dict[int, Dict] = {}        # point -> latest snapshot
@@ -187,8 +189,7 @@ class LiveRun(EventHub):
             _, index, worker, record = msg
             self.violation(index, worker, record)
         elif kind == "start":
-            _, index, worker = msg
-            self.heartbeat(worker)
+            self.heartbeat(msg[2], holds=msg[1])
         elif kind == "hb":
             self.heartbeat(msg[1])
         elif kind == "span":
@@ -210,6 +211,8 @@ class LiveRun(EventHub):
             self.finished = False
             self._next_base = 0
             self._workers.clear()
+            self._holders.clear()
+            self._closed.clear()
             self._warned_stale.clear()
             self._last_window_at = None
             self._latest.clear()
@@ -225,10 +228,12 @@ class LiveRun(EventHub):
             self.finished = False
         return base
 
-    def heartbeat(self, worker: int) -> None:
+    def heartbeat(self, worker: int, holds: Optional[int] = None) -> None:
         with self._lock:
             self._workers[worker] = self._clock()
             self._warned_stale.discard(worker)
+            if holds is not None and holds not in self._closed:
+                self._holders[holds] = worker  # unless its end came first
 
     def window(self, index: int, worker: int, cycle: int,
                snapshot: Dict) -> None:
@@ -237,7 +242,8 @@ class LiveRun(EventHub):
             self._workers[worker] = now
             self._warned_stale.discard(worker)
             self._last_window_at = now
-            self._latest[index] = snapshot
+            if index not in self._closed:  # never over a final snapshot
+                self._latest[index] = snapshot
             self._aggregate = None
             self._gen += 1
         self._publish("window", {
@@ -266,6 +272,7 @@ class LiveRun(EventHub):
         retried (repro.resilience.fleet)."""
         with self._lock:
             self.retries += 1
+            self._holders.pop(index, None)
         self._publish("retry", {"point": index, "attempt": attempt,
                                 "error": error})
 
@@ -274,6 +281,8 @@ class LiveRun(EventHub):
         budget; the run continues without it."""
         with self._lock:
             self.excluded += 1
+            self._holders.pop(index, None)
+            self._closed.add(index)
         self._publish("excluded", {"point": index, "error": error})
 
     def point_done(self, index: int, metrics: Optional[Dict]) -> None:
@@ -281,6 +290,8 @@ class LiveRun(EventHub):
         pickled home); ``metrics`` is the authoritative final snapshot."""
         with self._lock:
             self.done += 1
+            self._holders.pop(index, None)
+            self._closed.add(index)
             if metrics is not None:
                 self._latest[index] = metrics
             self._aggregate = None
@@ -341,15 +352,20 @@ class LiveRun(EventHub):
                             "snapshot": self._latest[index]})]
 
     def stale_workers(self) -> List[Tuple[int, float]]:
-        """(worker, heartbeat age) pairs past the staleness threshold."""
+        """(worker, heartbeat age) pairs past the staleness threshold.
+
+        A worker owes heartbeats only while it holds an unfinished
+        point: ``start`` names the holder, and the point's completion,
+        retry or exclusion (or a retry's ``start``) releases it."""
         with self._lock:
             if self.finished or self.done >= self.total:
                 return []
             now = self._clock()
+            holders = set(self._holders.values())
             return [
                 (worker, now - beat)
                 for worker, beat in self._workers.items()
-                if now - beat > self.stale_after
+                if worker in holders and now - beat > self.stale_after
             ]
 
     def check_stale(self) -> List[Tuple[int, float]]:

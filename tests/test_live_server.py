@@ -184,6 +184,47 @@ def test_stale_worker_degrades_health_and_warns_once():
     assert stream.getvalue().count("WARNING") == 2
 
 
+def test_only_a_worker_holding_an_open_point_can_go_stale():
+    """A worker owes heartbeats only while it holds an unfinished point:
+    the pool worker whose point is done and the fleet worker whose point
+    a retry restarted elsewhere both stay quiet without degrading the
+    run, while the holders are still watched."""
+    clock = _FakeClock()
+    live = LiveRun(stale_after=5.0, clock=clock)
+    live.begin_batch(3)
+    live.put(("start", 0, 111))
+    live.put(("start", 1, 222))
+    live.put(("start", 2, 333))
+    live.point_done(0, None)       # 111 has no point left
+    live.put(("start", 2, 444))    # a retry: 444 now holds point 2
+    for _ in range(8):             # 40 s of beats from the holders
+        clock.now += 5.0
+        live.put(("hb", 222))
+        live.put(("hb", 444))
+    assert live.stale_workers() == []
+    assert live.health()["status"] == "running"
+    clock.now += 6.0
+    assert sorted(worker for worker, _ in live.stale_workers()) == [222, 444]
+
+
+def test_feed_messages_that_lag_a_completion_change_nothing():
+    """The drainer thread can deliver a point's start or last window
+    after the parent booked its completion: neither re-opens the point
+    nor replaces its final snapshot."""
+    clock = _FakeClock()
+    live = LiveRun(stale_after=5.0, clock=clock)
+    live.begin_batch(2)
+    live.put(("start", 1, 222))
+    final = {"final": True}
+    live.point_done(0, final)
+    live.put(("start", 0, 111))
+    live.put(("window", 0, 111, 500, {"final": False}))
+    assert live.replay_events()[0][1]["snapshot"] is final
+    clock.now += 60.0
+    live.put(("hb", 222))
+    assert live.stale_workers() == []
+
+
 def test_stale_ignored_once_finished():
     clock = _FakeClock()
     live = LiveRun(stale_after=5.0, clock=clock)

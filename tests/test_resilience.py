@@ -10,9 +10,10 @@ snapshot) **exactly equal** to the uninterrupted run — no tolerances.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -434,6 +435,77 @@ class TestResilientFleet:
         )
         resilient = parallel.run_points(points)
         assert asdict(resilient[0]) == asdict(clean[0])
+
+    def test_resilient_batch_streams_to_the_live_plane(self, tmp_path):
+        """The fleet is an executor of run_points: its batch registers
+        on the live plane, its workers stream windows home over the
+        managed feed, and every finished point is marked done."""
+        from repro.telemetry.metrics import merge_snapshots
+        from repro.telemetry.server import LiveRun
+        live = LiveRun()
+        live.begin_run("fleet")
+        subscriber = live.subscribe()
+        parallel.configure(
+            jobs=2, cache=False, metrics=500, live=live,
+            resilience=ResilienceConfig(run_dir=str(tmp_path / "run")))
+        results = parallel.run_points(_points())
+        health = live.health()
+        assert health["points"] == {"done": 2, "total": 2}
+        assert health["status"] == "finished"
+        assert health["last_window_age_s"] is not None
+        events = []
+        while not subscriber.empty():
+            events.append(subscriber.get_nowait())
+        windows = {(payload["point"], payload["worker"])
+                   for event, payload in events if event == "window"}
+        assert {point for point, _ in windows} == {0, 1}
+        assert os.getpid() not in {worker for _, worker in windows}
+        assert [payload["point"] for event, payload in events
+                if event == "point"] in ([0, 1], [1, 0])
+        assert live.snapshot() == merge_snapshots(
+            [result.metrics for result in results])
+
+    def test_cacheable_points_come_from_the_cache_before_the_journal(
+            self, tmp_path):
+        points = [replace(point, cacheable=True) for point in _points()]
+
+        def journaled(name):
+            parallel.configure(
+                jobs=1, cache=True,
+                resilience=ResilienceConfig(run_dir=str(tmp_path / name)))
+            return parallel.run_points(points)
+
+        first = journaled("first")
+        assert parallel.cache_stats == {"hits": 0, "misses": 2}
+        second = journaled("second")
+        assert parallel.cache_stats == {"hits": 2, "misses": 0}
+        assert [r.ipcs for r in second] == [r.ipcs for r in first]
+        assert not (tmp_path / "second" / "results").exists()
+
+    def test_checkpoint_without_views_resumes_under_a_live_feed(
+            self, tmp_path):
+        """A point checkpointed by a run without views, resumed with the
+        live plane on, finishes without streaming (its revived system
+        has no collector) instead of failing on every attempt."""
+        from repro.resilience.journal import checkpoint_path
+        from repro.telemetry.server import LiveRun
+        point = _points(arbiters=("vpc",))[0]
+        key = parallel.cache_key(point)
+        run_dir = tmp_path / "run"
+        ckpt = checkpoint_path(run_dir, key)
+        ckpt.parent.mkdir(parents=True)
+        plain = parallel.run_point(
+            point, checkpoint=Checkpointer(ckpt, 1_000, point_key=key),
+            resumable=True)
+        live = LiveRun()
+        parallel.configure(
+            jobs=1, cache=False, metrics=500, live=live,
+            resilience=ResilienceConfig(run_dir=str(run_dir),
+                                        checkpoint_every=1_000,
+                                        max_retries=0))
+        (resumed,) = parallel.run_points([point])
+        assert asdict(resumed) == asdict(plain)
+        assert live.health()["points"] == {"done": 1, "total": 1}
 
 
 class TestCacheCorruptionSatellite:
