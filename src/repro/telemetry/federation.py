@@ -112,7 +112,6 @@ class FleetAggregator(EventHub):
     def __init__(
         self,
         workers: List[str],
-        stale_after: float = 30.0,
         timeout: float = 5.0,
         alert_engine=None,
     ) -> None:
@@ -120,7 +119,6 @@ class FleetAggregator(EventHub):
             raise ValueError("a fleet needs at least one worker URL")
         super().__init__(alert_engine)
         self.workers = [_Worker(i, url) for i, url in enumerate(workers)]
-        self.stale_after = stale_after
         self.timeout = timeout
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
@@ -313,9 +311,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="worker base URLs (e.g. http://127.0.0.1:9100)")
     parser.add_argument("--port", type=int, default=0,
                         help="fleet HTTP port (0 = auto-assign)")
-    parser.add_argument("--stale-after", type=float, default=30.0,
-                        help="seconds before a silent worker degrades "
-                             "the fleet")
     parser.add_argument("--interval", type=float, default=2.0,
                         help="seconds between worker polls")
     parser.add_argument("--alerts", metavar="RULES",
@@ -331,8 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from .alerts import close_alerts, open_alerts
     engine = open_alerts(parser, args)
-    fleet = FleetAggregator(args.workers, stale_after=args.stale_after,
-                            alert_engine=engine)
+    fleet = FleetAggregator(args.workers, alert_engine=engine)
     server = serve(fleet, args.port, "fleet telemetry",
                    f"{len(args.workers)} workers")
     fleet.start()
