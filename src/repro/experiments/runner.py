@@ -9,7 +9,8 @@ disables the on-disk target-IPC cache (see
 docs/ARCHITECTURE.md; shared flags live in
 :mod:`repro.telemetry.options`): ``--progress`` reports per-point
 completion and ETA on stderr, ``--trace PATH`` captures the runner's
-orchestration events as a Chrome/Perfetto trace, ``--spans PATH``
+orchestration events as a Chrome/Perfetto trace (a ``.jsonl`` path
+streams them one JSON object per line), ``--spans PATH``
 traces the host-time orchestration layer, ``--alerts RULES`` evaluates
 declarative alert rules against the live stream (a fired
 ``severity=page`` rule exits nonzero), ``--requests [DIR]`` attaches
@@ -274,13 +275,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return ("python -m repro.experiments "
                 + " ".join(kept + ["--resume", str(run_dir)]))
 
-    progress = ring = None
+    progress = ring = jsonl = None
     if args.progress or args.serve is not None:
         from repro.telemetry.progress import ProgressReporter
         progress = ProgressReporter()
     if args.trace:
-        from repro.telemetry.bus import RingBufferSink
-        ring = RingBufferSink()
+        from repro.telemetry.bus import JsonlSink, RingBufferSink
+        if args.trace.endswith(".jsonl"):
+            jsonl = JsonlSink(args.trace)
+        else:
+            ring = RingBufferSink()
+    sink = ring if ring is not None else jsonl
     if args.stacks is not None and not args.cpi_stacks:
         parser.error("--stacks requires --cpi-stacks")
     slo_rules = ()
@@ -297,7 +302,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.telemetry.spans import SpanTracer
         # Sharing the --trace sink (when present) lands host-time spans
         # in the same Perfetto export as the orchestration events.
-        tracer = SpanTracer(sink=ring)
+        tracer = SpanTracer(sink=sink)
     from repro.telemetry.alerts import close_alerts, open_alerts
     engine = open_alerts(parser, args)
     metrics_window = None
@@ -326,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "add --controller or --policy lfoc")
     try:
         parallel.configure(jobs=args.jobs, cache=not args.no_cache,
-                           progress=progress, telemetry=ring,
+                           progress=progress, telemetry=sink,
                            metrics=metrics_window, live=live,
                            resilience=resilience,
                            kernel=args.kernel or DEFAULT_KERNEL,
@@ -517,6 +522,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if profiler is not None:
             from repro.common.profiling import finish_profile
             finish_profile(profiler, args.profile)
+        if jsonl is not None:
+            jsonl.close()
     summary = parallel.cache_summary()
     if summary:
         print(summary)
@@ -525,6 +532,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         count = write_chrome_trace(args.trace, ring)
         print(f"trace: {count} events -> {args.trace} "
               "(open in ui.perfetto.dev)")
+    if jsonl is not None:
+        print(f"trace: events streamed -> {args.trace}")
     if tracer is not None:
         from repro.telemetry.spans import write_spans
         count = write_spans(args.spans, tracer)

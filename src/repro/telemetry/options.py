@@ -46,8 +46,7 @@ def telemetry_options() -> argparse.ArgumentParser:
     group.add_argument("--trace", default=None, metavar="PATH",
                        help="capture telemetry as Chrome/Perfetto "
                             "trace_event JSON (open in ui.perfetto.dev); "
-                            "a .jsonl suffix streams raw events instead "
-                            "(single-run CLI only)")
+                            "a .jsonl suffix streams raw events instead")
     group.add_argument("--spans", default=None, metavar="PATH",
                        help="trace the host-time orchestration layer "
                             "(scheduling, workers, checkpoints, retries) "

@@ -1,9 +1,11 @@
 """Tests for chart rendering and the experiments CLI runner."""
 
+import json
 import math
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.base import ExperimentResult
 from repro.experiments.charts import numeric_columns, render_bars, render_result
 from repro.experiments.runner import main
@@ -81,6 +83,17 @@ class TestRunnerCLI:
         assert main(["fig4", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "[tag]" in out and "#" in out
+
+    def test_jsonl_trace_streams_one_event_per_line(self, tmp_path, capsys):
+        trace = tmp_path / "run.jsonl"
+        try:
+            assert main(["fig7", "--fast", "--trace", str(trace)]) == 0
+        finally:
+            parallel.configure(jobs=1, cache=True)
+        assert f"events streamed -> {trace}" in capsys.readouterr().out
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert events and all(event["track"] == "run.points"
+                              for event in events)
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
