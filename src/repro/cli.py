@@ -31,7 +31,7 @@ from typing import List, Optional
 from repro.common.config import VPCAllocation, baseline_config
 from repro.experiments.parallel import PointRun, RunSpec, SimPoint
 from repro.system.kernel import DEFAULT_KERNEL
-from repro.workloads import build_trace, workload_spec
+from repro.workloads import build_trace, workload_name, workload_spec
 
 
 def parse_shares(text: Optional[str], n_threads: int) -> List[float]:
@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(requires the vpc arbiter; with --report, "
                              "the fairness controller steers against the "
                              "measured solo targets)")
-    parser.add_argument("--epoch", type=int, default=None, metavar="CYCLES",
-                        help="QoS controller epoch length in cycles "
-                             "(default 5000)")
     parser.add_argument("--qos-log", default=None, metavar="PATH",
                         help="write the controller's repro.qos-decisions/1 "
                              "document (per-epoch labels, programmed "
@@ -127,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "p50/p95/p99/p999, worst-k exemplars); print "
                              "the summary, or write the repro.requests/1 "
                              "JSON to PATH when given")
-    parser.add_argument("--slo", default=None, metavar="SPEC",
-                        help="latency SLO targets for --requests: an "
-                             "integer (99%% of every thread's loads under "
-                             "N cycles) or a JSON/TOML rule file with an "
-                             "'slos' list")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="write a resumable checkpoint of the full "
                              "simulation to PATH every --checkpoint-every "
@@ -156,20 +148,8 @@ def _resumed_labels(system) -> List[str]:
     for tid in range(system.config.n_threads):
         core = system._core_of_thread[tid]
         spec = getattr(getattr(core, "_trace", None), "spec", None)
-        if isinstance(spec, tuple) and spec:
-            # Invert workload_spec so labels match what was typed.
-            if len(spec) == 1:
-                labels.append(spec[0])
-            elif spec[0] in ("micro", "spec", "phased"):
-                labels.append(spec[1])
-            elif spec[0] == "phased-inline":
-                labels.append(f"phase:{spec[1]}")
-            elif spec[0] == "tracefile":
-                labels.append(f"trace:{spec[1]}")
-            else:
-                labels.append(f"{spec[0]}:{spec[1]}")
-        else:
-            labels.append(f"thread{tid}")
+        labels.append(workload_name(spec) if isinstance(spec, tuple) and spec
+                      else f"thread{tid}")
     return labels
 
 
@@ -207,27 +187,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if controller_name is not None and args.arbiter != "vpc":
         parser.error(f"--controller needs the vpc arbiter, not "
                      f"{args.arbiter!r} (or use --policy lfoc)")
-    if args.epoch is not None:
-        if controller_name is None:
-            parser.error("--epoch only applies when a QoS controller "
-                         "runs; add --controller or --policy lfoc")
-        if args.epoch < 1:
-            parser.error("--epoch must be >= 1 cycle")
     if args.qos_log is not None and controller_name is None \
             and not args.resume_checkpoint:
         parser.error("--qos-log needs a QoS controller; add --controller "
                      "or --policy lfoc")
-    from repro.telemetry.alerts import close_alerts, open_alerts
-    engine = open_alerts(parser, args)
-    if args.slo is not None and args.requests is None:
-        parser.error("--slo requires --requests")
-    slo_rules = ()
-    if args.slo is not None:
-        from repro.telemetry.requests import load_slo
-        try:
-            slo_rules = tuple(load_slo(args.slo))
-        except (OSError, ValueError) as error:
-            parser.error(f"--slo: {error}")
+    from repro.telemetry.options import ObserverSession
+    session = ObserverSession(parser, args, indent="  ")
     resumed = None
     if args.resume_checkpoint:
         from repro.resilience import CheckpointError, open_checkpoint
@@ -285,23 +250,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                    or args.report is not None or args.serve is not None
                    or args.alerts)
 
-    # One trace sink, a view on the system's lifecycle probe like the
-    # metrics views.
-    ring = jsonl = None
-    if resumed is None and args.trace:
-        from repro.telemetry.bus import JsonlSink, RingBufferSink
-        if args.trace.endswith(".jsonl"):
-            jsonl = JsonlSink(args.trace)
-        else:
-            ring = RingBufferSink()
-    telemetry = ring if ring is not None else jsonl
-
-    tracer = None
-    if args.spans is not None:
-        # The tracer shares the --trace sink (when one exists) so host
-        # spans land in the same Perfetto export as simulated cycles.
-        from repro.telemetry.spans import TRACK_RUN, TRACK_SCHED, SpanTracer
-        tracer = SpanTracer(sink=telemetry)
+    # Every usage check is behind us: only now may files and the server
+    # open.  The --trace sink is a view on the system's lifecycle probe
+    # like the metrics views.
+    session.open()
+    tracer = session.tracer
+    if tracer is not None:
+        from repro.telemetry.spans import TRACK_RUN, TRACK_SCHED
 
     # Target IPCs (one private-equivalent run per thread) come first so
     # the metrics collector can track slowdown-vs-solo live.
@@ -347,22 +302,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             metrics=args.metrics_window if observe else None,
             kernel=args.kernel or DEFAULT_KERNEL,
             cpi_stacks=args.cpi_stacks is not None,
-            requests=args.requests is not None, slo=slo_rules,
+            requests=args.requests is not None, slo=session.slo,
         )
         point_run = PointRun.build(
-            point, spec, resumable=checkpointer is not None, sink=telemetry,
-            baseline_ipcs=targets, monitor=observe)
+            point, spec, resumable=checkpointer is not None,
+            sink=session.sink, baseline_ipcs=targets, monitor=observe)
     system = point_run.system
     histograms = system.attach_histograms() if args.histograms else None
 
-    live = server = None
-    if args.serve is not None or engine is not None:
-        from repro.telemetry.server import LiveRun, serve
-        live = LiveRun(stale_after=args.stale_after, alert_engine=engine)
-        if tracer is not None:
-            live.on_span = tracer.ingest
-        if args.serve is not None:
-            server = serve(live, args.serve)
+    live = session.live
+    if live is not None:
         live.begin_run(" ".join(args.workloads), kernel=system.kernel)
         live.begin_batch(1)
 
@@ -375,10 +324,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         checkpointer.on_saved = _on_saved
 
-    profiler = None
-    if args.profile:
-        from repro.common.profiling import start_profile
-        profiler = start_profile()
     started = time.monotonic()
     simulate_span = None
     if tracer is not None:
@@ -390,9 +335,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if tracer is not None:
         tracer.end(simulate_span, cycles=result.cycles)
     wall_time = time.monotonic() - started
-    if profiler is not None:
-        from repro.common.profiling import finish_profile
-        finish_profile(profiler, args.profile)
     if live is not None:
         live.point_done(0, result.metrics)
         live.finish_run()
@@ -425,10 +367,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             quotas = " ".join(f"{value:.2f}" for value in final["beta"])
             print(f"  qos shares: phi [{shares}]  beta [{quotas}]")
         if args.qos_log is not None:
-            import json
-            with open(args.qos_log, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2)
-                handle.write("\n")
+            from repro.telemetry.manifest import write_document
+            write_document(args.qos_log, doc)
             print(f"  qos decisions -> {args.qos_log}")
     elif args.qos_log is not None:
         print("  qos: none logged (the resumed checkpoint was written "
@@ -446,10 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      if value]
             print(f"    t{tid}: " + (", ".join(parts) or "(idle)"))
         if args.cpi_stacks != "-":
-            import json
-            with open(args.cpi_stacks, "w", encoding="utf-8") as handle:
-                json.dump(stacks, handle, indent=2)
-                handle.write("\n")
+            from repro.telemetry.manifest import write_document
+            write_document(args.cpi_stacks, stacks)
             print(f"  cpi stacks -> {args.cpi_stacks}")
 
     if args.requests is not None and result.requests is not None:
@@ -464,10 +402,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  metrics: none collected (the resumed checkpoint was "
               "written without a metrics collector)")
     elif args.metrics:
-        import json
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(result.metrics, handle, indent=2)
-            handle.write("\n")
+        from repro.telemetry.manifest import write_document
+        write_document(args.metrics, result.metrics)
         print(f"  metrics: {result.metrics['events_seen']} events "
               f"aggregated -> {args.metrics}")
     if args.prometheus:
@@ -499,19 +435,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if histograms is not None:
         print("latency histograms (cycles):")
         print(histograms.format_report())
-    if ring is not None:
-        from repro.telemetry.perfetto import write_chrome_trace
-        events = list(ring)
-        if system.request_tracer is not None:
-            # Worst-k exemplar waterfalls ride in the same trace file,
-            # flow-linked to the request spans on the thread timelines.
-            events.extend(system.request_tracer.exemplar_trace_events())
-        count = write_chrome_trace(args.trace, events)
-        print(f"  trace: {count} events -> {args.trace} "
-              "(open in ui.perfetto.dev)")
-    if jsonl is not None:
-        jsonl.close()
-        print(f"  trace: events streamed -> {args.trace}")
     if args.manifest is not None:
         from repro.telemetry.manifest import RunManifest
         lineage = {}
@@ -526,10 +449,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "exemplar_k": (system.request_tracer.exemplar_k
                                if system.request_tracer is not None else None),
             }
-        if server is not None:
+        if session.server is not None:
             # Record the (possibly auto-assigned via --serve 0) address
             # so artifacts point back at the endpoint that served them.
-            lineage["serve_url"] = server.url
+            lineage["serve_url"] = session.server.url
         manifest = RunManifest.collect(
             config=config, kernel=system.kernel,
             wall_time_s=round(wall_time, 3),
@@ -539,20 +462,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             skips_taken=system.skips_taken,
             **lineage,
         )
-        if args.manifest == "-":
-            import json
-            print(json.dumps(manifest.to_dict(), indent=2, default=repr))
-        else:
-            manifest.write(args.manifest)
+        manifest.write(args.manifest)
+        if args.manifest != "-":
             print(f"  manifest -> {args.manifest}")
-    if tracer is not None:
-        from repro.telemetry.spans import write_spans
-        count = write_spans(args.spans, tracer)
-        print(f"  spans: {count} host spans -> {args.spans}")
-    exit_code = close_alerts(engine, args.alerts_out)
-    if server is not None:
-        server.stop(linger=args.serve_linger)
-    return exit_code
+    exemplars = ()
+    if session.sink is not None and system.request_tracer is not None:
+        # Worst-k exemplar waterfalls ride in the same trace file,
+        # flow-linked to the request spans on the thread timelines.
+        exemplars = system.request_tracer.exemplar_trace_events()
+    return session.close(exemplars)
 
 
 if __name__ == "__main__":

@@ -706,27 +706,31 @@ def run_points(points: Sequence[SimPoint]) -> List[SimulationResult]:
     batch = Batch(points, spec)
     todo = [index for index in range(len(points)) if not batch.cached(index)]
     excluded = ()
-    if spec.resilience is None and (len(todo) < 2 or spec.jobs < 2):
-        for index in todo:
-            span_ctx = batch.start(index)
-            batch.finish(index, run_point(points[index], spec, spec.live,
-                                          batch.base + index,
-                                          span_ctx=span_ctx))
-    else:
-        with _live_feed(spec.live) as feed:
-            batch.feed = feed
-            if spec.resilience is None:
-                _run_pool(batch, todo)
-            else:
-                from repro.resilience.fleet import run_points_resilient
-                excluded = run_points_resilient(batch, todo)
+    try:
+        if spec.resilience is None and (len(todo) < 2 or spec.jobs < 2):
+            for index in todo:
+                span_ctx = batch.start(index)
+                batch.finish(index, run_point(points[index], spec, spec.live,
+                                              batch.base + index,
+                                              span_ctx=span_ctx))
+        else:
+            with _live_feed(spec.live) as feed:
+                batch.feed = feed
+                if spec.resilience is None:
+                    _run_pool(batch, todo)
+                else:
+                    from repro.resilience.fleet import run_points_resilient
+                    excluded = run_points_resilient(batch, todo)
+    finally:
+        # Every finished point is booked however the batch ends, so an
+        # interrupted experiment can salvage its own points.
+        if spec.metrics is not None:
+            metrics_log.extend(
+                result.metrics for result in batch.results
+                if result is not None and result.metrics is not None
+            )
     if spec.spans is not None:
         spec.spans.end(batch.span)
-    if spec.metrics is not None:
-        metrics_log.extend(
-            result.metrics for result in batch.results
-            if result is not None and result.metrics is not None
-        )
     if excluded:
         from repro.resilience.fleet import PointsExcludedError
         raise PointsExcludedError(excluded, batch.results,

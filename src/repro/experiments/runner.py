@@ -6,7 +6,8 @@ used by the test suite.  ``--jobs N`` fans independent simulation
 points across N worker processes (0 = all CPUs); ``--no-cache``
 disables the on-disk target-IPC cache (see
 :mod:`repro.experiments.parallel`).  Observability (see
-docs/ARCHITECTURE.md; shared flags live in
+docs/ARCHITECTURE.md; the shared flags and the observer session that
+opens and closes what they ask for live in
 :mod:`repro.telemetry.options`): ``--progress`` reports per-point
 completion and ETA on stderr, ``--trace PATH`` captures the runner's
 orchestration events as a Chrome/Perfetto trace (a ``.jsonl`` path
@@ -47,7 +48,7 @@ from repro.experiments import parallel
 from repro.experiments.base import ExperimentResult, registry
 from repro.resilience.fleet import PointsExcludedError
 from repro.system.kernel import DEFAULT_KERNEL
-from repro.telemetry.manifest import RunManifest
+from repro.telemetry.manifest import RunManifest, write_document
 
 
 def run_experiment(exp_id: str, fast: bool = False,
@@ -118,7 +119,7 @@ def run_experiment(exp_id: str, fast: bool = False,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.telemetry.options import telemetry_options
+    from repro.telemetry.options import ObserverSession, telemetry_options
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
@@ -175,11 +176,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "per-point documents) into DIR (default: "
                              "current directory; implies metrics "
                              "collection)")
-    parser.add_argument("--slo", default=None, metavar="SPEC",
-                        help="latency SLO rules evaluated into every "
-                             "traced document: an integer cycle "
-                             "threshold shorthand or a JSON/TOML rules "
-                             "file (requires --requests)")
     parser.add_argument("--policy", default=None, metavar="NAME",
                         choices=list(parallel.POLICIES),
                         help="remap every multi-thread point to one policy "
@@ -193,10 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "multi-thread point (lfoc or fairness); "
                              "implies VPC arbiters/capacity on those "
                              "points")
-    parser.add_argument("--epoch", type=int, default=None, metavar="CYCLES",
-                        help="QoS controller epoch length in cycles "
-                             "(default 5000; requires --policy lfoc or "
-                             "--controller)")
     parser.add_argument("--figures", nargs="?", const=".", default=None,
                         metavar="DIR",
                         help="write <exp_id>.figure.json (the machine-"
@@ -235,6 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "'kill=0.3,corrupt=0.2,seed=7' "
                              "(tests/CI; requires --run-dir)")
     args = parser.parse_args(argv)
+    session = ObserverSession(parser, args)
 
     run_dir = args.resume or args.run_dir
     resilience = None
@@ -275,112 +268,58 @@ def main(argv: Optional[List[str]] = None) -> int:
         return ("python -m repro.experiments "
                 + " ".join(kept + ["--resume", str(run_dir)]))
 
-    progress = ring = jsonl = None
-    if args.progress or args.serve is not None:
-        from repro.telemetry.progress import ProgressReporter
-        progress = ProgressReporter()
-    if args.trace:
-        from repro.telemetry.bus import JsonlSink, RingBufferSink
-        if args.trace.endswith(".jsonl"):
-            jsonl = JsonlSink(args.trace)
-        else:
-            ring = RingBufferSink()
-    sink = ring if ring is not None else jsonl
     if args.stacks is not None and not args.cpi_stacks:
         parser.error("--stacks requires --cpi-stacks")
-    slo_rules = ()
-    if args.slo is not None:
-        if args.requests is None:
-            parser.error("--slo requires --requests")
-        from repro.telemetry.requests import load_slo
-        try:
-            slo_rules = tuple(load_slo(args.slo))
-        except (OSError, ValueError) as error:
-            parser.error(f"--slo: {error}")
-    tracer = None
-    if args.spans is not None:
-        from repro.telemetry.spans import SpanTracer
-        # Sharing the --trace sink (when present) lands host-time spans
-        # in the same Perfetto export as the orchestration events.
-        tracer = SpanTracer(sink=sink)
-    from repro.telemetry.alerts import close_alerts, open_alerts
-    engine = open_alerts(parser, args)
+    if args.list or not args.experiments:
+        for exp_id in sorted(registry()):
+            print(exp_id)
+        return 0
+
     metrics_window = None
     if (args.metrics is not None or args.report is not None
             or args.serve is not None or args.cpi_stacks
             or args.requests is not None
-            or args.history is not None or engine is not None):
+            or args.history is not None or session.engine is not None):
         # Cycle accounting, request tracing, the history ledger, and
         # alert evaluation all ride the metrics aggregate, so each
         # implies collection.
         metrics_window = args.metrics_window
-    live = server = None
-    if args.serve is not None or engine is not None:
-        # --alerts without --serve still needs the LiveRun event bus so
-        # the engine sees the stream; it just never opens a socket.
-        from repro.telemetry.server import LiveRun, serve
-        live = LiveRun(stale_after=args.stale_after, progress=progress,
-                       alert_engine=engine)
-        if tracer is not None:
-            live.on_span = tracer.ingest
-        if args.serve is not None:
-            server = serve(live, args.serve)
-    if args.epoch is not None and args.controller is None \
-            and args.policy != "lfoc":
-        parser.error("--epoch only applies when a QoS controller runs; "
-                     "add --controller or --policy lfoc")
+    progress = None
+    if args.progress or args.serve is not None:
+        from repro.telemetry.progress import ProgressReporter
+        progress = ProgressReporter()
+    session.open(progress)
     try:
         parallel.configure(jobs=args.jobs, cache=not args.no_cache,
-                           progress=progress, telemetry=sink,
-                           metrics=metrics_window, live=live,
+                           progress=progress, telemetry=session.sink,
+                           metrics=metrics_window, live=session.live,
                            resilience=resilience,
                            kernel=args.kernel or DEFAULT_KERNEL,
                            cpi_stacks=args.cpi_stacks,
-                           spans=tracer,
+                           spans=session.tracer,
                            requests=args.requests is not None,
-                           slo=slo_rules,
+                           slo=session.slo,
                            policy=args.policy, controller=args.controller,
                            epoch=args.epoch)
     except ValueError as exc:
         parser.error(str(exc))
-
-    if args.list or not args.experiments:
-        for exp_id in sorted(registry()):
-            print(exp_id)
-        if server is not None:
-            server.stop()
-        return 0
 
     requested = args.experiments
     if requested == ["all"]:
         requested = sorted(registry())
 
     def salvage_partial_metrics(exp_id: str) -> None:
-        """Write whatever per-point metrics survived an interrupted or
-        partially-excluded run (``<exp_id>.metrics.partial.json``)."""
-        if args.metrics is None:
-            return
+        """Write the metrics of the points an interrupted or partially
+        excluded experiment finished (``<exp_id>.metrics.partial.json``):
+        ``run_points`` books every finished point however its batch
+        ends, and each experiment drains its own."""
         snapshots = parallel.drain_metrics()
-        if not snapshots and run_dir is not None:
-            # The fleet keeps finished results as sidecars in the run
-            # directory even when the batch itself never returned.
-            from repro.resilience import replay as replay_journal
-            from repro.resilience.journal import load_result, result_path
-            state = replay_journal(run_dir)
-            for rec in sorted(state.records.values(), key=lambda r: r.index):
-                if rec.status != "done":
-                    continue
-                prior = load_result(result_path(run_dir, rec.key))
-                if prior is not None and prior.metrics is not None:
-                    snapshots.append(prior.metrics)
-        if not snapshots:
+        if args.metrics is None or not snapshots:
             return
-        import json
         from repro.telemetry.metrics import merge_snapshots
-        aggregate = merge_snapshots(snapshots)
         path = Path(args.metrics) / f"{exp_id}.metrics.partial.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(aggregate, indent=2) + "\n")
+        write_document(path, merge_snapshots(snapshots))
         print(f"partial metrics ({len(snapshots)} points) -> {path}",
               file=sys.stderr)
 
@@ -394,17 +333,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("no run directory was configured, so completed points "
                   "were not journaled; re-run with --run-dir DIR to make "
                   "runs resumable", file=sys.stderr)
-        if server is not None:
-            server.stop()
+        session.close(complete=False)
         return code
 
-    profiler = None
-    if args.profile:
-        from repro.common.profiling import start_profile
-        profiler = start_profile()
     manifest_extra = {}
-    if server is not None:
-        manifest_extra["serve_url"] = server.url
+    if session.server is not None:
+        manifest_extra["serve_url"] = session.server.url
     if args.requests is not None:
         # Provenance: the run was request-traced, under which SLO spec.
         manifest_extra["request_tracing"] = {
@@ -428,60 +362,43 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 print(result.format_table())
             print(f"({time.time() - started:.1f}s)\n")
-            if args.manifest is not None and result.manifest is not None:
-                path = Path(args.manifest) / f"{exp_id}.manifest.json"
+            per_point = (None if result.metrics is None
+                         else result.metrics["per_point"])
+            stacks, traced = (
+                None if per_point is None
+                else [snap[view] for snap in per_point if snap.get(view)]
+                for view in ("cpi_stacks", "requests"))
+            for kind, directory, document, counted, unit in (
+                    ("manifest", args.manifest, result.manifest, None, ""),
+                    ("metrics", args.metrics, result.metrics, per_point,
+                     "point snapshots"),
+                    ("figure", args.figures, result.figure, None, ""),
+                    ("stacks", args.stacks, stacks, stacks, "point stacks"),
+                    ("requests", args.requests, traced, traced,
+                     "point documents")):
+                if directory is None or document is None:
+                    continue
+                path = Path(directory) / f"{exp_id}.{kind}.json"
                 path.parent.mkdir(parents=True, exist_ok=True)
-                result.manifest.write(path)
-                print(f"manifest -> {path}")
-            if args.metrics is not None and result.metrics is not None:
-                import json
-                path = Path(args.metrics) / f"{exp_id}.metrics.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(result.metrics, indent=2) + "\n")
-                print(f"metrics -> {path} "
-                      f"({result.metrics['points']} point snapshots)")
-            if args.figures is not None and result.figure is not None:
-                import json
-                path = Path(args.figures) / f"{exp_id}.figure.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(result.figure, indent=2) + "\n")
-                print(f"figure -> {path}")
-            if args.stacks is not None and result.metrics is not None:
-                import json
-                docs = [
-                    snap["cpi_stacks"]
-                    for snap in result.metrics["per_point"]
-                    if snap.get("cpi_stacks")
-                ]
-                path = Path(args.stacks) / f"{exp_id}.stacks.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(docs, indent=2) + "\n")
-                print(f"stacks -> {path} ({len(docs)} point stacks)")
-            if args.requests is not None and result.metrics is not None:
-                import json
-                docs = [
-                    snap["requests"]
-                    for snap in result.metrics["per_point"]
-                    if snap.get("requests")
-                ]
-                path = Path(args.requests) / f"{exp_id}.requests.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(docs, indent=2) + "\n")
-                print(f"requests -> {path} ({len(docs)} point documents)")
+                if kind == "manifest":
+                    document.write(path)  # the one repr fallback
+                else:
+                    write_document(path, document)
+                note = "" if counted is None else f" ({len(counted)} {unit})"
+                print(f"{kind} -> {path}{note}")
             if args.history is not None and result.metrics is not None:
                 from repro.telemetry.history import (
                     append_entry,
                     build_entry,
                     read_history,
                 )
-                if engine is not None:
+                if session.engine is not None:
                     # Bench regression is judged against the ledger as
                     # it stood BEFORE this run appends its own entry.
-                    for payload in engine.evaluate_history(
+                    for payload in session.engine.evaluate_history(
                             exp_id, result.metrics,
                             read_history(args.history)):
-                        if live is not None:
-                            live.alert(payload)
+                        session.live.alert(payload)
                 append_entry(args.history, build_entry(
                     exp_id,
                     manifest=(result.manifest.to_dict()
@@ -518,30 +435,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 write_report(fleet, str(path))
                 print(f"report -> {path}\n")
-    finally:
-        if profiler is not None:
-            from repro.common.profiling import finish_profile
-            finish_profile(profiler, args.profile)
-        if jsonl is not None:
-            jsonl.close()
+    except BaseException:
+        session.close(complete=False)
+        raise
     summary = parallel.cache_summary()
     if summary:
         print(summary)
-    if ring is not None:
-        from repro.telemetry.perfetto import write_chrome_trace
-        count = write_chrome_trace(args.trace, ring)
-        print(f"trace: {count} events -> {args.trace} "
-              "(open in ui.perfetto.dev)")
-    if jsonl is not None:
-        print(f"trace: events streamed -> {args.trace}")
-    if tracer is not None:
-        from repro.telemetry.spans import write_spans
-        count = write_spans(args.spans, tracer)
-        print(f"spans: {count} host-time spans -> {args.spans}")
-    exit_code = close_alerts(engine, args.alerts_out)
-    if server is not None:
-        server.stop(linger=args.serve_linger)
-    return exit_code
+    return session.close()
 
 
 if __name__ == "__main__":

@@ -214,6 +214,13 @@ def run_points_resilient(batch, todo: Sequence[int]) -> List[Tuple]:
     finished_this_run = 0
     ctx = multiprocessing.get_context()
 
+    def reap(proc) -> None:
+        del active[proc]
+        if batch.feed is not None:
+            # Through the feed, behind everything the worker streamed, so
+            # the live plane drops the worker after its last window.
+            batch.feed.put(("reaped", proc.pid))
+
     def fail(slot: _Slot, span, error: str, **outcome) -> None:
         if span is not None:
             spans.end(span, **outcome)
@@ -275,7 +282,7 @@ def run_points_resilient(batch, todo: Sequence[int]) -> List[Tuple]:
                 slot, deadline, attempt_span = active[proc]
                 if not proc.is_alive():
                     proc.join()
-                    del active[proc]
+                    reap(proc)
                     if proc.exitcode == 0:
                         result = load_result(result_path(run_dir, slot.key))
                         if result is not None:
@@ -304,7 +311,7 @@ def run_points_resilient(batch, todo: Sequence[int]) -> List[Tuple]:
                     if proc.is_alive():
                         proc.kill()
                         proc.join()
-                    del active[proc]
+                    reap(proc)
                     fail(slot, attempt_span, f"timed out after {timeout:g}s",
                          outcome="timeout")
             if pending and not active:

@@ -399,10 +399,9 @@ class AlertEngine:
 def write_alerts(path, engine: AlertEngine) -> int:
     """Write the engine's ``repro.alerts/1`` document; returns the
     emitted-event count."""
+    from repro.telemetry.manifest import write_document
     document = engine.document()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    write_document(path, document)
     return len(document["events"])
 
 

@@ -6,6 +6,10 @@ the repository revision, which simulation kernel ran, how the result
 cache behaved, and how long the run took.  The experiment runner
 attaches one to every ``ExperimentResult`` and can write it alongside
 the output; the simulation CLI prints/writes one on ``--manifest``.
+
+:func:`write_document` is the one writer of the JSON documents that
+land beside a result: the manifest, every view document and report
+card, the spans and the alerts.
 """
 
 from __future__ import annotations
@@ -14,9 +18,26 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
+
+
+def write_document(path, document, default=None) -> None:
+    """Write ``document`` to ``path`` (``"-"`` prints it) as JSON with a
+    two-space indent and a trailing newline.
+
+    ``default`` is :func:`json.dumps`'s fallback for values JSON cannot
+    hold; only the manifest passes one, so a stray value in a view
+    document fails loudly.
+    """
+    text = json.dumps(document, indent=2, default=default) + "\n"
+    if str(path) == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def config_hash(config) -> str:
@@ -82,6 +103,4 @@ class RunManifest:
         return asdict(self)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, default=repr)
-            fh.write("\n")
+        write_document(path, self.to_dict(), default=repr)

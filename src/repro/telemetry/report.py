@@ -14,7 +14,6 @@ package must stay importable from inside the system layer.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.qos import QoSOutcome, summarize
@@ -333,6 +332,5 @@ def render_fleet_card(fleet: Dict) -> str:
 
 
 def write_report(card: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(card, handle, indent=2)
-        handle.write("\n")
+    from repro.telemetry.manifest import write_document
+    write_document(path, card)

@@ -480,9 +480,8 @@ def verify_requests(payload: Dict) -> List[str]:
 
 def write_requests(path, doc: Dict) -> None:
     """Write a request-tracing document to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    from repro.telemetry.manifest import write_document
+    write_document(path, doc)
 
 
 def render_requests(doc: Dict) -> List[str]:

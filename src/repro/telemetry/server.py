@@ -36,6 +36,7 @@ The run feed protocol is deliberately dumb so it crosses the
     ("violation", point_index, worker_id, violation_dict)
     ("hb",        worker_id)
     ("span",      point_index, worker_pid, span_record)
+    ("reaped",    worker_id)
 
 Heartbeat ages are measured with the *parent's* clock at receive time,
 so worker/parent clock skew cannot fake liveness.
@@ -195,6 +196,8 @@ class LiveRun(EventHub):
         elif kind == "span":
             _, index, worker, record = msg
             self.span(index, worker, record)
+        elif kind == "reaped":
+            self.reaped(msg[1])
 
     def begin_run(self, label: str = "", kernel: str = "") -> None:
         """Start (or switch to) a named run: clears per-point state.
@@ -234,6 +237,12 @@ class LiveRun(EventHub):
             self._warned_stale.discard(worker)
             if holds is not None and holds not in self._closed:
                 self._holders[holds] = worker  # unless its end came first
+
+    def reaped(self, worker: int) -> None:
+        """The fleet reaped a per-point worker process (finished, dead or
+        timed out): it owes no more heartbeats and leaves ``/healthz``."""
+        with self._lock:
+            self._workers.pop(worker, None)
 
     def window(self, index: int, worker: int, cycle: int,
                snapshot: Dict) -> None:

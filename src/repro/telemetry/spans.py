@@ -286,9 +286,7 @@ class SpanTracer:
 def write_spans(path, tracer: SpanTracer) -> int:
     """Write the tracer's ``repro.spans/1`` document; returns the span
     count."""
-    import json
+    from repro.telemetry.manifest import write_document
     document = tracer.document()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    write_document(path, document)
     return len(document["spans"])

@@ -85,6 +85,19 @@ def workload_spec(name: str):
                      "phase:<bench+bench[@instructions]>, or trace:<path>")
 
 
+def workload_name(spec) -> str:
+    """The workload name for a :func:`build_trace` spec, as typed: the
+    inverse of :func:`workload_spec` (``("loads",)`` reads ``loads``; a
+    spec no name spells reads ``<kind>:<value>``)."""
+    kind = spec[0]
+    if len(spec) == 1:
+        return kind
+    if kind in ("micro", "spec", "phased"):
+        return spec[1]
+    prefix = {"phased-inline": "phase", "tracefile": "trace"}.get(kind, kind)
+    return f"{prefix}:{spec[1]}"
+
+
 __all__ = [
     "ARRAY_BYTES",
     "HETEROGENEOUS_MIXES",
@@ -103,6 +116,7 @@ __all__ = [
     "read_trace",
     "save_trace",
     "trace_from_file",
+    "workload_name",
     "workload_spec",
     "loads_trace",
     "spec_trace",

@@ -84,15 +84,25 @@ class TestRunnerCLI:
         out = capsys.readouterr().out
         assert "[tag]" in out and "#" in out
 
-    def test_jsonl_trace_streams_one_event_per_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry", ["experiments", "run"])
+    def test_jsonl_trace_streams_one_event_per_line(self, entry, tmp_path,
+                                                    capsys):
+        """Both CLIs stream a .jsonl --trace: the runner's orchestration
+        events, the single run's simulated ones."""
+        from repro.cli import main as run_main
+        cli, argv, orchestration = {
+            "experiments": (main, ["fig7", "--fast"], True),
+            "run": (run_main, ["loads", "stores", "--warmup", "500",
+                               "--cycles", "500"], False),
+        }[entry]
         trace = tmp_path / "run.jsonl"
         try:
-            assert main(["fig7", "--fast", "--trace", str(trace)]) == 0
+            assert cli(argv + ["--trace", str(trace)]) == 0
         finally:
             parallel.configure(jobs=1, cache=True)
         assert f"events streamed -> {trace}" in capsys.readouterr().out
         events = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert events and all(event["track"] == "run.points"
+        assert events and all((event["track"] == "run.points") == orchestration
                               for event in events)
 
     def test_unknown_experiment_raises(self):

@@ -453,6 +453,8 @@ class TestResilientFleet:
         assert health["points"] == {"done": 2, "total": 2}
         assert health["status"] == "finished"
         assert health["last_window_age_s"] is not None
+        # Each point ran in its own process, reaped when it ended.
+        assert health["workers"] == {}
         events = []
         while not subscriber.empty():
             events.append(subscriber.get_nowait())
@@ -572,6 +574,44 @@ class TestCliCheckpointResume:
         from repro import cli
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+class TestPartialSalvage:
+    """An interrupted or incomplete experiment salvages the metrics of
+    its own finished points, and only those."""
+
+    def test_other_experiments_points_are_not_salvaged(self, tmp_path):
+        from repro.experiments.runner import main
+        run_dir = str(tmp_path / "run")
+        assert main(["fig8", "--fast", "--jobs", "2", "--run-dir", run_dir,
+                     "--metrics", str(tmp_path / "m1")]) == 0
+        # Every fig10 point is killed at its first checkpoint and
+        # excluded; the run dir's journal still holds fig8's points.
+        assert main(["fig10", "--fast", "--jobs", "2", "--run-dir", run_dir,
+                     "--metrics", str(tmp_path / "m2"),
+                     "--checkpoint-every", "1000", "--max-retries", "0",
+                     "--chaos", "kill=1.0,seed=1,max_faults_per_point=5",
+                     ]) == 3
+        assert not (tmp_path / "m2" / "fig10.metrics.partial.json").exists()
+
+    def test_interrupted_inline_batch_salvages_its_finished_point(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.runner import main
+        run_point, finished = parallel.run_point, []
+
+        def interrupt_the_second(*args, **kwargs):
+            if finished:
+                raise KeyboardInterrupt
+            finished.append(run_point(*args, **kwargs))
+            return finished[-1]
+
+        monkeypatch.setattr(parallel, "run_point", interrupt_the_second)
+        assert main(["fig7", "--fast", "--metrics", str(tmp_path)]) == 130
+        partial = json.loads(
+            (tmp_path / "fig7.metrics.partial.json").read_text())
+        assert partial["per_point"] == [
+            json.loads(json.dumps(finished[0].metrics))]
+        assert "partial metrics (1 points)" in capsys.readouterr().err
 
 
 class TestLiveRunResilienceCounters:

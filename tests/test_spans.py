@@ -218,6 +218,23 @@ def test_write_spans_is_valid_and_deterministic(tmp_path, capsys):
     assert "host spans" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entry", ["run", "experiments"])
+def test_both_clis_write_host_spans(entry, tmp_path, capsys):
+    from repro.cli import main as run_main
+    from repro.experiments.runner import main as experiments_main
+    main, argv = {
+        "run": (run_main, ["loads", "stores", "--warmup", "500",
+                           "--cycles", "500"]),
+        "experiments": (experiments_main, ["fig7", "--fast"]),
+    }[entry]
+    path = tmp_path / "spans.json"
+    assert main(argv + ["--spans", str(path)]) == 0
+    document = json.loads(path.read_text())
+    assert document["spans"] and validate(document, "spans") == []
+    assert (f"spans: {len(document['spans'])} host spans -> {path}"
+            in capsys.readouterr().out)
+
+
 def test_validate_spans_rejects_malformed_documents():
     good = SpanTracer(clock=_FakeClock())
     good.end(good.begin("ok"))

@@ -14,6 +14,7 @@ from repro.cpu.isa import (
     store,
     validate_trace,
 )
+from repro.workloads import workload_name, workload_spec
 from repro.workloads.microbench import (
     ARRAY_BYTES,
     ROW_BYTES,
@@ -172,3 +173,17 @@ class TestProfiles:
         for mix in HETEROGENEOUS_MIXES.values():
             assert len(mix) == 4
             assert all(name in SPEC_PROFILES for name in mix)
+
+
+class TestWorkloadNames:
+    @pytest.mark.parametrize("name", [
+        "loads", "stores", "art", "art-sixtrack", "phase:art+mcf@8000",
+        "trace:runs/mix.trace",
+    ])
+    def test_workload_name_inverts_workload_spec(self, name):
+        assert workload_name(workload_spec(name)) == name
+
+    def test_experiment_spelling_reads_as_the_cli_name(self):
+        assert workload_name(("loads",)) == "loads"
+        assert workload_spec(workload_name(("stores",))) == ("micro",
+                                                             "stores")
