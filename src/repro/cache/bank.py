@@ -321,7 +321,8 @@ class CacheBank:
                 return retiring, "store"
         return None, ""
 
-    def _admit_to_controller(self, now: int) -> None:
+    def _admit_to_controller(self, now: int) -> bool:
+        """Admit at most one request; True when one was admitted."""
         for _ in range(self.n_threads):
             self._rr_pointer = (self._rr_pointer + 1) % self.n_threads
             tid = self._rr_pointer
@@ -336,7 +337,8 @@ class CacheBank:
                 self.sgbs[tid].pop_retire()
                 self.counters.add("writes_admitted")
             self._start_sm(request, now)
-            return  # one admission per cycle per bank
+            return True  # one admission per cycle per bank
+        return False
 
     def _start_sm(self, request: MemoryRequest, now: int) -> None:
         sm = StateMachine(sm_id=self._next_sm_id, request=request)

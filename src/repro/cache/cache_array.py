@@ -9,7 +9,7 @@ thread that owns it — the paper's thread-aware replacement policies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.replacement import ReplacementPolicy, SetView
 
@@ -97,6 +97,13 @@ class CacheArray:
     ``index_stride`` lets a banked cache map its slice of the address
     space: bank *b* of *N* sees lines where ``line % N == b``, so the set
     index is ``(line // N) % sets``.
+
+    Sets are built on first touch: a slot of ``_sets`` holds ``None``
+    until the first ``insert`` into it, since a run touches only a
+    fraction of a large array.  An unbuilt set holds no line, so every
+    probe of it misses and builds nothing (``contains`` stays a pure
+    probe).  An array whose slots are all built — the layout older
+    checkpoints pickled — behaves the same.
     """
 
     def __init__(
@@ -114,9 +121,7 @@ class CacheArray:
         self.ways = ways
         self.policy = policy
         self.index_stride = index_stride
-        self._sets: List[CacheSet] = [
-            CacheSet(ways, index) for index in range(sets)
-        ]
+        self._sets: List[Optional[CacheSet]] = [None] * sets
         # Valid lines per owner thread, kept current by insert and
         # invalidate (the only ownership changes), so occupancy reads
         # never scan the array.
@@ -127,13 +132,21 @@ class CacheArray:
     def set_index(self, line: int) -> int:
         return (line // self.index_stride) % self.sets
 
-    def _set(self, line: int) -> CacheSet:
-        return self._sets[self.set_index(line)]
+    def _locate(self, line: int) -> Tuple[Optional[CacheSet], Optional[int]]:
+        """``line``'s set (``None`` while unbuilt) and way (``None``
+        unless present)."""
+        cset = self._sets[self.set_index(line)]
+        return cset, None if cset is None else cset.find(line)
+
+    def built_sets(self) -> Iterator[CacheSet]:
+        """The sets built so far (every line lives in one of them)."""
+        return (cset for cset in self._sets if cset is not None)
 
     def lookup(self, line: int, update_lru: bool = True) -> bool:
         """Tag probe.  Updates hit/miss counters and (on hit) recency."""
-        cset = self._set(line)
-        way = cset.find(line)
+        # _locate inlined: every L1 access probes here.
+        cset = self._sets[(line // self.index_stride) % self.sets]
+        way = None if cset is None else cset._where.get(line)
         if way is None:
             self.misses += 1
             return False
@@ -143,12 +156,17 @@ class CacheArray:
         return True
 
     def contains(self, line: int) -> bool:
-        """Pure probe with no side effects (for assertions/tests)."""
-        return self._set(line).find(line) is not None
+        """Pure probe with no side effects (for assertions/tests, and
+        the core's quiescence check, hence inlined like ``lookup``)."""
+        cset = self._sets[(line // self.index_stride) % self.sets]
+        return cset is not None and line in cset._where
 
     def insert(self, line: int, thread_id: int) -> Eviction:
         """Install ``line`` for ``thread_id``, evicting if necessary."""
-        cset = self._set(line)
+        index = self.set_index(line)
+        cset = self._sets[index]
+        if cset is None:
+            cset = self._sets[index] = CacheSet(self.ways, index)
         owned = self._owned
         existing = cset.find(line)
         if existing is not None:
@@ -163,7 +181,7 @@ class CacheArray:
             cset.install(way, line, thread_id)
             evicted = Eviction(way, None, -1, False)
         else:
-            victim = self.policy.choose_victim(cset.view(), thread_id)
+            victim = self.policy.victim_way(cset, thread_id)
             if not cset.valid[victim]:
                 raise RuntimeError(
                     "policy chose an invalid way with none free")
@@ -179,20 +197,17 @@ class CacheArray:
         return evicted
 
     def set_dirty(self, line: int, dirty: bool = True) -> None:
-        cset = self._set(line)
-        way = cset.find(line)
+        cset, way = self._locate(line)
         if way is None:
             raise KeyError(f"line {line:#x} not present")
         cset.dirty[way] = dirty
 
     def is_dirty(self, line: int) -> bool:
-        cset = self._set(line)
-        way = cset.find(line)
+        cset, way = self._locate(line)
         return way is not None and cset.dirty[way]
 
     def invalidate(self, line: int) -> None:
-        cset = self._set(line)
-        way = cset.find(line)
+        cset, way = self._locate(line)
         if way is not None:
             self._owned[cset.owner[way]] -= 1
             cset.invalidate(way)

@@ -3,7 +3,9 @@
 Policies see a :class:`SetView` — a snapshot of one set's ownership,
 validity, and recency — and return the way to victimize.  The VPC
 Capacity Manager (:mod:`repro.core.capacity`) implements this interface
-with the paper's thread-aware quota policy.
+with the paper's thread-aware quota policy.  The cache array asks
+through :meth:`ReplacementPolicy.victim_way`, which hands over the set
+itself, so a policy that needs no snapshot (LRU) can skip building one.
 """
 
 from __future__ import annotations
@@ -59,9 +61,21 @@ class ReplacementPolicy(ABC):
     def choose_victim(self, set_view: SetView, requester: int) -> int:
         """Return the way to evict for ``requester``'s incoming line."""
 
+    def victim_way(self, cset, requester: int) -> int:
+        """The way to evict from ``cset`` (a full
+        :class:`~repro.cache.cache_array.CacheSet`) for ``requester``:
+        ``choose_victim`` over a snapshot of the set."""
+        return self.choose_victim(cset.view(), requester)
+
 
 class LRUPolicy(ReplacementPolicy):
     """Thread-oblivious global LRU — the conventional baseline."""
+
+    def victim_way(self, cset, requester: int) -> int:
+        """The set's LRU way, read off its recency stack: only a full
+        set reaches the policy, so that way is valid and equals
+        ``choose_victim(cset.view(), requester)``."""
+        return cset.lru[-1]
 
     def choose_victim(self, set_view: SetView, requester: int) -> int:
         candidates = set_view.valid_lru_ways()

@@ -249,6 +249,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     observe = bool(args.metrics or args.prometheus
                    or args.report is not None or args.serve is not None
                    or args.alerts)
+    spec = None
+    if resumed is None:
+        try:
+            spec = RunSpec(
+                metrics=args.metrics_window if observe else None,
+                kernel=args.kernel or DEFAULT_KERNEL,
+                cpi_stacks=args.cpi_stacks is not None,
+                requests=args.requests is not None, slo=session.slo,
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
 
     # Every usage check is behind us: only now may files and the server
     # open.  The --trace sink is a view on the system's lifecycle probe
@@ -297,12 +308,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             controller=controller_name, epoch_cycles=args.epoch or 5_000,
             controller_targets=(tuple(targets) if targets is not None
                                 else None),
-        )
-        spec = RunSpec(
-            metrics=args.metrics_window if observe else None,
-            kernel=args.kernel or DEFAULT_KERNEL,
-            cpi_stacks=args.cpi_stacks is not None,
-            requests=args.requests is not None, slo=session.slo,
         )
         point_run = PointRun.build(
             point, spec, resumable=checkpointer is not None,

@@ -168,6 +168,17 @@ metrics_log: List[Dict] = []
 _STICKY = ("jobs", "cache", "kernel")
 
 
+def build_spec(**settings) -> RunSpec:
+    """The :class:`RunSpec` :func:`configure` would set from
+    ``settings``, without setting it — so a CLI can check its settings
+    before it opens any observer.  Invalid combinations raise
+    ``ValueError``."""
+    for name in _STICKY:
+        if settings.get(name) is None:
+            settings[name] = getattr(_spec, name)
+    return RunSpec(**settings)
+
+
 def configure(**settings) -> None:
     """Set the process-wide :class:`RunSpec` from its field names.
 
@@ -178,10 +189,7 @@ def configure(**settings) -> None:
     Invalid combinations raise ``ValueError``.
     """
     global _spec
-    for name in _STICKY:
-        if settings.get(name) is None:
-            settings[name] = getattr(_spec, name)
-    _spec = RunSpec(**settings)
+    _spec = build_spec(**settings)
     cache_stats["hits"] = 0
     cache_stats["misses"] = 0
     metrics_log.clear()

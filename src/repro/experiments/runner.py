@@ -284,25 +284,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         # alert evaluation all ride the metrics aggregate, so each
         # implies collection.
         metrics_window = args.metrics_window
+    settings = dict(jobs=args.jobs, cache=not args.no_cache,
+                    metrics=metrics_window, resilience=resilience,
+                    kernel=args.kernel or DEFAULT_KERNEL,
+                    cpi_stacks=args.cpi_stacks,
+                    requests=args.requests is not None, slo=session.slo,
+                    policy=args.policy, controller=args.controller,
+                    epoch=args.epoch)
+    try:
+        # The spec's checks run before the session opens its files and
+        # server, so a bad setting leaves nothing behind.
+        parallel.build_spec(**settings)
+    except ValueError as exc:
+        parser.error(str(exc))
     progress = None
     if args.progress or args.serve is not None:
         from repro.telemetry.progress import ProgressReporter
         progress = ProgressReporter()
     session.open(progress)
-    try:
-        parallel.configure(jobs=args.jobs, cache=not args.no_cache,
-                           progress=progress, telemetry=session.sink,
-                           metrics=metrics_window, live=session.live,
-                           resilience=resilience,
-                           kernel=args.kernel or DEFAULT_KERNEL,
-                           cpi_stacks=args.cpi_stacks,
-                           spans=session.tracer,
-                           requests=args.requests is not None,
-                           slo=session.slo,
-                           policy=args.policy, controller=args.controller,
-                           epoch=args.epoch)
-    except ValueError as exc:
-        parser.error(str(exc))
+    parallel.configure(**settings, progress=progress,
+                       telemetry=session.sink, live=session.live,
+                       spans=session.tracer)
 
     requested = args.experiments
     if requested == ["all"]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.config import MemoryConfig
-from repro.common.latch import NEVER
 from repro.memory.dram import DRAMChannel
 from repro.memory.fq_scheduler import SharedDRAMChannel
 
@@ -123,18 +122,6 @@ class MemoryController:
 
     def busy(self) -> bool:
         return any(channel.pending for channel in self.channels)
-
-    def next_event(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which any channel could issue."""
-        nxt = NEVER
-        for channel in self.channels:
-            if channel.pending:
-                ready = channel.next_event(now)
-                if ready <= now:
-                    return now
-                if ready < nxt:
-                    nxt = ready
-        return nxt
 
     def idle_read_latency(self) -> int:
         """Unloaded L2-miss DRAM latency in processor cycles."""

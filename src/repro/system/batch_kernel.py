@@ -6,8 +6,9 @@ activation with lazy bulk settling.
 utilization, trace-visible request timestamp, and metrics window
 (``tests/test_kernel_equivalence.py``).  It tracks each component's
 next possible state change in flat per-run lists (one wake cycle per
-bank, one sleep flag and settle cycle per core) and, inside every
-executed cycle, runs only the components that are due:
+bank and per private DRAM channel, one sleep flag and settle cycle per
+core) and, inside every executed cycle, runs only the components that
+are due:
 
 * **cores** sleep individually the moment they report
   :meth:`~repro.cpu.core_model.CoreModel.quiescent`, and are settled in
@@ -20,15 +21,20 @@ executed cycle, runs only the components that are due:
   controller admission, memory retry, per-resource grant) runs behind
   the exact no-op guard ``next_event`` documents for it, so a bank
   whose tag meter is busy for 4 cycles pays zero for the three
-  guaranteed-``None`` grants the full tick would attempt;
+  guaranteed-``None`` grants the full tick would attempt; a bank whose
+  last admission scan admitted nothing (its candidates' lines are in
+  flight) skips admission, and leaves it out of its wake, until an
+  event pop, a store admission or a request delivery could unblock it;
+* **private DRAM channels** tick only at their ``next_event`` bound or
+  when their queue grew since their last tick;
 * **whole cycles** are jumped when every core sleeps, to the minimum
-  over the wake list, the crossbar lane heads, and memory/L3's next
-  event.
+  over the bank and channel wake lists, the crossbar lane heads, the
+  shared DRAM channel's and the L3's next event.
 
 The hot loop trades indirection for flat state: every stable component
 reference (event heaps, queues, gather buffers, arbiter/meter pairs —
 all init-assigned and only ever mutated in place) is captured once per
-``run()`` into a per-bank context tuple, the lean tick computes the
+``run()`` into a per-bank context list, the lean tick computes the
 bank's next wake in the same pass over the same locals instead of
 re-walking the object graph through ``next_event``, and the crossbar
 delay lines are drained with direct deque pops rather than generator
@@ -85,10 +91,19 @@ def _resource_context(resource):
     return (resource, arbiter, meter, 2, (), ())
 
 
-def _bank_context(bank, memory):
+#: Index of the admission-blocked flag in a bank context (its last
+#: slot; see ``_tick_bank``).
+_BLOCKED = 17
+
+
+def _bank_context(bank):
     """Flatten one bank's stable hot-path references (see module
-    docstring) into the tuple ``_tick_bank`` unpacks."""
-    return (
+    docstring) into the list ``_tick_bank`` unpacks, ending in the
+    bank's admission-blocked flag — the one mutable slot.  The memory
+    probes are the bank's own backing store's: the L3 when one is
+    configured, else the memory controller."""
+    memory = bank.memory
+    return [
         bank._events._heap,
         bank._handle_event,
         bank.sgbs,
@@ -106,7 +121,8 @@ def _bank_context(bank, memory):
         range(bank.n_threads),
         memory.can_accept_read,
         memory.can_accept_write,
-    )
+        False,
+    ]
 
 
 def _tick_bank(ctx, now: int) -> int:
@@ -125,30 +141,44 @@ def _tick_bank(ctx, now: int) -> int:
     consulting the arbiter — while the meter is busy or the queue is
     empty.  Guard-passing stages call the *real* bank methods, so the
     state transition logic exists in exactly one place.
+
+    A scan that admits nothing sets the context's blocked flag, and
+    while it is set the admission stage is skipped and left out of the
+    wake: the scan reads only the load queues, the gather buffers, the
+    state-machine counts and the active lines, which change only
+    through an event pop (``_free_sm``), a store admission, or a
+    request delivery (``run_batch`` clears the flag) — so until one of
+    those happens the scan would repeat the same no-op.  Its one side
+    effect, a partial flush request, marks nothing the second time.
     """
     (heap, handle_event, sgbs, pending_stores, load_q, sm_count, sm_limit,
      mem_wait, wbmem_wait, res_ctx, admit_stores, admit_to_controller,
-     retry_memory, apply_grant, tids, can_read, can_write) = ctx
-    while heap and heap[0][0] <= now:
-        event = heappop(heap)[2]
-        handle_event(event[0], event[1], now)
+     retry_memory, apply_grant, tids, can_read, can_write, blocked) = ctx
+    if heap and heap[0][0] <= now:
+        blocked = False
+        while heap and heap[0][0] <= now:
+            event = heappop(heap)[2]
+            handle_event(event[0], event[1], now)
     for tid in tids:
         pending = pending_stores[tid]
         if pending:
             sgb = sgbs[tid]
             if len(sgb._entries) < sgb.capacity or pending[0].line in sgb._by_line:
                 admit_stores(now)
+                blocked = False
                 break
-    for tid in tids:
-        if sm_count[tid] < sm_limit:
-            sgb = sgbs[tid]
-            if (
-                load_q[tid]
-                or len(sgb._entries) >= sgb.high_water
-                or sgb._flush_count
-            ):
-                admit_to_controller(now)
-                break
+    if not blocked:
+        for tid in tids:
+            if sm_count[tid] < sm_limit:
+                sgb = sgbs[tid]
+                if (
+                    load_q[tid]
+                    or len(sgb._entries) >= sgb.high_water
+                    or sgb._flush_count
+                ):
+                    blocked = not admit_to_controller(now)
+                    break
+        ctx[_BLOCKED] = blocked
     if (mem_wait and can_read(mem_wait[0].request.thread_id)) or (
         wbmem_wait and can_write(wbmem_wait[0].request.thread_id)
     ):
@@ -203,7 +233,7 @@ def _tick_bank(ctx, now: int) -> int:
             len(entries) < sgb.capacity or pending[0].line in sgb._by_line
         ):
             return nxt
-        if sm_count[tid] < sm_limit and (
+        if not blocked and sm_count[tid] < sm_limit and (
             load_q[tid]
             or len(entries) >= sgb.high_water
             or sgb._flush_count
@@ -243,19 +273,18 @@ def run_batch(system, cycles: int) -> None:
     n_banks = len(banks)
     l3 = system.l3
     memory = system.memory
-    # Private channels expose their read/write deques (probed without a
-    # property call); the shared fair-queued channel falls back to its
-    # `pending` property.
-    deque_channels = []
-    prop_channels = []
+    # Private channels tick from a wake list (see step 5) and expose
+    # their read/write deques; the shared fair-queued channel ticks
+    # whenever its `pending` property is non-zero.
+    chan_ctx = []
+    shared_channels = []
     for channel in memory.channels:
         reads = getattr(channel, "_reads", None)
         if reads is not None:
-            deque_channels.append((channel.tick, reads, channel._writes))
+            chan_ctx.append((channel.tick, channel.next_event, reads,
+                             channel._writes))
         else:
-            prop_channels.append(channel)
-    can_read = memory.can_accept_read
-    can_write = memory.can_accept_write
+            shared_channels.append(channel)
     # The only mid-cycle reader of system.cycle is the replacement
     # policies' clock, which stamps victimizations for the probe's
     # metrics view and its trace sink — keep the attribute synchronized
@@ -270,12 +299,18 @@ def run_batch(system, cycles: int) -> None:
     sleeping = [core.quiescent() for core in cores]
     settled = [start] * n_cores
     awake = n_cores - sum(sleeping)
-    bank_ctx = [_bank_context(bank, memory) for bank in banks]
+    bank_ctx = [_bank_context(bank) for bank in banks]
     bank_wake = [bank.next_event(start) for bank in banks]
+    # Per private channel: its next possible issue cycle, and its queue
+    # length after its last tick (a longer queue means a bank or the L3
+    # added an access since).
+    chan_wake = [next_event(start) for _, next_event, _, _ in chan_ctx]
+    chan_size = [len(reads) + len(writes) for _, _, reads, writes in chan_ctx]
 
     tid_range = range(n_threads)
     core_range = range(n_cores)
     bank_range = range(n_banks)
+    chan_range = range(len(chan_ctx))
     attempts = 0
     taken = 0
 
@@ -325,6 +360,7 @@ def run_batch(system, cycles: int) -> None:
                     request = items.popleft()[1]
                     l2_accept(request, now)
                     index = bank_of(request.line)
+                    bank_ctx[index][_BLOCKED] = False
                     if bank_wake[index] > now:
                         bank_wake[index] = now
 
@@ -334,17 +370,25 @@ def run_batch(system, cycles: int) -> None:
                 bank_wake[index] = _tick_bank(bank_ctx[index], now)
 
         # 5. L3 and memory — the L3 ticks only when its next_event is
-        # due, and each memory channel only while it has work pending.
+        # due, and a private channel only when its next_event is due or
+        # its queue grew since its last tick.  DRAMChannel.next_event is
+        # exact (a failed issue mutates nothing), and only banks (step
+        # 4) and the L3 (just above) add accesses, so the length check
+        # here sees every addition of this cycle.
         l3_did = False
         if l3 is not None and l3.next_event(now) <= now:
             l3.tick(now)
             l3_did = True
         mem_did = False
-        for channel_tick, reads, writes in deque_channels:
-            if reads or writes:
+        for index in chan_range:
+            channel_tick, next_event, reads, writes = chan_ctx[index]
+            size = len(reads) + len(writes)
+            if size and (chan_wake[index] <= now or size > chan_size[index]):
                 channel_tick(now)
                 mem_did = True
-        for channel in prop_channels:
+                chan_size[index] = len(reads) + len(writes)
+                chan_wake[index] = next_event(now + 1)
+        for channel in shared_channels:
             if channel.pending:
                 channel.tick(now)
                 mem_did = True
@@ -365,9 +409,9 @@ def run_batch(system, cycles: int) -> None:
                 mem_wait = ctx[7]
                 wbmem_wait = ctx[8]
                 if (
-                    mem_wait and can_read(mem_wait[0].request.thread_id)
+                    mem_wait and ctx[15](mem_wait[0].request.thread_id)
                 ) or (
-                    wbmem_wait and can_write(wbmem_wait[0].request.thread_id)
+                    wbmem_wait and ctx[16](wbmem_wait[0].request.thread_id)
                 ):
                     bank_wake[index] = nxt
                     continue
@@ -396,9 +440,14 @@ def run_batch(system, cycles: int) -> None:
                 if items and items[0][0] < target:
                     target = items[0][0]
             if target > now + 1:
-                nxt = memory.next_event(now + 1)
-                if nxt < target:
-                    target = nxt
+                for nxt in chan_wake:
+                    if nxt < target:
+                        target = nxt
+                for channel in shared_channels:
+                    if channel.pending:
+                        nxt = channel.next_event(now + 1)
+                        if nxt < target:
+                            target = nxt
                 if l3 is not None and target > now + 1:
                     nxt = l3.next_event(now + 1)
                     if nxt < target:

@@ -49,3 +49,34 @@ def test_jsonl_trace_with_a_checkpoint_is_refused_before_it_opens(
     assert "cannot ride with a streaming .jsonl trace" in captured.err
     assert "serving telemetry" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "-1"], "jobs must be >= 0"),
+    (["--metrics", "out", "--metrics-window", "0"],
+     "metrics window must be >= 1 cycle"),
+    (["--policy", "fcfs", "--controller", "lfoc"],
+     "cannot ride the fcfs policy family"),
+], ids=["jobs", "metrics-window", "fcfs-controller"])
+def test_runner_settings_are_checked_before_the_session_opens(
+        flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stopped:
+        experiments_main(["table1"] + flags + ["--trace", "trace.jsonl"])
+    assert stopped.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_single_run_bad_spec_is_a_usage_error(tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stopped:
+        run_main(["loads", "stores", "--metrics", "m.json",
+                  "--metrics-window", "0", "--trace", "y.jsonl"])
+    assert stopped.value.code == 2
+    assert ("error: metrics window must be >= 1 cycle"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []

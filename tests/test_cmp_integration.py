@@ -127,7 +127,7 @@ class TestCapacityIsolation:
         system.run(60_000)
         ways = config.l2.ways
         for bank in system.banks:
-            for cset in bank.array._sets:
+            for cset in bank.array.built_sets():
                 valid = sum(cset.valid)
                 if valid < ways:
                     continue  # set not yet full: quotas not in play

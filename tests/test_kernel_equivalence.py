@@ -20,13 +20,28 @@ system with both views attached.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.common.config import baseline_config
+from repro.cache.bank import CacheBank
+from repro.cache.cache_array import CacheArray
+from repro.cache.l3 import L3Config
+from repro.cache.replacement import LRUPolicy
+from repro.common.config import (
+    L2Config,
+    MemoryConfig,
+    baseline_config,
+    private_equivalent,
+)
+from repro.common.records import AccessType, make_request
+from repro.core.arbiter import FCFSArbiter
+from repro.memory.controller import MemoryController
+from repro.memory.dram import DRAMChannel
+from repro.system.batch_kernel import _BLOCKED, _bank_context, _tick_bank
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
 from repro.workloads import build_trace
@@ -182,9 +197,107 @@ class TestKernelEquivalence:
         assert system.skip_attempts >= system.skips_taken > 0
         assert system.skipped_cycles >= system.skips_taken
 
+    def test_solo_target_with_blocked_admissions(self, monkeypatch):
+        # solo_stall's shape: a private-equivalent SPEC target whose
+        # requests revisit lines still in flight, so admission scans
+        # often admit nothing and the batch kernel's bank sleeps until
+        # an event, a store admission or a delivery.
+        scans = {"empty": 0}
+        admit = CacheBank._admit_to_controller
+
+        def counted(bank, now):
+            admitted = admit(bank, now)
+            scans["empty"] += not admitted
+            return admitted
+
+        monkeypatch.setattr(CacheBank, "_admit_to_controller", counted)
+        config = private_equivalent(baseline_config(n_threads=4),
+                                    phi=0.25, beta=0.25)
+        system = _assert_equivalent(
+            config, [lambda tid: spec_trace("gap", tid)],
+            warmup=3_000, measure=4_000)
+        assert scans["empty"] > 0
+        assert system.skipped_cycles > 0
+
+    def test_small_transaction_buffer(self, monkeypatch):
+        # With two read entries per channel a bank's _mem_wait head
+        # waits for a DRAM issue to free one: the channel's wake list
+        # must still re-lower the bank's wake on that issue.
+        refusals = {"reads": 0}
+        can_accept = DRAMChannel.can_accept_read
+
+        def counted(channel):
+            accepted = can_accept(channel)
+            refusals["reads"] += not accepted
+            return accepted
+
+        monkeypatch.setattr(DRAMChannel, "can_accept_read", counted)
+        config = replace(baseline_config(n_threads=2, arbiter="vpc"),
+                         memory=MemoryConfig(transaction_buffer=2,
+                                             write_buffer=2))
+        _assert_equivalent(
+            config, [lambda tid: spec_trace("art", tid),
+                     lambda tid: spec_trace("mcf", tid)],
+            warmup=3_000, measure=3_000)
+        assert refusals["reads"] > 0
+
+    def test_l3_with_small_memory_buffers(self):
+        # Behind an L3 a bank's memory is the L3, not the controller:
+        # its retry guard and wake must ask the L3 whether it accepts.
+        config = replace(baseline_config(n_threads=2, arbiter="vpc"),
+                         l3=L3Config(size_bytes=64 * 1024, ways=4),
+                         memory=MemoryConfig(transaction_buffer=4,
+                                             write_buffer=2))
+        _assert_equivalent(
+            config, [lambda tid: spec_trace("art", tid),
+                     lambda tid: spec_trace("mcf", tid)],
+            warmup=2_000, measure=3_000)
+
     def test_unknown_kernel_rejected(self):
         config = baseline_config(n_threads=1, arbiter="row-fcfs")
         # "event" named the retired skip-ahead kernel.
         for kernel in ("warp", "event"):
             with pytest.raises(ValueError):
                 CMPSystem(config, [loads_trace(0)], kernel=kernel)
+
+
+def _admission_state(bank):
+    """Everything a controller admission scan reads or moves."""
+    return (
+        [[request.line for request in queue] for queue in bank._load_q],
+        [([(entry.line, entry.must_flush) for entry in sgb._entries],
+          sgb._flush_count) for sgb in bank.sgbs],
+        list(bank._sm_count),
+        dict(bank._active_lines),
+        bank._rr_pointer,
+    )
+
+
+def test_blocked_admission_sleeps_until_the_event_heap_head():
+    # Thread 0's second load to line 5 is blocked by the state machine
+    # its first load still holds, and thread 1 offers nothing: a scan
+    # admits nothing, so the bank's next wake is its event-heap head
+    # (the first load's tag completion), not the next cycle.
+    config = L2Config(banks=1)
+    bank = CacheBank(
+        bank_id=0, n_threads=2, config=config,
+        array=CacheArray(config.sets, config.ways, LRUPolicy()),
+        arbiter_factory=lambda name, latency: FCFSArbiter(2),
+        respond=lambda request, now: None,
+        memory=MemoryController(MemoryConfig(), n_threads=2),
+    )
+    bank.accept(make_request(0, 5 * 64, AccessType.READ, 64), 0)
+    bank.tick(0)
+    assert bank._active_lines == {5: 1}
+    bank.accept(make_request(0, 5 * 64, AccessType.READ, 64), 1)
+    ctx = _bank_context(bank)
+    oracle = copy.deepcopy(bank)
+    wake = _tick_bank(ctx, 1)
+    assert ctx[_BLOCKED]
+    assert wake == bank._events._heap[0][0] > 2
+    # Every cycle the batch kernel now skips, the cycle kernel's full
+    # tick would have scanned again and changed nothing a scan reads.
+    blocked = _admission_state(bank)
+    for now in range(1, wake):
+        oracle.tick(now)
+        assert _admission_state(oracle) == blocked

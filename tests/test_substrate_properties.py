@@ -60,7 +60,7 @@ def test_cache_array_state_consistency(case):
         else:
             array.invalidate(line)
             assert not array.contains(line)
-    for cset in array._sets:
+    for cset in array.built_sets():
         valid_lines = [cset.line_of[w] for w in range(ways) if cset.valid[w]]
         assert len(valid_lines) == len(set(valid_lines))
         assert sorted(cset.lru) == list(range(ways))
@@ -72,7 +72,7 @@ def test_cache_array_state_consistency(case):
 def _scanned_occupancy(array: CacheArray, n_threads: int):
     """Reference occupancy: scan every way of every set."""
     counts = [0] * n_threads
-    for cset in array._sets:
+    for cset in array.built_sets():
         for way in range(cset.ways):
             if cset.valid[way] and 0 <= cset.owner[way] < n_threads:
                 counts[cset.owner[way]] += 1
