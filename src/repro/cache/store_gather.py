@@ -23,6 +23,8 @@ from typing import Deque, List, Optional
 
 from repro.common.records import AccessType, MemoryRequest
 
+_WRITE = AccessType.WRITE  # bound once: read on every store
+
 
 @dataclass
 class _GatherEntry:
@@ -59,7 +61,7 @@ class StoreGatherBuffer:
 
     def try_add_store(self, request: MemoryRequest) -> str:
         """Insert a store.  Returns "merged", "allocated", or "full"."""
-        if request.access is not AccessType.WRITE:
+        if request.access is not _WRITE:
             raise ValueError("store gathering buffer only accepts writes")
         entry = self._by_line.get(request.line)
         if entry is not None:
@@ -69,9 +71,10 @@ class StoreGatherBuffer:
             return "merged"
         if len(self._entries) >= self.capacity:
             return "full"
-        entry = _GatherEntry(line=request.line, request=request)
+        line = request.line
+        entry = _GatherEntry(line, request)
         self._entries.append(entry)
-        self._by_line[request.line] = entry
+        self._by_line[line] = entry
         self.stores_received += 1
         return "allocated"
 

@@ -22,6 +22,11 @@ class AccessType(IntEnum):
     WRITE = 1
 
 
+# Bound once: on CPython 3.11 ``AccessType.WRITE`` inside a function
+# costs several module-global reads, and these are read per request.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 _request_ids = itertools.count()
 
 
@@ -66,11 +71,11 @@ class MemoryRequest:
 
     @property
     def is_read(self) -> bool:
-        return self.access is AccessType.READ
+        return self.access is _READ
 
     @property
     def is_write(self) -> bool:
-        return self.access is AccessType.WRITE
+        return self.access is _WRITE
 
     def __repr__(self) -> str:  # compact, for debugging traces
         kind = "R" if self.is_read else "W"
@@ -90,11 +95,5 @@ def make_request(
         raise ValueError(f"negative address: {addr}")
     if line_size <= 0 or line_size & (line_size - 1):
         raise ValueError(f"line_size must be a positive power of two: {line_size}")
-    return MemoryRequest(
-        thread_id=thread_id,
-        addr=addr,
-        access=access,
-        line=addr // line_size,
-        seq=seq,
-        issued_cycle=issued_cycle,
-    )
+    return MemoryRequest(thread_id, addr, access, addr // line_size, seq,
+                         issued_cycle)

@@ -31,6 +31,12 @@ from repro.common.records import AccessType, MemoryRequest, make_request
 from repro.cpu.isa import LOAD, NONMEM, STORE, TraceItem
 from repro.telemetry.cycles import R_IDLE, R_LOAD, R_MSHR, R_STORE
 
+# Bound once: on CPython 3.11 an enum member read inside a function
+# costs several module-global reads, and every memory operation makes
+# one (docs/ARCHITECTURE.md, "Performance notes").
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 class CoreModel:
     """One hardware thread executing a segment trace."""
@@ -75,40 +81,84 @@ class CoreModel:
     # ------------------------------------------------------------------ #
 
     def tick(self, now: int) -> None:
+        """Dispatch up to ``issue_width`` instructions at cycle ``now``.
+
+        One flat loop over locals: the window headroom is computed
+        inline, the next item comes from the stash or straight from the
+        trace iterator, and L1-hit loads and stores dispatch in place;
+        only an L1 miss leaves the loop, for ``_dispatch_miss``.  A
+        dependent load, an MSHR-blocked load and a store-queue-blocked
+        store are stashed for the next tick.  An item pulled while the
+        window is full is dropped, not stashed (a known model defect,
+        ROADMAP item 3).  The trace running out mid-tick sets ``done``.
+        """
         self.cycles += 1
         if self.done:
             return
-        budget = self.config.issue_width
+        config = self.config
+        window = config.window_size
+        outstanding = self._outstanding_loads
+        budget = config.issue_width
+        dispatched = self.dispatched
+        nonmem_left = self._nonmem_left
         progressed = False
         while budget > 0:
-            if self._nonmem_left:
-                take = min(budget, self._nonmem_left, self._window_headroom())
+            if outstanding:
+                headroom = window - (dispatched - self._oldest_load)
+            else:
+                headroom = window
+            if nonmem_left:
+                take = budget if budget < nonmem_left else nonmem_left
+                if headroom < take:
+                    take = headroom
                 if take <= 0:
                     break
-                self._nonmem_left -= take
-                self.dispatched += take
+                nonmem_left -= take
+                dispatched += take
                 budget -= take
                 progressed = True
                 continue
-            item = self._next_item()
+            item = self._current
             if item is None:
-                break
-            kind = item[0]
-            if kind == NONMEM:
-                self._nonmem_left = item[1]
-                continue
-            if self._window_headroom() <= 0:
-                break
-            if kind == LOAD:
-                if not self._dispatch_load(item[1], item[2], now):
-                    break
-            elif kind == STORE:
-                if not self._dispatch_store(item[1], now):
+                try:
+                    item = next(self._trace)
+                except StopIteration:
+                    self.done = True
                     break
             else:
+                self._current = None
+            kind = item[0]
+            if kind == NONMEM:
+                nonmem_left = item[1]
+                continue
+            if headroom <= 0:
+                break  # the pulled item is dropped (see above)
+            if kind == LOAD:
+                if item[2] and outstanding:
+                    self._current = item  # waits for every earlier load
+                    break
+                if not self.l1.load(item[1]) and not self._dispatch_miss(
+                    item, dispatched, now
+                ):
+                    break
+            elif kind == STORE:
+                if self._outstanding_stores >= config.store_queue:
+                    self._current = item
+                    break
+                addr = item[1]
+                self.l1.store(addr)
+                self._outstanding_stores += 1
+                core_id = self.core_id
+                self._send(core_id, make_request(
+                    core_id, addr, _WRITE, self._line_size, dispatched, now,
+                ), now)
+            else:
                 raise RuntimeError(f"unknown trace item {item}")
+            dispatched += 1
             budget -= 1
             progressed = True
+        self.dispatched = dispatched
+        self._nonmem_left = nonmem_left
         if not progressed and not self.done:
             self.stall_cycles += 1
         if self._probe is not None:
@@ -144,44 +194,31 @@ class CoreModel:
             return R_STORE
         return R_IDLE
 
-    def _next_item(self) -> Optional[TraceItem]:
-        if self._current is not None:
-            item, self._current = self._current, None
-            return item
-        try:
-            return next(self._trace)
-        except StopIteration:
-            self.done = True
-            return None
-
-    def _stash(self, item: TraceItem) -> None:
-        self._current = item
-
     def _window_headroom(self) -> int:
         if not self._outstanding_loads:
             return self.config.window_size
         return self.config.window_size - (self.dispatched - self._oldest_load)
 
-    def _dispatch_load(self, addr: int, dependent: bool, now: int) -> bool:
-        if dependent and self._outstanding_loads:
-            self._stash((LOAD, addr, dependent))
-            return False
-        if self.l1.load(addr):
-            self.dispatched += 1
-            return True
+    def _dispatch_miss(self, item: TraceItem, seq: int, now: int) -> bool:
+        """Dispatch a load that missed the L1 as instruction ``seq``:
+        allocate (or join) an MSHR and send a primary miss to the L2.
+        With no MSHR free, stash the load and return False."""
+        addr = item[1]
         line = addr // self._line_size
-        if not self.mshrs.can_allocate(line):
-            self._stash((LOAD, addr, dependent))
+        mshrs = self.mshrs
+        if not mshrs.can_allocate(line):
+            self._current = item
             return False
-        seq = self.dispatched
-        primary = self.mshrs.allocate(line, seq, now=now)
-        self._track_load(seq)
-        self.dispatched += 1
+        primary = mshrs.allocate(line, seq, now=now)
+        outstanding = self._outstanding_loads
+        if not outstanding:
+            self._oldest_load = seq
+        outstanding.add(seq)
         if primary:
-            request = make_request(
-                self.core_id, addr, AccessType.READ, self._line_size, seq, now
-            )
-            self._send(self.core_id, request, now)
+            core_id = self.core_id
+            self._send(core_id, make_request(
+                core_id, addr, _READ, self._line_size, seq, now,
+            ), now)
             if self.config.prefetch_enabled:
                 self._issue_prefetches(line, now)
         return True
@@ -200,30 +237,11 @@ class CoreModel:
                 continue
             self.mshrs.allocate(line, seq=-1, is_prefetch=True, now=now)
             request = make_request(
-                self.core_id, addr, AccessType.READ, self._line_size, -1, now
+                self.core_id, addr, _READ, self._line_size, -1, now
             )
             request.is_prefetch = True
             self._send(self.core_id, request, now)
             self.prefetches_issued += 1
-
-    def _dispatch_store(self, addr: int, now: int) -> bool:
-        if self._outstanding_stores >= self.config.store_queue:
-            self._stash((STORE, addr))
-            return False
-        self.l1.store(addr)
-        self._outstanding_stores += 1
-        self.dispatched += 1
-        request = make_request(
-            self.core_id, addr, AccessType.WRITE, self._line_size,
-            self.dispatched - 1, now,
-        )
-        self._send(self.core_id, request, now)
-        return True
-
-    def _track_load(self, seq: int) -> None:
-        if not self._outstanding_loads:
-            self._oldest_load = seq
-        self._outstanding_loads.add(seq)
 
     # ------------------------------------------------------------------ #
     # Skip-ahead support (batch kernel).
@@ -306,7 +324,7 @@ class CoreModel:
 
     def on_response(self, request: MemoryRequest, now: int) -> None:
         self._quiet = False  # a response can wake any quiescent state
-        if request.access is AccessType.WRITE:
+        if request.access is _WRITE:
             # Store-gathering-buffer acknowledgement: credit returned.
             if self._outstanding_stores <= 0:
                 raise RuntimeError("store ack with no store outstanding")

@@ -23,6 +23,11 @@ from repro.common.config import CoreConfig, L1Config
 from repro.common.records import AccessType, MemoryRequest, make_request
 from repro.cpu.isa import LOAD, NONMEM, STORE, TraceItem
 
+# Bound once: enum member reads are slow on CPython 3.11 (see
+# repro.cpu.core_model).
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
 
 class _ThreadContext:
     """Architectural state private to one hardware thread."""
@@ -182,7 +187,7 @@ class SMTCoreModel:
         ctx.dispatched += 1
         if primary:
             request = make_request(
-                ctx.thread_id, addr, AccessType.READ, self._line_size, seq, now
+                ctx.thread_id, addr, _READ, self._line_size, seq, now
             )
             self._send(ctx.thread_id, request, now)
         return True
@@ -196,7 +201,7 @@ class SMTCoreModel:
         ctx.outstanding_stores += 1
         ctx.dispatched += 1
         request = make_request(
-            ctx.thread_id, addr, AccessType.WRITE, self._line_size,
+            ctx.thread_id, addr, _WRITE, self._line_size,
             ctx.dispatched - 1, now,
         )
         self._send(ctx.thread_id, request, now)
@@ -278,7 +283,7 @@ class SMTCoreModel:
     def on_response(self, request: MemoryRequest, now: int) -> None:
         self._quiet = False  # a response can wake any blocked context
         ctx = self._contexts[request.thread_id]
-        if request.access is AccessType.WRITE:
+        if request.access is _WRITE:
             if ctx.outstanding_stores <= 0:
                 raise RuntimeError("store ack with no store outstanding")
             ctx.outstanding_stores -= 1

@@ -382,8 +382,10 @@ def run_batch(system, cycles: int) -> None:
         mem_did = False
         for index in chan_range:
             channel_tick, next_event, reads, writes = chan_ctx[index]
+            if not reads and not writes:
+                continue  # the common case, settled without len()
             size = len(reads) + len(writes)
-            if size and (chan_wake[index] <= now or size > chan_size[index]):
+            if chan_wake[index] <= now or size > chan_size[index]:
                 channel_tick(now)
                 mem_did = True
                 chan_size[index] = len(reads) + len(writes)

@@ -145,3 +145,45 @@ class TestIPC:
     def test_zero_cycles(self):
         core, _ = make_core([nonmem(5)])
         assert core.ipc() == 0.0
+
+
+class TestDispatchLoop:
+    """Pins of the dispatch loop's per-tick behaviour."""
+
+    def test_window_stall_drops_the_pulled_item(self):
+        """Pins today's behaviour, a known model defect (ROADMAP item 3):
+        a store pulled from the trace when the window is full is dropped,
+        not stashed, so it never reaches the L1 or the L2."""
+        trace = [load(0x40), nonmem(19), store(0x200), nonmem(5),
+                 store(0x300), nonmem(100)]
+        core, fabric = make_core(trace, window=20)
+        for now in range(10):
+            core.tick(now)
+        assert [(r.access, r.addr) for r in fabric.requests] == [
+            (AccessType.READ, 0x40)]
+        assert core.dispatched == 20
+        assert core._current is None
+        core.on_response(fabric.requests[0], now=10)
+        for now in range(10, 20):
+            core.tick(now)
+        sent = [r.addr for r in fabric.requests if r.access is AccessType.WRITE]
+        assert sent == [0x300]
+        assert core.dispatched == 70
+
+    def test_one_tick_splits_its_budget_across_items(self):
+        trace = [nonmem(2), load(0x100), store(0x200), nonmem(10)]
+        core, fabric = make_core(trace, issue_width=5)
+        core.l1.fill(0x100)
+        core.tick(0)
+        assert core.dispatched == 5
+        assert [r.access for r in fabric.requests] == [AccessType.WRITE]
+        assert core._nonmem_left == 9
+
+    def test_trace_ending_mid_tick_sets_done_without_a_stall(self):
+        core, fabric = make_core([nonmem(2), store(0x80)])
+        core.tick(0)
+        assert core.dispatched == 3
+        assert [(r.access, r.addr) for r in fabric.requests] == [
+            (AccessType.WRITE, 0x80)]
+        assert core.done
+        assert core.stall_cycles == 0
