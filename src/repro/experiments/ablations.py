@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 from repro.common.config import VPCAllocation, baseline_config, private_equivalent
+from repro.common.stats import sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
 from repro.system.cmp import CMPSystem
@@ -220,7 +221,7 @@ def run_memory(fast: bool = False) -> ExperimentResult:
     rows = []
     for (label, _), result in zip(variants, run_points(points)):
         rows.append((label, result.ipcs[0],
-                     sum(result.ipcs[1:]) / 3.0))
+                     sum_in_order(result.ipcs[1:]) / 3.0))
     return ExperimentResult(
         exp_id="ablation-memory",
         title="Memory-channel sharing: swim vs. three read flooders",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.common.config import VPCAllocation, baseline_config, private_equivalent
-from repro.common.stats import harmonic_mean
+from repro.common.stats import harmonic_mean, sum_in_order
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.parallel import SimPoint, run_points
 from repro.system.simulator import SimulationResult
@@ -99,12 +99,12 @@ def run(fast: bool = False) -> ExperimentResult:
         ))
     rows.append((
         "average",
-        sum(r[1] for r in rows) / len(rows),
-        sum(r[2] for r in rows) / len(rows),
-        sum(hm_gains) / len(hm_gains),
-        sum(r[4] for r in rows) / len(rows),
-        sum(r[5] for r in rows) / len(rows),
-        sum(min_gains) / len(min_gains),
+        sum_in_order(r[1] for r in rows) / len(rows),
+        sum_in_order(r[2] for r in rows) / len(rows),
+        sum_in_order(hm_gains) / len(hm_gains),
+        sum_in_order(r[4] for r in rows) / len(rows),
+        sum_in_order(r[5] for r in rows) / len(rows),
+        sum_in_order(min_gains) / len(min_gains),
     ))
     return ExperimentResult(
         exp_id="fig10",

@@ -10,6 +10,7 @@ equake/swim show tag > data (miss-dominated, write-light traffic).
 from __future__ import annotations
 
 from repro.common.config import VPCAllocation, baseline_config
+from repro.common.stats import sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
 from repro.system.simulator import SimulationResult
@@ -45,7 +46,7 @@ def run(fast: bool = False) -> ExperimentResult:
             result.utilizations["tag"],
             result.ipcs[0],
         ))
-    mean_data = sum(row[1] for row in rows) / len(rows)
+    mean_data = sum_in_order(row[1] for row in rows) / len(rows)
     return ExperimentResult(
         exp_id="fig6",
         title="L2 cache utilization of the SPEC benchmarks (solo, 2 banks)",

@@ -8,6 +8,7 @@ no L2 writes.
 
 from __future__ import annotations
 
+from repro.common.stats import sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.fig6_spec_util import FAST_SUBSET, solo_point
 from repro.experiments.parallel import run_points
@@ -28,8 +29,8 @@ def run(fast: bool = False) -> ExperimentResult:
             result.l2_reads,
             result.l2_writes,
         ))
-    mean_writes = sum(row[1] for row in rows) / len(rows)
-    mean_gather = sum(row[2] for row in rows) / len(rows)
+    mean_writes = sum_in_order(row[1] for row in rows) / len(rows)
+    mean_gather = sum_in_order(row[2] for row in rows) / len(rows)
     return ExperimentResult(
         exp_id="fig7",
         title="L2 writes (after gathering) and store gathering rate",

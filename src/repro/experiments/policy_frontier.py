@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.common.config import VPCAllocation, baseline_config, private_equivalent
-from repro.common.stats import harmonic_mean, jain_index
+from repro.common.stats import harmonic_mean, jain_index, sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
 from repro.system.simulator import SimulationResult
@@ -84,7 +84,7 @@ def _policy_metrics(result: SimulationResult,
     ]
     return {
         "jain": jain_index(normalized),
-        "aggregate_ipc": sum(result.ipcs),
+        "aggregate_ipc": sum_in_order(result.ipcs),
         "hmean": harmonic_mean(normalized) if all(normalized) else 0.0,
         "min": min(normalized),
         "normalized_ipcs": normalized,

@@ -15,6 +15,7 @@ arbitration with equal shares.
 from __future__ import annotations
 
 from repro.common.config import VPCAllocation, baseline_config
+from repro.common.stats import sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
 
@@ -46,7 +47,7 @@ def run(fast: bool = False) -> ExperimentResult:
     for label, result in zip(labels, run_points(points)):
         rows.append((
             label,
-            sum(result.ipcs),
+            sum_in_order(result.ipcs),
             result.utilizations["data"],
             result.utilizations["tag"],
         ))

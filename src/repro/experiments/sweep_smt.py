@@ -12,6 +12,7 @@ MSHR partitions) takes its own toll on per-thread IPC.
 from __future__ import annotations
 
 from repro.common.config import VPCAllocation, baseline_config
+from repro.common.stats import sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
 
@@ -36,7 +37,7 @@ def run(fast: bool = False) -> ExperimentResult:
         cores = 4 // smt_degree
         rows.append((
             f"{cores}core x {smt_degree}way",
-            sum(result.ipcs),
+            sum_in_order(result.ipcs),
             min(result.ipcs),
             result.utilizations["data"],
         ))

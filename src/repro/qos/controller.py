@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.stats import jain_index
+from repro.common.stats import jain_index, sum_in_order
 from repro.core.capacity import ways_quota
 from repro.qos.classifier import EpochSignals, ThreadClassifier
 from repro.telemetry.events import (
@@ -363,7 +363,7 @@ class FairnessController(QoSController):
             return None
         if max(positive) / min(positive) < self.deadband:
             return None  # already even; avoid churn
-        mean = sum(slowdowns) / len(slowdowns)
+        mean = sum_in_order(slowdowns) / len(slowdowns)
         if mean <= 0:
             return None
         current = self.system.registers.bandwidth["data"]
@@ -374,7 +374,7 @@ class FairnessController(QoSController):
             ))
             for tid in range(self.n_threads)
         ]
-        total = sum(scaled)
+        total = sum_in_order(scaled)
         phi = [share / total for share in scaled]
         beta = list(self.system.registers.capacity)
         return phi, beta

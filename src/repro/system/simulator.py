@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.common.stats import sum_in_order
 from repro.system.cmp import CMPSystem
 
 
@@ -240,7 +241,7 @@ def _finalize(system: CMPSystem, state: MeasureState,
         for bank, snap in zip(system.banks, state.meter_snaps)
     ]
     avg_utils = {
-        name: sum(b[name] for b in bank_utils) / len(bank_utils)
+        name: sum_in_order(b[name] for b in bank_utils) / len(bank_utils)
         for name in ("tag", "data", "bus")
     }
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.common.stats import sum_in_order
 from repro.telemetry.events import CAT_CPI, PH_COUNTER, TraceEvent
 from repro.telemetry.probe import (
     N_STAGES,
@@ -359,9 +360,9 @@ def render_decomposition(decomposition: Dict) -> List[str]:
         lines.append(row)
     total = f"  {'total':<{label_width}}"
     for group in groups:
-        total += f"  {sum(cpi[group]):>9.4f}"
+        total += f"  {sum_in_order(cpi[group]):>9.4f}"
     if "fcfs" in groups and "vpc" in groups:
-        delta = sum(cpi["vpc"]) - sum(cpi["fcfs"])
+        delta = sum_in_order(cpi["vpc"]) - sum_in_order(cpi["fcfs"])
         total += f"  {delta:>+9.4f}"
     lines.append(total)
     return lines

@@ -241,6 +241,30 @@ class TestKernelEquivalence:
             warmup=3_000, measure=3_000)
         assert refusals["reads"] > 0
 
+    def test_small_transaction_buffer_across_metrics_windows(self,
+                                                             monkeypatch):
+        # Metrics windows chunk the run, and the batch kernel starts each
+        # chunk by asking every bank's next_event.  With two read entries
+        # per channel some chunk starts while a refused miss or writeback
+        # waits in the bank, so that start must read the waiter's thread.
+        waiting_starts = {"count": 0}
+        next_event = CacheBank.next_event
+
+        def counted(bank, now):
+            if bank._mem_wait or bank._wbmem_wait:
+                waiting_starts["count"] += 1
+            return next_event(bank, now)
+
+        monkeypatch.setattr(CacheBank, "next_event", counted)
+        config = replace(baseline_config(n_threads=2, arbiter="vpc"),
+                         memory=MemoryConfig(transaction_buffer=2,
+                                             write_buffer=2))
+        _assert_equivalent(
+            config, [lambda tid: spec_trace("art", tid),
+                     lambda tid: spec_trace("mcf", tid)],
+            warmup=3_000, measure=3_000, metrics=True)
+        assert waiting_starts["count"] > 0
+
     def test_l3_with_small_memory_buffers(self):
         # Behind an L3 a bank's memory is the L3, not the controller:
         # its retry guard and wake must ask the L3 whether it accepts.
