@@ -5,8 +5,6 @@ Public API tour
 
 * :mod:`repro.common` — system configuration (paper Table 1), request
   records, statistics primitives.
-* :mod:`repro.fairqueue` — standalone network fair-queuing library
-  (virtual-time algebra, reference WFQ scheduler, QoS bound audits).
 * :mod:`repro.core` — the paper's contribution: VPC arbiters, the VPC
   Capacity Manager, control registers, and QoS accounting.
 * :mod:`repro.cache`, :mod:`repro.interconnect`, :mod:`repro.memory`,

@@ -113,9 +113,6 @@ class StoreGatherBuffer:
     def occupancy(self) -> int:
         return len(self._entries)
 
-    def flush_pending(self) -> bool:
-        return self._flush_count > 0
-
     def wants_retire(self) -> bool:
         """Retire-at-n: drain while at/over the high-water mark, and
         always drain entries tagged by a partial flush."""

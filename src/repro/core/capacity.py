@@ -129,18 +129,3 @@ class VPCCapacityManager(ReplacementPolicy):
         self._probe.victimized(condition, requester, self.clock(),
                                self.trace_name, set_view, way, occupancy,
                                excess)
-
-    def guarantees_respected(self, set_view: SetView) -> bool:
-        """Audit helper: no thread below quota while another is above.
-
-        A thread can be *below* its quota only because it has not yet
-        inserted enough lines — the policy never evicts a thread below
-        quota to benefit another.  This checks the invariant the tests
-        rely on: a thread at-or-over quota never loses a line to an
-        under-quota requester via Condition 1.
-        """
-        for thread_id in range(self.n_threads):
-            occupancy = set_view.occupancy(thread_id)
-            if occupancy > self.ways:
-                return False
-        return True

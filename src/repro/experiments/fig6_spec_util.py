@@ -13,7 +13,6 @@ from repro.common.config import VPCAllocation, baseline_config
 from repro.common.stats import sum_in_order
 from repro.experiments.base import ExperimentResult, cycle_budget, register
 from repro.experiments.parallel import SimPoint, run_points
-from repro.system.simulator import SimulationResult
 from repro.workloads.profiles import SPEC_ORDER
 
 FAST_SUBSET = ("art", "mcf", "equake", "sixtrack")
@@ -25,11 +24,6 @@ def solo_point(name: str, warmup: int, measure: int) -> SimPoint:
                              vpc=VPCAllocation([1.0], [1.0]))
     return SimPoint(config=config, traces=(("spec", name),),
                     warmup=warmup, measure=measure)
-
-
-def solo_run(name: str, warmup: int, measure: int) -> SimulationResult:
-    """Single-point convenience wrapper around :func:`solo_point`."""
-    return run_points([solo_point(name, warmup, measure)])[0]
 
 
 @register("fig6")

@@ -475,14 +475,6 @@ class CMPSystem:
             return core.dispatched_of(thread_id)
         return core.dispatched
 
-    def thread_ipcs(self) -> List[float]:
-        if self.cycle == 0:
-            return [0.0] * self.config.n_threads
-        return [
-            self.thread_dispatched(tid) / self.cycle
-            for tid in range(self.config.n_threads)
-        ]
-
     def utilizations(self) -> Dict[str, float]:
         """Whole-run resource utilizations averaged over banks."""
         if self.cycle == 0:

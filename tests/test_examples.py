@@ -31,15 +31,6 @@ class TestExamplesExist:
         assert (EXAMPLES_DIR / "quickstart.py").exists()
 
 
-class TestFairQueuingDemo:
-    def test_runs_clean(self, capsys):
-        module = load_example("fair_queuing_demo.py")
-        module.main()
-        out = capsys.readouterr().out
-        assert "OK" in out
-        assert "VIOLATIONS" not in out
-
-
 class TestQuickstart:
     def test_runs_with_short_budget(self, capsys, monkeypatch):
         module = load_example("quickstart.py")
