@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, List, Optional
 from repro.cache.cache_array import CacheArray, Eviction
 from repro.cache.store_gather import StoreGatherBuffer
 from repro.common.config import L2Config
-from repro.common.latch import NEVER, VariableDelayQueue
+from repro.common.latch import VariableDelayQueue
 from repro.common.records import AccessType, MemoryRequest
 from repro.common.stats import Counters, UtilizationMeter
 from repro.core.arbiter import Arbiter, ArbiterEntry
@@ -238,65 +238,6 @@ class CacheBank:
         if any(self._pending_stores) or any(self._load_q):
             return True
         return any(sgb.occupancy for sgb in self.sgbs)
-
-    def next_event(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which ``tick`` could change state.
-
-        A conservative lower bound that is exact where it skips — every
-        admission/retry path below is checked with the same (pure)
-        predicates ``tick`` itself uses, so a cycle reported as skippable
-        would provably have been a no-op:
-
-        * ``_retry_memory`` only acts when the memory interface can
-          accept the *head* waiter (the loop breaks on the head);
-        * ``_admit_stores`` only acts when the head pending store merges
-          or the SGB has a free entry;
-        * ``_admit_to_controller`` only touches a thread with a free
-          state machine, and then only when it has a queued load (which
-          may mutate flush state) or a retirement-eligible SGB;
-        * ``_grant`` never consults an arbiter while the resource meter
-          is busy, so jumping to ``busy_until`` drops no ``select``
-          calls (and their virtual-time updates).
-        """
-        if self._mem_wait and self.memory.can_accept_read(
-            self._mem_wait[0].request.thread_id
-        ):
-            return now
-        if self._wbmem_wait and self.memory.can_accept_write(
-            self._wbmem_wait[0].request.thread_id
-        ):
-            return now
-        # Reads the gather buffers' internals directly, the same reads
-        # the batch kernel's inlined copy (batch_kernel._tick_bank) makes
-        # every bank tick, so the two stay easy to compare.
-        sm_limit = self.config.state_machines_per_thread
-        sm_count = self._sm_count
-        pending_stores = self._pending_stores
-        load_q = self._load_q
-        for tid, sgb in enumerate(self.sgbs):
-            entries = sgb._entries
-            pending = pending_stores[tid]
-            if pending and (
-                len(entries) < sgb.capacity or pending[0].line in sgb._by_line
-            ):
-                return now
-            if sm_count[tid] < sm_limit and (
-                load_q[tid]
-                or len(entries) >= sgb.high_water
-                or sgb._flush_count
-            ):
-                return now
-        nxt = NEVER
-        heap = self._events._heap
-        if heap:
-            head = heap[0][0]
-            nxt = head if head > now else now
-        for resource in self.resources:
-            if len(resource.arbiter):
-                busy = resource.meter.busy_until
-                if busy < nxt:
-                    nxt = busy if busy > now else now
-        return nxt
 
     # ------------------------------------------------------------------ #
     # Store gathering admission.

@@ -23,26 +23,15 @@ def run(fast: bool = False) -> ExperimentResult:
     # Two loads to consecutive lines -> different banks (line % 2).
     base = 1 << 30
     trace = iter([load(base), load(base + line), nonmem(1)])
-    system = CMPSystem(config, [trace])
+    system = CMPSystem(config, [trace], record_requests=True)
 
     # Pre-warm both lines into the L2 so the accesses are hits.
     for bank, addr in ((0, base), (1, base + line)):
         system.banks[system.bank_of(addr // line)].array.insert(addr // line, 0)
 
-    requests = []
-    original = system._respond
-
-    def capture(request, now):
-        requests.append(request)
-        original(request, now)
-
-    for bank in system.banks:
-        bank.respond = capture
     system.run(80)
 
-    loads = sorted(
-        (r for r in requests if r.is_read), key=lambda r: r.issued_cycle
-    )
+    loads = sorted(system.request_log, key=lambda r: r.issued_cycle)
     rows = []
     for index, request in enumerate(loads):
         rows.append((

@@ -1,12 +1,12 @@
 """Dynamic QoS control plane over the VPC register file.
 
 Online thread classification (:mod:`repro.qos.classifier`), the epoch
-harness + fairness retuner (:mod:`repro.qos.controller`), and the
-LFOC-style clustering policy (:mod:`repro.qos.lfoc`).  Everything here
-programs the cache exclusively through
-:class:`~repro.core.registers.VPCControlRegisters` — the control plane
-is software running *on* the paper's architected interface, not a
-backdoor into the simulator.
+harness with its IPC-target and fairness retuners
+(:mod:`repro.qos.controller`), and the LFOC-style clustering policy
+(:mod:`repro.qos.lfoc`).  Everything here programs the cache
+exclusively through :class:`~repro.core.registers.VPCControlRegisters`
+— the control plane is software running *on* the paper's architected
+interface, not a backdoor into the simulator.
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from repro.qos.controller import (
     FairnessController,
     QoSController,
     QoSDecision,
+    TargetController,
 )
 from repro.qos.lfoc import LFOCController
 
-#: Controller names accepted by the CLIs and the experiment runner.
+#: Controller names accepted by the CLIs and the experiment runner
+#: (``TargetController`` needs a subject thread and target, which no
+#: CLI takes, so it is built directly).
 CONTROLLERS = ("lfoc", "fairness")
 
 
@@ -61,6 +64,7 @@ __all__ = [
     "QOS_DECISIONS_SCHEMA",
     "QoSController",
     "QoSDecision",
+    "TargetController",
     "ThreadClassifier",
     "make_controller",
 ]

@@ -25,11 +25,16 @@ in it as instants plus ``qos.*`` counter tracks.
 
 Subclasses shipped with the repo:
 
-* :class:`FairnessController` (here) — multi-thread generalization of
-  :class:`~repro.policy.feedback.FeedbackAllocator`: retunes all phi_i
-  toward equalized slowdowns (maximizing the Jain index);
+* :class:`TargetController` (here) — steers one thread's phi toward an
+  IPC target with the smallest sufficient share;
+* :class:`FairnessController` (here) — its multi-thread
+  generalization: retunes all phi_i toward equalized slowdowns
+  (maximizing the Jain index);
 * :class:`~repro.qos.lfoc.LFOCController` — LFOC-style clustering on
   the classifier's taxonomy.
+
+Tuning that no caller sets (step factors, clamps, deadbands) is a class
+constant on the policy that uses it, not a constructor argument.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ class QoSController:
         n_threads: int,
         epoch_cycles: int = 5_000,
         baseline_ipcs: Optional[Sequence[float]] = None,
-        classifier: Optional[ThreadClassifier] = None,
     ) -> None:
         if n_threads < 1:
             raise ValueError("controller needs at least one thread")
@@ -93,7 +97,7 @@ class QoSController:
         if self.baseline_ipcs is not None and len(
                 self.baseline_ipcs) != n_threads:
             raise ValueError("baseline IPC count mismatch")
-        self.classifier = classifier or ThreadClassifier(n_threads)
+        self.classifier = ThreadClassifier(n_threads)
         self.decisions: List[QoSDecision] = []
         self.epochs = 0
         self.system = None
@@ -308,44 +312,97 @@ class QoSController:
         return out
 
 
-class FairnessController(QoSController):
-    """Epoch-retuned bandwidth shares toward equalized slowdowns.
+class TargetController(QoSController):
+    """Drives one thread's bandwidth share toward an IPC target.
 
-    The multi-thread generalization of
-    :class:`~repro.policy.feedback.FeedbackAllocator`: instead of
-    steering one thread's phi against a fixed IPC target, every epoch
-    scales each thread's share by how far its slowdown sits from the
-    pack's mean (``(slowdown_i / mean)**gamma``), clamps to
-    ``[phi_min, phi_max]``, renormalizes, and programs the whole vector
-    transactionally.  With solo baselines the slowdown is the paper's
-    definition; without them raw inverse IPC is used, which equalizes
-    IPCs instead.  Capacity shares are left as configured.
+    The paper leaves the allocation to system software ("our job is to
+    assure that the requested allocations are provided", Section 1);
+    this is the smallest such software: multiplicative increase below
+    the target, multiplicative decrease above it, no change inside the
+    ``deadband`` (a fraction of the target).  Whatever the subject does
+    not need is split equally among the other threads, and
+    ``min_share``/``max_share`` bound the subject so every other thread
+    keeps some guaranteed service.  Capacity shares are left as
+    configured.
     """
 
-    name = "fairness"
+    name = "target"
+    increase = 1.25
+    decrease = 0.9
+    min_share = 0.05
+    max_share = 0.95
+    deadband = 0.03
 
     def __init__(
         self,
         n_threads: int,
+        thread_id: int,
+        target_ipc: float,
         epoch_cycles: int = 5_000,
-        baseline_ipcs: Optional[Sequence[float]] = None,
-        gamma: float = 0.5,
-        phi_min: float = 0.05,
-        phi_max: float = 0.60,
-        deadband: float = 1.05,
-        classifier: Optional[ThreadClassifier] = None,
     ) -> None:
-        super().__init__(n_threads, epoch_cycles, baseline_ipcs, classifier)
-        if not 0.0 < gamma <= 2.0:
-            raise ValueError("gamma must be in (0, 2]")
-        if not 0.0 < phi_min < phi_max <= 1.0:
-            raise ValueError("need 0 < phi_min < phi_max <= 1")
-        if deadband < 1.0:
-            raise ValueError("deadband is a max/min slowdown ratio >= 1")
-        self.gamma = gamma
-        self.phi_min = phi_min
-        self.phi_max = phi_max
-        self.deadband = deadband
+        super().__init__(n_threads, epoch_cycles)
+        if not 0 <= thread_id < n_threads:
+            raise ValueError(f"thread {thread_id} out of range")
+        if target_ipc <= 0:
+            raise ValueError("target IPC must be positive")
+        self.thread_id = thread_id
+        self.target_ipc = target_ipc
+
+    def decide(
+        self, signals: EpochSignals, labels: List[str]
+    ) -> Optional[Tuple[List[float], List[float]]]:
+        tid = self.thread_id
+        registers = self.system.registers
+        before = registers.bandwidth["data"][tid]
+        observed = signals.ipcs[tid]
+        after = before
+        if observed < self.target_ipc * (1.0 - self.deadband):
+            after = min(self.max_share, before * self.increase)
+        elif observed > self.target_ipc * (1.0 + self.deadband):
+            after = max(self.min_share, before * self.decrease)
+        if after == before:
+            return None
+        n = self.n_threads
+        others = (1.0 - after) / (n - 1) if n > 1 else 0.0
+        phi = [others] * n
+        phi[tid] = after
+        return phi, list(registers.capacity)
+
+    def converged(self, last: int = 3) -> bool:
+        """Target met (within twice the deadband) for the ``last``
+        epochs, or the subject pinned at ``max_share`` (an infeasible
+        target)."""
+        if len(self.decisions) < last:
+            return False
+        tid = self.thread_id
+        recent = self.decisions[-last:]
+        if all(d.phi[tid] >= self.max_share for d in recent):
+            return True
+        return all(
+            d.ipcs[tid] >= self.target_ipc * (1.0 - 2 * self.deadband)
+            for d in recent
+        )
+
+
+class FairnessController(QoSController):
+    """Epoch-retuned bandwidth shares toward equalized slowdowns.
+
+    The multi-thread generalization of :class:`TargetController`:
+    instead of steering one thread's phi against a fixed IPC target,
+    every epoch scales each thread's share by how far its slowdown sits
+    from the pack's mean (``(slowdown_i / mean)**gamma``), clamps to
+    ``[phi_min, phi_max]``, renormalizes, and programs the whole vector
+    transactionally, unless the max/min slowdown ratio is already
+    under ``deadband``.  With solo baselines the slowdown is the
+    paper's definition; without them raw inverse IPC is used, which
+    equalizes IPCs instead.  Capacity shares are left as configured.
+    """
+
+    name = "fairness"
+    gamma = 0.5
+    phi_min = 0.05
+    phi_max = 0.60
+    deadband = 1.05
 
     def decide(
         self, signals: EpochSignals, labels: List[str]

@@ -33,7 +33,6 @@ from repro.qos.classifier import (
     LABEL_LIGHT,
     LABEL_STREAMING,
     EpochSignals,
-    ThreadClassifier,
 )
 from repro.qos.controller import QoSController
 
@@ -42,19 +41,15 @@ class LFOCController(QoSController):
     """Cluster threads by label; program per-cluster quotas + shares."""
 
     name = "lfoc"
+    streaming_phi_scale = 0.85
 
     def __init__(
         self,
         n_threads: int,
         epoch_cycles: int = 5_000,
         baseline_ipcs: Optional[Sequence[float]] = None,
-        streaming_phi_scale: float = 0.85,
-        classifier: Optional[ThreadClassifier] = None,
     ) -> None:
-        super().__init__(n_threads, epoch_cycles, baseline_ipcs, classifier)
-        if not 0.0 < streaming_phi_scale <= 1.0:
-            raise ValueError("streaming phi scale must be in (0, 1]")
-        self.streaming_phi_scale = streaming_phi_scale
+        super().__init__(n_threads, epoch_cycles, baseline_ipcs)
         self.ways = 0  # bound at attach time
         self._programmed_labels: Optional[List[str]] = None
 

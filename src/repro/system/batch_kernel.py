@@ -16,12 +16,13 @@ are due:
   that can wake a core) arrives for them — the wake is driven by the
   response delay-line head, so a core blocked on a DRAM round trip
   costs nothing until its data comes back;
-* **banks** tick only at or after their ``next_event`` bound, and the
-  tick itself is *lean*: each stage (event pop, store admission,
-  controller admission, memory retry, per-resource grant) runs behind
-  the exact no-op guard ``next_event`` documents for it, so a bank
-  whose tag meter is busy for 4 cycles pays zero for the three
-  guaranteed-``None`` grants the full tick would attempt; a bank whose
+* **banks** tick only once their wake cycle is due (every bank is due
+  at ``run()`` entry), and the tick itself is *lean*: each stage (event
+  pop, store admission, controller admission, memory retry,
+  per-resource grant) runs behind the exact no-op guard ``_tick_bank``
+  documents for it, so a bank whose tag meter is busy for 4 cycles
+  pays zero for the three guaranteed-``None`` grants the full tick
+  would attempt; a bank whose
   last admission scan admitted nothing (its candidates' lines are in
   flight) skips admission, and leaves it out of its wake, until an
   event pop, a store admission or a request delivery could unblock it;
@@ -35,17 +36,17 @@ The hot loop trades indirection for flat state: every stable component
 reference (event heaps, queues, gather buffers, arbiter/meter pairs —
 all init-assigned and only ever mutated in place) is captured once per
 ``run()`` into a per-bank context list, the lean tick computes the
-bank's next wake in the same pass over the same locals instead of
-re-walking the object graph through ``next_event``, and the crossbar
-delay lines are drained with direct deque pops rather than generator
-calls.
+bank's next wake in the same pass over the same locals, and the
+crossbar delay lines are drained with direct deque pops rather than
+generator calls.
 
 Exactness argument (docs/ARCHITECTURE.md, "Batched kernel"): ticking a
 component *early* is always safe — an un-due tick is exactly the no-op
 the cycle kernel would have executed — so wake entries only need to be
 true lower bounds, and every rule below only ever *lowers* them.  The
 dangerous direction, missing a state-changing tick, is excluded by the
-``next_event`` contract documented at each component, plus two
+wake rule documented for each component (``_tick_bank`` for banks,
+``next_event`` for the L3 and the DRAM channels), plus two
 cross-component edges handled explicitly: an L3/memory tick can push a
 completion into a bank's event heap or free transaction-buffer
 capacity a bank's ``_mem_wait`` head is blocked on, so after any
@@ -127,20 +128,34 @@ def _bank_context(bank):
 
 def _tick_bank(ctx, now: int) -> int:
     """One bank tick in :meth:`~repro.cache.bank.CacheBank.tick`'s exact
-    stage order, with each stage behind the no-op guard documented in
-    ``CacheBank.next_event`` — then the bank's next wake cycle, computed
-    in the same pass (``next_event(now + 1)`` inlined over the locals
-    the tick already holds).
+    stage order, each stage behind its no-op guard, then the bank's next
+    wake: the earliest cycle after ``now`` at which some guard could
+    pass, computed in the same pass over the post-tick state.
 
-    Every guard matches the condition under which the full stage call
-    provably mutates nothing: event pops are bounded by the heap head;
-    ``_admit_stores`` breaks on a non-merging head with a full SGB;
-    ``_admit_to_controller``'s no-op scan rotates the round-robin
-    pointer by a full lap (net zero); ``_retry_memory`` breaks on an
-    unacceptable head; ``_Resource.grant`` returns ``None`` — without
-    consulting the arbiter — while the meter is busy or the queue is
-    empty.  Guard-passing stages call the *real* bank methods, so the
-    state transition logic exists in exactly one place.
+    Each guard is the condition under which the full stage call
+    provably mutates nothing:
+
+    * event pops are bounded by the heap head;
+    * ``_admit_stores`` acts only when a thread's head pending store
+      merges into its gather buffer or the buffer has a free entry;
+    * ``_admit_to_controller`` touches only a thread with a free state
+      machine, and then only when it has a queued load (which may
+      mutate flush state) or a retirement-eligible gather buffer; its
+      no-op scan rotates the round-robin pointer by a full lap (net
+      zero);
+    * ``_retry_memory`` acts only when the bank's memory (the L3 when
+      one is configured, else the memory controller) accepts the head
+      waiter's thread — the loop breaks on the head;
+    * ``_Resource.grant`` returns ``None`` — without consulting the
+      arbiter — while the meter is busy or the queue is empty, so
+      waking at the meter's ``busy_until`` drops no ``select`` call
+      (and none of its virtual-time updates).
+
+    An un-due tick is therefore exactly the no-op the cycle kernel
+    executes, and it returns the bank's true wake — which is why
+    ``run_batch`` seeds every bank's wake with the run's first cycle.
+    Guard-passing stages call the *real* bank methods, so the state
+    transition logic exists in exactly one place.
 
     A scan that admits nothing sets the context's blocked flag, and
     while it is set the admission stage is skipped and left out of the
@@ -220,7 +235,8 @@ def _tick_bank(ctx, now: int) -> int:
         if busy < res_wake:
             res_wake = busy if busy > nxt else nxt
 
-    # Next wake: CacheBank.next_event(now + 1) over the post-tick state.
+    # Next wake: the first cycle after `now` at which a guard above
+    # could pass, read from the post-tick state.
     if mem_wait and can_read(mem_wait[0].request.thread_id):
         return nxt
     if wbmem_wait and can_write(wbmem_wait[0].request.thread_id):
@@ -300,7 +316,9 @@ def run_batch(system, cycles: int) -> None:
     settled = [start] * n_cores
     awake = n_cores - sum(sleeping)
     bank_ctx = [_bank_context(bank) for bank in banks]
-    bank_wake = [bank.next_event(start) for bank in banks]
+    # Every bank ticks at the first cycle; an un-due tick is a no-op that
+    # returns the bank's true wake (see _tick_bank).
+    bank_wake = [start] * n_banks
     # Per private channel: its next possible issue cycle, and its queue
     # length after its last tick (a longer queue means a bank or the L3
     # added an access since).

@@ -72,7 +72,7 @@ class CMPSystem:
         self.vpc_selection = vpc_selection
         self.record_requests = record_requests
         # The trace sink (``--trace``: anything with ``emit``), one
-        # more view on the lifecycle probe; QoS and feedback decisions
+        # more view on the lifecycle probe; QoS controller decisions
         # and CPI counter tracks emit to it too.  It and the request log
         # attach at the end of __init__ (components must exist first).
         self.telemetry = None

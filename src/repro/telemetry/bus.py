@@ -7,7 +7,7 @@ Design contract (see docs/ARCHITECTURE.md "Observability"):
   probe (:mod:`repro.telemetry.probe`) like any other view.  The probe
   builds every simulated :class:`~repro.telemetry.events.TraceEvent`
   from what its hooks receive; no component knows the trace format,
-  and an untraced run builds no event at all.  QoS and feedback
+  and an untraced run builds no event at all.  QoS controller
   decisions, CPI counter tracks, runner orchestration events and host
   spans (``SpanTracer(sink=...)``) emit to the same sink.
 * **Sinks are dumb.**  A sink implements ``emit(event)`` and may

@@ -12,19 +12,18 @@ from repro.core.arbiter import FCFSArbiter
 
 
 class StubMemory:
-    """Fixed-latency memory with optional admission refusal."""
+    """Fixed-latency memory that always accepts."""
 
-    def __init__(self, latency=50, accept=True):
+    def __init__(self, latency=50):
         self.latency = latency
-        self.accept = accept
         self.reads = []
         self.writes = []
 
     def can_accept_read(self, thread_id):
-        return self.accept
+        return True
 
     def can_accept_write(self, thread_id):
-        return self.accept
+        return True
 
     def enqueue_read(self, thread_id, line, notify, now, tracked=False):
         self.reads.append((thread_id, line, now))
@@ -206,43 +205,6 @@ class TestWriteback:
         run(bank, 400)
         assert memory.writes, "dirty victim should be written back"
         assert bank.counters.get("writebacks") == 1
-
-
-class TestMemoryBackPressure:
-    def test_next_event_reads_the_refused_heads_thread(self):
-        """A miss and a dirty writeback that memory refused wait in the
-        bank.  ``next_event``, which the batch kernel asks at the start
-        of every run segment, must ask memory about each head's thread:
-        nothing is due while memory refuses, and both are due at once
-        when it accepts again."""
-        config = L2Config(banks=1, sgb_high_water=1)
-        memory = StubMemory(latency=50)
-        bank, _, _ = make_bank(config=config, memory=memory)
-        sets, ways = config.sets, config.ways
-        for i in range(ways):
-            bank.array.insert(1 + i * sets, 0)
-            bank.array.set_dirty(1 + i * sets)
-        bank.accept(read(1 + ways * sets), 0)
-        now = 0
-        while not memory.reads:
-            bank.tick(now)
-            now += 1
-        # The fill's dirty victim and a second miss both find memory full.
-        memory.accept = False
-        bank.accept(read(2), now)
-        while not (bank._mem_wait and bank._wbmem_wait):
-            bank.tick(now)
-            now += 1
-            assert now < 400, "refused miss and writeback never queued"
-        run(bank, 100, start=now)
-        now += 100
-        assert bank._mem_wait and bank._wbmem_wait
-        assert bank.next_event(now) > now
-        memory.accept = True
-        assert bank.next_event(now) == now
-        run(bank, 400, start=now)
-        assert not bank._mem_wait and not bank._wbmem_wait
-        assert len(memory.reads) == 2 and len(memory.writes) == 1
 
 
 class TestConflictsAndLimits:

@@ -3,8 +3,9 @@
 ``python -m repro``, the benchmark's set-up and every worker process
 import :mod:`repro.experiments.parallel`.  That import must stay
 simulation-only: no stdlib HTTP/TLS stack, no serving plane, alerts,
-history or report modules, and no experiment module until the runner
-asks the registry for one.  The check runs in a fresh interpreter,
+history or report modules, no QoS control plane (``repro.qos``, loaded
+only when a run attaches a controller), and no experiment module until
+the runner asks the registry for one.  The check runs in a fresh interpreter,
 because the test session itself has imported everything.
 """
 
@@ -23,7 +24,7 @@ OFF_THE_PATH = {
     "http.server", "http.client", "urllib.request", "ssl",
     "repro.telemetry.server", "repro.telemetry.federation",
     "repro.telemetry.alerts", "repro.telemetry.history",
-    "repro.telemetry.report",
+    "repro.telemetry.report", "repro.qos",
 }
 #: The only ``repro.experiments`` modules a simulation may load (the
 #: runner, charts and every experiment module stay out).

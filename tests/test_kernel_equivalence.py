@@ -43,6 +43,7 @@ from repro.memory.controller import MemoryController
 from repro.memory.dram import DRAMChannel
 from repro.system.batch_kernel import _BLOCKED, _bank_context, _tick_bank
 from repro.system.cmp import CMPSystem
+from repro.system.kernel import KERNELS
 from repro.system.simulator import run_simulation
 from repro.workloads import build_trace
 from repro.workloads.microbench import loads_trace, stores_trace
@@ -243,19 +244,20 @@ class TestKernelEquivalence:
 
     def test_small_transaction_buffer_across_metrics_windows(self,
                                                              monkeypatch):
-        # Metrics windows chunk the run, and the batch kernel starts each
-        # chunk by asking every bank's next_event.  With two read entries
+        # Metrics windows chunk the run, and the batch kernel rebuilds
+        # every bank's wake at each chunk start.  With two read entries
         # per channel some chunk starts while a refused miss or writeback
-        # waits in the bank, so that start must read the waiter's thread.
+        # waits in a bank, so that start must read the waiter's thread.
         waiting_starts = {"count": 0}
-        next_event = CacheBank.next_event
+        run_batch = KERNELS["batch"]
 
-        def counted(bank, now):
-            if bank._mem_wait or bank._wbmem_wait:
+        def counted(system, cycles):
+            if any(bank._mem_wait or bank._wbmem_wait
+                   for bank in system.banks):
                 waiting_starts["count"] += 1
-            return next_event(bank, now)
+            return run_batch(system, cycles)
 
-        monkeypatch.setattr(CacheBank, "next_event", counted)
+        monkeypatch.setitem(KERNELS, "batch", counted)
         config = replace(baseline_config(n_threads=2, arbiter="vpc"),
                          memory=MemoryConfig(transaction_buffer=2,
                                              write_buffer=2))

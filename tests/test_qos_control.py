@@ -20,6 +20,7 @@ from repro.qos import (
     QOS_DECISIONS_SCHEMA,
     EpochSignals,
     QoSController,
+    TargetController,
     ThreadClassifier,
     make_controller,
 )
@@ -74,7 +75,8 @@ class TestClassifier:
             _signals([1.0], [10], [10 * 5]), 0) == 0.0
 
     def test_hysteresis_damps_single_epoch_blips(self):
-        clf = ThreadClassifier(1, hysteresis=2)
+        clf = ThreadClassifier(1)
+        assert clf.hysteresis == 2
         hungry = _signals([1.0], [100], [100 * 70])
         streamy = _signals([1.0], [100], [100 * 230])
         assert clf.classify(hungry) == [LABEL_HUNGRY]
@@ -87,7 +89,7 @@ class TestClassifier:
         assert clf.classify(streamy) == [LABEL_STREAMING]
 
     def test_alternating_signal_never_flaps(self):
-        clf = ThreadClassifier(1, hysteresis=2)
+        clf = ThreadClassifier(1)
         hungry = _signals([1.0], [100], [100 * 70])
         streamy = _signals([1.0], [100], [100 * 230])
         labels = [clf.classify(hungry)[0]]
@@ -100,10 +102,6 @@ class TestClassifier:
     def test_validation(self):
         with pytest.raises(ValueError):
             ThreadClassifier(0)
-        with pytest.raises(ValueError):
-            ThreadClassifier(1, hysteresis=0)
-        with pytest.raises(ValueError):
-            ThreadClassifier(1, hit_latency=100.0, miss_latency=50.0)
 
 
 class TestRuntimeQuotas:
@@ -276,10 +274,11 @@ class TestLFOCClustering:
         assert controller.cluster_capacity([LABEL_LIGHT] * 4) == [0.25] * 4
 
     def test_bandwidth_shaves_streaming_for_hungry(self):
-        controller = LFOCController(4, streaming_phi_scale=0.8)
+        controller = LFOCController(4)
         phi = controller.cluster_bandwidth(
             [LABEL_STREAMING, LABEL_HUNGRY, LABEL_HUNGRY, LABEL_LIGHT])
-        assert phi[0] == pytest.approx(0.25 * 0.8)
+        assert phi[0] == pytest.approx(
+            0.25 * LFOCController.streaming_phi_scale)
         assert phi[1] == phi[2] > 0.25
         assert phi[3] == 0.25
         assert sum(phi) == pytest.approx(1.0)
@@ -334,26 +333,28 @@ class TestTelemetry:
         counters = {e.name for e in events} - {"decision"}
         assert {"phi", "beta", "jain"} <= counters
 
-    def test_feedback_allocator_emits_decisions(self):
-        from repro.policy.feedback import FeedbackAllocator
+    def test_target_controller_emits_decisions(self):
         config = baseline_config(n_threads=2, arbiter="vpc")
         ring = RingBufferSink()
         system = CMPSystem(config, [spec_trace("art", 0),
                                     spec_trace("mcf", 1)],
                            telemetry=ring)
-        system.run(2_000)
-        allocator = FeedbackAllocator(system, thread_id=1, target_ipc=0.9,
-                                      epoch_cycles=1_000)
-        allocator.run(3)
+        controller = system.attach_qos_controller(
+            TargetController(2, thread_id=1, target_ipc=0.9,
+                             epoch_cycles=1_000))
+        run_simulation(system, warmup=2_000, measure=3_000)
         instants = [e for e in ring
-                    if e.track == "qos.controller" and e.name == "feedback"]
+                    if e.track == "qos.controller" and e.name == "decision"]
         assert len(instants) == 3
-        assert instants[0].tid == 1
-        assert instants[0].args["target_ipc"] == 0.9
+        assert instants[0].args["policy"] == "target"
+        assert [e.args["programmed"] for e in instants] == [
+            int(d.programmed) for d in controller.decisions
+        ]
+        assert any(d.programmed for d in controller.decisions)
         shares = [e for e in ring
                   if e.track == "qos.shares" and e.name == "phi"]
         assert [e.args["t1"] for e in shares] == [
-            d.share_after for d in allocator.decisions
+            d.phi[1] for d in controller.decisions
         ]
 
 
