@@ -238,6 +238,15 @@ def test_disabled_overhead_under_two_percent(view):
     )
 
 
+#: Enabled-view guards: the worst best-round ratio of six runs of each
+#: guard (2-CPU container, CPython 3.11) times 1.10, rounded up.
+#: Metrics + attribution measured 1.12-1.20 (1.30-1.31 before the views
+#: folded a record log); CPI stacks + request tracing 1.14-1.24
+#: (1.25-1.28 before).
+METRICS_BOUND = 1.32
+LIFECYCLE_BOUND = 1.37
+
+
 def _metrics_system(warm=5_000):
     """The 2-thread loads/stores system with the windowed metrics
     collector and the interference attributor on its lifecycle probe."""
@@ -254,15 +263,42 @@ def _metrics_system(warm=5_000):
 
 def test_metrics_enabled_overhead_bounded():
     """The enabled-path cost of the aggregating views: with metrics and
-    attribution counting through the lifecycle probe, the engine must
-    run within 1.40x of the bare system in its best round (the same
-    alternating rounds as the disabled-path guards).  Trips if the
-    views go back to building events, or their hooks grow per-event
-    work."""
+    attribution folding the lifecycle probe's record log, the engine
+    must run within METRICS_BOUND of the bare system in its best round
+    (the same alternating rounds as the disabled-path guards; each
+    observed chunk's ``run()`` ends with its fold).  Trips if the views
+    go back to building events or to a call per event, or their hooks
+    or folds grow per-event work."""
     ratios = _alternating_ratios(_fresh_system(), _metrics_system())
-    assert min(ratios) <= 1.40, (
-        "metrics+attribution engine is >1.40x its bare baseline in every "
-        f"round: ratios {[f'{r:.3f}' for r in ratios]}"
+    assert min(ratios) <= METRICS_BOUND, (
+        f"metrics+attribution engine is >{METRICS_BOUND}x its bare "
+        f"baseline in every round: ratios {[f'{r:.3f}' for r in ratios]}"
+    )
+
+
+def _lifecycle_system(warm=5_000):
+    """The 2-thread loads/stores system with CPI stacks and request
+    tracing on its lifecycle probe."""
+    config = baseline_config(n_threads=2, arbiter="vpc",
+                             vpc=VPCAllocation.equal(2))
+    system = CMPSystem(config, [loads_trace(0), stores_trace(1)])
+    system.attach_cycle_accounting()
+    system.attach_request_tracing()
+    system.run(warm)
+    return system
+
+
+def test_lifecycle_views_enabled_overhead_bounded():
+    """The enabled-path cost of the lifecycle views: with CPI stacks
+    and request tracing folding the probe's stage and journey logs, the
+    engine must run within LIFECYCLE_BOUND of the bare system in its
+    best round.  The core reports every tick to the CPI stacks, so this
+    guard also covers the per-tick hook."""
+    ratios = _alternating_ratios(_fresh_system(), _lifecycle_system())
+    assert min(ratios) <= LIFECYCLE_BOUND, (
+        f"CPI stacks+request tracing engine is >{LIFECYCLE_BOUND}x its "
+        f"bare baseline in every round: ratios "
+        f"{[f'{r:.3f}' for r in ratios]}"
     )
 
 

@@ -116,14 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach per-thread cycle accounting (every "
                              "measured cycle lands in exactly one CPI-stack "
                              "bucket); print the stacks, or write the "
-                             "repro.cpi-stack/1 JSON to PATH when given")
+                             "repro.cpi-stack/1 JSON to PATH when given "
+                             "(with --resume-checkpoint: the stacks the "
+                             "checkpoint carries)")
     parser.add_argument("--requests", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="attach request-scope tracing (per-request "
                              "stage waterfalls, exact streaming "
                              "p50/p95/p99/p999, worst-k exemplars); print "
                              "the summary, or write the repro.requests/1 "
-                             "JSON to PATH when given")
+                             "JSON to PATH when given (with "
+                             "--resume-checkpoint: the tracing the "
+                             "checkpoint carries)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="write a resumable checkpoint of the full "
                              "simulation to PATH every --checkpoint-every "
@@ -137,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "written by --checkpoint (pass the same "
                              "workloads, or none to restore them from the "
                              "snapshot; the result is bit-identical to "
-                             "the uninterrupted run)")
+                             "the uninterrupted run).  Its views resume "
+                             "with it: --metrics, --cpi-stacks, --requests "
+                             "and --qos-log write the documents they "
+                             "finish")
     return parser
 
 
@@ -158,15 +165,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.resume_checkpoint and (
             args.report is not None or args.serve is not None
-            or args.trace or args.histograms
-            or args.cpi_stacks is not None
-            or args.requests is not None
+            or args.trace or args.histograms or args.slo is not None
             or args.spans is not None or args.alerts):
         parser.error("--resume-checkpoint continues the original run's "
                      "observability; --report/--serve/--trace/--histograms/"
-                     "--cpi-stacks/--requests/--spans/--alerts cannot be "
-                     "added mid-run (a checkpointed accounting attachment "
-                     "resumes automatically)")
+                     "--slo/--spans/--alerts cannot be added mid-run (the "
+                     "checkpoint's views resume automatically; --metrics, "
+                     "--cpi-stacks, --requests and --qos-log write what "
+                     "it carries)")
     if args.resume_checkpoint and (args.policy is not None
                                    or args.controller is not None
                                    or args.epoch is not None):
@@ -379,7 +385,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  qos: none logged (the resumed checkpoint was written "
               "without a controller)")
 
-    if args.cpi_stacks is not None and result.cpi_stacks is not None:
+    if args.cpi_stacks is not None and result.cpi_stacks is None:
+        print("  cycle accounting: none collected (the resumed checkpoint "
+              "was written without cycle accounting)")
+    elif args.cpi_stacks is not None:
         stacks = result.cpi_stacks
         buckets = stacks["buckets"]
         print(f"  cycle accounting ({stacks['measured_cycles']} cycles "
@@ -395,7 +404,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_document(args.cpi_stacks, stacks)
             print(f"  cpi stacks -> {args.cpi_stacks}")
 
-    if args.requests is not None and result.requests is not None:
+    if args.requests is not None and result.requests is None:
+        print("  request latency: none collected (the resumed checkpoint "
+              "was written without request tracing)")
+    elif args.requests is not None:
         from repro.telemetry.requests import render_requests, write_requests
         for line in render_requests(result.requests):
             print(f"  {line}")

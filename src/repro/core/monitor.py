@@ -4,10 +4,10 @@ System software that programs the VPC control registers wants to *know*
 when a guarantee was not delivered (a hardware bug, an over-allocation,
 or an unaccounted preemption effect).  :class:`QoSMonitor` is a view on
 the system's lifecycle probe (see docs/ARCHITECTURE.md "Observability"):
-it counts every arbiter enqueue and grant of a live system — the
-thread's queue depth after each, and the granted service — and, per
-monitoring window, checks the fair-queuing service bound for each
-thread that stayed backlogged through the window:
+it folds the probe's record of every arbiter enqueue and grant of a
+live system — the thread's queue depth after each, and the granted
+service — and, per monitoring window, checks the fair-queuing service
+bound for each thread that stayed backlogged through the window:
 
     service >= phi * window - allowance
 
@@ -16,11 +16,14 @@ where the allowance covers non-preemptibility and window-edge effects
 one EDF scheduling lag).  Windows where the bound fails are recorded as
 :class:`ServiceViolation`s.
 
-Because the audit is hook-driven it works under the batch kernel's
-skip-ahead (no per-cycle polling); windows close lazily as hook cycle
+Because the audit is event-driven it works under the batch kernel's
+skip-ahead (no per-cycle polling); windows close lazily as record cycle
 stamps cross their boundaries, and :meth:`QoSMonitor.finish` flushes the
-windows a run's tail spans.  Use :func:`run_monitored` to drive a
-system with a monitor attached.
+windows a run's tail spans.  A window's bound reads the arbiters' live
+shares when it closes; the probe folds at every ``run()`` exit, before
+any share register write between runs, so the shares read are the ones
+the window ran under.  Use :func:`run_monitored` to drive a system with
+a monitor attached.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.vpc_arbiter import VPCArbiter
 from repro.system.cmp import CMPSystem
+from repro.telemetry.probe import GRANTED
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,9 @@ class ServiceViolation:
 
 class QoSMonitor:
     """Watches the VPC arbiters of a :class:`CMPSystem` through its
-    lifecycle probe (attached by the constructor)."""
+    lifecycle probe (attached by the constructor), folding the probe's
+    arbiter log; the probe folds at every ``run()`` exit, so the audit
+    is current whenever a run is not in progress."""
 
     def __init__(self, system: CMPSystem, window: int = 2_000) -> None:
         if window < 1:
@@ -72,8 +78,9 @@ class QoSMonitor:
             name: [0] * n for name, _ in self._arbiters
         }
         self._window_start = system.cycle
-        # Live pending counts, updated by the hooks; seeded from the
-        # arbiters since requests may already be in flight at attach.
+        # Live pending counts, updated by the folded records; seeded
+        # from the arbiters since requests may already be in flight at
+        # attach.
         self._pending: Dict[str, List[int]] = {
             name: [arbiter.pending_for(tid) for tid in range(n)]
             for name, arbiter in self._arbiters
@@ -94,7 +101,7 @@ class QoSMonitor:
         }
 
     # ------------------------------------------------------------------ #
-    # Arbiter hooks (called by repro.telemetry.probe).
+    # Arbiter records (folded from repro.telemetry.probe's arbiter log).
     # ------------------------------------------------------------------ #
 
     def _advance(self, ts: int) -> None:
@@ -104,25 +111,31 @@ class QoSMonitor:
             self._close_window(boundary)
             boundary = self._window_start + self.window
 
-    def enqueued(self, track: str, tid: int, ts: int, pending: int) -> None:
-        """``tid`` holds ``pending`` entries in ``track``'s queue."""
-        self._advance(ts)
-        counts = self._pending.get(track)
-        if counts is not None:  # None: not an arbiter this monitor audits
+    def fold(self, records) -> None:
+        """Apply a run of arbiter-log records, in order.  A record at or
+        past the open window's end first closes every window it passed;
+        then, on an audited arbiter, the thread's queue depth becomes
+        the record's, and a grant adds its service cycles to the window
+        and, if it left the thread's queue empty, exempts the thread
+        from the window's bound."""
+        pending_of = self._pending
+        boundary = self._window_start + self.window
+        granted_of = self._granted
+        backlogged_of = self._backlogged
+        for kind, track, tid, ts, pending, duration, _ in records:
+            if ts >= boundary:
+                self._advance(ts)
+                boundary = self._window_start + self.window
+                granted_of = self._granted
+                backlogged_of = self._backlogged
+            counts = pending_of.get(track)
+            if counts is None:  # not an arbiter this monitor audits
+                continue
             counts[tid] = pending
-
-    def granted(self, track: str, tid: int, ts: int, duration: int,
-                pending: int) -> None:
-        """``track`` granted ``tid`` ``duration`` cycles, leaving
-        ``pending`` of its entries queued."""
-        self._advance(ts)
-        counts = self._pending.get(track)
-        if counts is None:
-            return
-        counts[tid] = pending
-        self._granted[track][tid] += duration
-        if pending == 0:
-            self._backlogged[track][tid] = False
+            if kind == GRANTED:
+                granted_of[track][tid] += duration
+                if pending == 0:
+                    backlogged_of[track][tid] = False
 
     def finish(self, end: int) -> None:
         """Flush every window that closed at or before ``end``."""

@@ -463,6 +463,9 @@ class CMPSystem:
 
     def run(self, cycles: int) -> None:
         KERNELS[self.kernel](self, cycles)
+        if self._probe is not None:
+            # Views are read only between runs: fold what the run logged.
+            self._probe.flush()
 
     # ------------------------------------------------------------------ #
     # Reporting helpers (interval-aware reporting lives in simulator.py).

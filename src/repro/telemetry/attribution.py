@@ -5,8 +5,8 @@ cache arbiters is invisible to conventional counters; a QoS scheme is
 only auditable if every cycle a thread spent *waiting* can be charged to
 the thread whose grant made it wait.  :class:`InterferenceAttributor`
 does exactly that, purely from the arbiter enqueues and grants the
-lifecycle probe (:mod:`repro.telemetry.probe`) reports — integers, no
-event objects.
+lifecycle probe (:mod:`repro.telemetry.probe`) logs — flat integer
+records, which :meth:`InterferenceAttributor.fold` applies in order.
 
 Mechanics.  Each grant reports the granted thread and the real service
 duration; because a resource's arbiter is only consulted while its
@@ -44,13 +44,15 @@ invariant and the totals stay exact.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
+
+from .probe import ENQUEUED
 
 ATTRIBUTION_SCHEMA = "repro.attribution/1"
 
 #: One open wait: (enqueue cycle, the track's cumulative per-aggressor
 #: granted cycles at enqueue, pre-charged owner or -1, pre-charge).
-_Wait = Tuple[int, Tuple[int, ...], int, int]
+_Wait = Tuple[int, Sequence[int], int, int]
 
 
 class _TrackState:
@@ -72,12 +74,14 @@ class _TrackState:
 
 
 class InterferenceAttributor:
-    """Per-resource interference matrices, fed by the lifecycle probe.
+    """Per-resource interference matrices, folded from the lifecycle
+    probe's arbiter log.
 
     ``matrix[track][victim][aggressor]`` counts the waiting cycles
     ``victim`` spent on ``track`` while it was busy serving a grant to
     ``aggressor`` (the diagonal is self-interference: waiting behind
-    one's own earlier grant).
+    one's own earlier grant).  The probe folds at every ``run()`` exit,
+    so the tables are complete whenever a run is not in progress.
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -102,52 +106,58 @@ class InterferenceAttributor:
         return state
 
     # ------------------------------------------------------------------ #
-    # Arbiter hooks (called by repro.telemetry.probe).
+    # Arbiter records (folded from repro.telemetry.probe's arbiter log).
     # ------------------------------------------------------------------ #
 
-    def enqueued(self, track: str, tid: int, ts: int) -> None:
-        """``tid`` entered ``track``'s arbiter queue at ``ts``."""
-        state = self._tracks.get(track) or self._track(track)
-        owner = state.busy_owner
-        precharge = 0
-        if ts < state.busy_until and owner >= 0:
-            # Born into an in-progress busy interval: the grant that
-            # opened it is already counted, so pre-charge its remainder.
-            precharge = state.busy_until - ts
-        else:
-            owner = -1
-        state.waiting[tid].append((ts, tuple(state.granted), owner,
-                                   precharge))
+    def fold(self, records) -> None:
+        """Apply a run of arbiter-log records, in order:
 
-    def granted(self, track: str, tid: int, ts: int, duration: int) -> None:
-        """``track`` granted ``tid`` ``duration`` service cycles at
-        ``ts``: the thread's oldest wait closes, and the busy interval
-        delays everyone still waiting."""
-        state = self._tracks.get(track) or self._track(track)
-        queue = state.waiting[tid]
-        if queue:
-            self._close_wait(state, tid, queue.popleft(), ts)
-        if duration > 0:
-            state.granted[tid] += duration
-            state.busy_until = ts + duration
-            state.busy_owner = tid
-
-    def _close_wait(self, state: _TrackState, tid: int, wait: _Wait,
-                    granted_at: int) -> None:
-        enqueued, base, owner, precharge = wait
-        row = state.matrix[tid]
-        granted = state.granted
-        charged = precharge
-        for aggressor in range(self.n_threads):
-            cycles = granted[aggressor] - base[aggressor]
-            row[aggressor] += cycles
-            charged += cycles
-        if owner >= 0:
-            row[owner] += precharge
-        delay = granted_at - enqueued
-        state.delay[tid] += delay
-        state.idle_wait[tid] += delay - charged
-        state.waits_closed[tid] += 1
+        * an enqueue of ``tid`` on ``track`` at ``ts`` opens a wait; born
+          into an in-progress busy interval, it is pre-charged the
+          interval's remainder to the thread that holds it;
+        * a grant of ``duration`` cycles to ``tid`` at ``ts`` closes the
+          thread's oldest wait — its charges are the growth of the
+          track's cumulative per-aggressor grants since the enqueue,
+          plus the pre-charge — and its busy interval delays everyone
+          still waiting.
+        """
+        tracks = self._tracks
+        aggressors = range(self.n_threads)
+        for kind, track, tid, ts, _, duration, _ in records:
+            state = tracks.get(track) or self._track(track)
+            if kind == ENQUEUED:
+                owner = state.busy_owner
+                precharge = 0
+                if ts < state.busy_until and owner >= 0:
+                    # The grant that opened the interval is already
+                    # counted, so pre-charge only its remainder.
+                    precharge = state.busy_until - ts
+                else:
+                    owner = -1
+                state.waiting[tid].append((ts, state.granted[:], owner,
+                                           precharge))
+                continue
+            granted = state.granted
+            queue = state.waiting[tid]
+            if queue:
+                enqueued, base, owner, precharge = queue.popleft()
+                row = state.matrix[tid]
+                charged = precharge
+                if granted != base:  # the track granted while it waited
+                    for aggressor in aggressors:
+                        cycles = granted[aggressor] - base[aggressor]
+                        row[aggressor] += cycles
+                        charged += cycles
+                if owner >= 0:
+                    row[owner] += precharge
+                delay = ts - enqueued
+                state.delay[tid] += delay
+                state.idle_wait[tid] += delay - charged
+                state.waits_closed[tid] += 1
+            if duration > 0:
+                granted[tid] += duration
+                state.busy_until = ts + duration
+                state.busy_owner = tid
 
     def finish(self, end: int) -> None:
         """Drop still-open waits (their delay is not yet defined)."""
@@ -227,7 +237,7 @@ class InterferenceAttributor:
         under ``tracks``)."""
         classes = self.by_resource_class()
 
-        def fold(per_track: Dict[str, List[int]]) -> Dict[str, List[int]]:
+        def by_class(per_track: Dict[str, List[int]]) -> Dict[str, List[int]]:
             out: Dict[str, List[int]] = {}
             for track, row in per_track.items():
                 name = self.resource_class(track)
@@ -239,8 +249,8 @@ class InterferenceAttributor:
                         into[tid] += row[tid]
             return out
 
-        delay = fold(self.delay)
-        idle = fold(self.idle_wait)
+        delay = by_class(self.delay)
+        idle = by_class(self.idle_wait)
         return {
             "schema": ATTRIBUTION_SCHEMA,
             "n_threads": self.n_threads,

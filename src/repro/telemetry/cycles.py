@@ -34,11 +34,12 @@ bucket:
 
 Core ticks, MSHR allocate/complete and the stage moves all arrive
 through the :class:`~repro.telemetry.probe.LifecycleProbe`, which
-classifies component events into stage transitions; this module only
-keeps stall reasons, the census and the buckets.  Every probe event
-fires at the same ``(thread, cycle)`` in both kernels, so the buckets
-are kernel-identical *by construction* — ``fast_forward`` needs no hook
-at all.
+classifies component events into stage transitions and logs one record
+per event; :meth:`CycleAccounting.fold` applies a run of records in
+order, so this module only keeps stall reasons, the census and the
+buckets.  Every record is stamped with the same ``(thread, cycle)`` in
+both kernels, so the buckets are kernel-identical *by construction* —
+``fast_forward`` needs no hook at all.
 """
 
 from __future__ import annotations
@@ -48,12 +49,17 @@ from typing import Dict, List, Optional
 from repro.common.stats import sum_in_order
 from repro.telemetry.events import CAT_CPI, PH_COUNTER, TraceEvent
 from repro.telemetry.probe import (
+    ALLOCATED,
+    COMPLETED,
+    MOVE,
     N_STAGES,
+    PROGRESS,
     S_BUSQ,
     S_DATAQ,
     S_TAGQ,
     S_XFER,
     STAGES,
+    STALL,
 )
 
 #: Schema tag of a standalone CPI-stack JSON document.
@@ -85,12 +91,25 @@ _REASON_BUCKET = {R_IDLE: B_IDLE, R_MSHR: B_MSHR, R_STORE: B_STORE}
 QUEUE_BUCKETS = tuple(STAGES[stage] for stage in (S_TAGQ, S_DATAQ, S_BUSQ))
 
 
+def _deepest(census: List[int], below: int = N_STAGES) -> int:
+    """The deepest stage under ``below`` that the per-stage read
+    ``census`` occupies, or l1_transit when none is: where a
+    load-stalled thread's cycles go."""
+    stage = below - 1
+    while stage > S_XFER and not census[stage]:
+        stage -= 1
+    return stage
+
+
 class CycleAccounting:
-    """Mutable accounting state fed by the lifecycle probe.
+    """Mutable accounting state folded from the lifecycle probe's stage
+    log.
 
     One instance per :class:`~repro.system.cmp.CMPSystem`, attached via
-    ``system.attach_cycle_accounting()``.  Pickled with the system
-    object graph, so checkpoint/resume keeps the stacks exact for free.
+    ``system.attach_cycle_accounting()``.  The probe folds at every
+    ``run()`` exit, so the buckets are complete whenever a run is not
+    in progress.  Pickled with the system object graph, so
+    checkpoint/resume keeps the stacks exact for free.
     """
 
     def __init__(self, n_threads: int) -> None:
@@ -106,85 +125,95 @@ class CycleAccounting:
         self._baseline = [[0] * N_BUCKETS for _ in range(n_threads)]
 
     # ------------------------------------------------------------------ #
-    # Span engine.
+    # Span engine, folded from the probe's stage log.
     # ------------------------------------------------------------------ #
 
-    def _close(self, tid: int, now: int) -> None:
-        """Charge the open span up to ``now`` (clamped: a same-cycle hook
-        after a progressing tick must not re-charge the base cycle)."""
-        mark = self._mark[tid]
-        if now > mark:
-            self._buckets[tid][self._bucket[tid]] += now - mark
-            self._mark[tid] = now
+    def fold(self, records) -> None:
+        """Apply a run of stage-log records, in order.
 
-    def _stall_bucket(self, tid: int) -> int:
-        reason = self._reason[tid]
-        if reason == R_LOAD:
-            census = self._census[tid]
-            for stage in range(N_STAGES - 1, -1, -1):
-                if census[stage]:
-                    return _B_STAGE + stage
-            return _B_STAGE + S_XFER
-        return _REASON_BUCKET[reason]
+        Closing a thread's open span charges ``[mark, now)`` to its
+        bucket (clamped: a same-cycle record after a progressing tick
+        must not re-charge the base cycle).  A stalled thread's bucket
+        is its stall reason's, or for a load stall the deepest stage
+        any of its reads occupies (``l1_transit`` when none is out).
 
-    def progress(self, tid: int, now: int, reason: int) -> None:
-        """A core tick at ``now`` dispatched work: one base cycle, then
-        re-open the span at ``now + 1`` under the post-tick reason."""
-        self._close(tid, now)
-        self._buckets[tid][B_BASE] += 1
-        self._mark[tid] = now + 1
-        self._reason[tid] = reason
-        self._bucket[tid] = self._stall_bucket(tid)
+        * a progressing tick at ``now`` closes the span, charges one
+          base cycle, and re-opens the span at ``now + 1`` under the
+          post-tick reason;
+        * a stalled tick closes the span only when the stall reason
+          changed (cycle ``now`` itself goes to the new reason);
+        * a stage move, an MSHR allocation (into ``l1_transit``) or a
+          completion (out of it) updates the thread's census; while the
+          thread is load-stalled and its deepest stage changed, the
+          span closes at ``now`` and re-opens in the new stage.
 
-    def stall(self, tid: int, now: int, reason: int) -> None:
-        """A core tick at ``now`` dispatched nothing; split the open span
-        only when the stall reason changed (cycle ``now`` itself is
-        charged to the *new* reason's bucket)."""
-        if reason != self._reason[tid]:
-            self._close(tid, now)
-            self._reason[tid] = reason
-            self._bucket[tid] = self._stall_bucket(tid)
-
-    def _restage(self, tid: int, now: int) -> None:
-        """Census changed at ``now``: re-derive the open span's bucket
-        (only observable while the thread is load-stalled)."""
-        if self._reason[tid] == R_LOAD:
-            bucket = self._stall_bucket(tid)
-            if bucket != self._bucket[tid]:
-                self._close(tid, now)
-                self._bucket[tid] = bucket
-
-    # ------------------------------------------------------------------ #
-    # Census (fed by the lifecycle probe at exact component cycles).
-    # ------------------------------------------------------------------ #
-
-    def move(self, tid: int, old: int, new: int, now: int) -> None:
-        """One of ``tid``'s reads moved from stage ``old`` to ``new``."""
-        census = self._census[tid]
-        census[old] -= 1
-        if census[old] < 0:
-            raise RuntimeError(
-                f"cycle-accounting census underflow: thread {tid} stage "
-                f"{STAGES[old]} at cycle {now}"
-            )
-        census[new] += 1
-        self._restage(tid, now)
-
-    def mshr_allocated(self, tid: int, now: int) -> None:
-        """Primary L2 read left the core (demand or prefetch)."""
-        self._census[tid][S_XFER] += 1
-        self._restage(tid, now)
-
-    def mshr_completed(self, tid: int, now: int) -> None:
-        """The fill came back; the line's census entry retires."""
-        census = self._census[tid]
-        census[S_XFER] -= 1
-        if census[S_XFER] < 0:
-            raise RuntimeError(
-                f"cycle-accounting census underflow: thread {tid} "
-                f"completion without allocation at cycle {now}"
-            )
-        self._restage(tid, now)
+        A census that would go negative raises, naming the thread, the
+        stage and the cycle of the offending record.
+        """
+        buckets = self._buckets
+        census = self._census
+        marks = self._mark
+        reasons = self._reason
+        spans = self._bucket
+        # Each thread's deepest occupied stage, kept current per record.
+        deepest = [_deepest(counts) for counts in census]
+        for kind, tid, now, value, new in records:
+            # ``value``: a tick's post-tick reason, a move's old stage.
+            if kind == PROGRESS:
+                row = buckets[tid]
+                mark = marks[tid]
+                if now > mark:
+                    row[spans[tid]] += now - mark
+                row[B_BASE] += 1
+                marks[tid] = now + 1
+                reasons[tid] = value
+                spans[tid] = (_B_STAGE + deepest[tid] if value == R_LOAD
+                              else _REASON_BUCKET[value])
+                continue
+            if kind == STALL:
+                if value == reasons[tid]:
+                    continue
+                mark = marks[tid]
+                if now > mark:
+                    buckets[tid][spans[tid]] += now - mark
+                    marks[tid] = now
+                reasons[tid] = value
+                spans[tid] = (_B_STAGE + deepest[tid] if value == R_LOAD
+                              else _REASON_BUCKET[value])
+                continue
+            counts = census[tid]
+            if kind == MOVE:
+                counts[value] -= 1
+                if counts[value] < 0:
+                    raise RuntimeError(
+                        f"cycle-accounting census underflow: thread {tid} "
+                        f"stage {STAGES[value]} at cycle {now}"
+                    )
+                counts[new] += 1
+                stage = deepest[tid]
+                if new > stage:
+                    deepest[tid] = new
+                elif value == stage and not counts[value]:
+                    deepest[tid] = _deepest(counts, value)
+            elif kind == ALLOCATED:
+                counts[S_XFER] += 1
+            elif kind == COMPLETED:
+                counts[S_XFER] -= 1
+                if counts[S_XFER] < 0:
+                    raise RuntimeError(
+                        f"cycle-accounting census underflow: thread {tid} "
+                        f"completion without allocation at cycle {now}"
+                    )
+            else:
+                raise ValueError(f"not a stage record: {kind!r}")
+            if reasons[tid] == R_LOAD:
+                bucket = _B_STAGE + deepest[tid]
+                if bucket != spans[tid]:
+                    mark = marks[tid]
+                    if now > mark:
+                        buckets[tid][spans[tid]] += now - mark
+                        marks[tid] = now
+                    spans[tid] = bucket
 
     # ------------------------------------------------------------------ #
     # Interval snapshots.

@@ -4,10 +4,11 @@ The :class:`MetricsCollector` keeps fixed-cycle-window integer counters
 — the layer between "I have a Perfetto trace" and "I can alert on a
 thread's slowdown":
 
-* **counted series** (no polling; the component hooks of
-  :mod:`repro.telemetry.probe` call the collector's typed methods with
-  plain integers, and windows are resolved lazily from the cycle stamp,
-  so the batch kernel needs no changes): per-resource granted service
+* **counted series** (no polling; the lifecycle probe
+  (:mod:`repro.telemetry.probe`) logs one flat record per component
+  event, :meth:`MetricsCollector.fold` counts a run of them, and
+  windows are resolved from each record's cycle stamp, so the batch
+  kernel needs no changes): per-resource granted service
   cycles by thread, per-resource busy/utilization, arbiter queue-depth
   high-water marks, MSHR occupancy, capacity-manager
   Condition-1/Condition-2 victimizations, loads retired and their
@@ -32,6 +33,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.stats import jain_index
 
 from .attribution import merge_attribution
+from .probe import (
+    ACCEPTED,
+    BUSY,
+    ENQUEUED,
+    GRANTED,
+    LOAD,
+    MSHRS,
+    STORE,
+    VICTIMIZED,
+)
 
 #: Schema tags on exported JSON (validated by repro.telemetry.validate).
 METRICS_SCHEMA = "repro.metrics/1"
@@ -42,13 +53,16 @@ class MetricsCollector:
     """Per-window counters and gauges, fed by the lifecycle probe.
 
     ``window`` is in simulated cycles; counted series are indexed by the
-    absolute window ``ts // window`` of each hook's cycle stamp, so
+    absolute window ``ts // window`` of each record's cycle stamp, so
     out-of-order stamps (a DRAM burst is stamped at its data-bus start,
     which may lie ahead of the issuing cycle) land in the right bucket
     without any sorting.  ``events_seen`` counts the component events
-    the collector consumed — one per hook call, two per victimization
-    (the condition and the set's way-occupancy sample), matching the
-    trace events the probe builds from the same hooks under ``--trace``.
+    the collector consumed — one per record, one more for a grant that
+    holds a resource busy, two per victimization (the condition and the
+    set's way-occupancy sample), matching the trace events the probe
+    builds from the same hooks under ``--trace``.  The probe folds its
+    logs at every ``run()`` exit, so the series are complete whenever a
+    run is not in progress.
     """
 
     def __init__(
@@ -93,7 +107,7 @@ class MetricsCollector:
         self._finished_at: Optional[int] = None
 
     # ------------------------------------------------------------------ #
-    # Counted series (called by repro.telemetry.probe).
+    # Counted series (folded from repro.telemetry.probe's record logs).
     # ------------------------------------------------------------------ #
 
     def _widx(self, ts: int) -> int:
@@ -107,80 +121,112 @@ class MetricsCollector:
             self._lo = widx
         return widx
 
-    def _thread_row(self, store: Dict[int, List[int]], widx: int) -> List[int]:
-        row = store.get(widx)
-        if row is None:
-            row = store[widx] = [0] * self.n_threads
-        return row
+    def fold(self, records) -> None:
+        """Count a run of probe records (arbiter and counter logs; see
+        :mod:`repro.telemetry.probe` for their layouts) into the windows.
 
-    def enqueued(self, track: str, ts: int, pending: int) -> None:
-        """An arbiter admitted an entry; its thread holds ``pending``
-        entries in ``track``'s queue afterwards."""
-        widx = self._widx(ts)
-        queue = self._queue_max[track]
-        if pending > queue.get(widx, 0):
-            queue[widx] = pending
-        self.events_seen += 1
+        * an enqueue raises its track's queue-depth high-water mark;
+        * a grant adds its service cycles to the thread's row, raises
+          the high-water mark, and with a busy track adds the cycles to
+          that resource's busy series (one more event);
+        * a busy interval (a DRAM data burst) adds to its track's busy
+          series; an MSHR occupancy raises the file's high-water mark;
+        * a victimization counts toward its condition for the thread:
+          two events, the condition and the set's way-occupancy sample;
+        * a retired load counts, with its latency, per thread and
+          window and in the cumulative totals; a retired store and an
+          accepted request only count as events (an accepted request is
+          not windowed).
 
-    def granted(self, track: str, tid: int, ts: int, duration: int,
-                pending: int, busy_track: Optional[str] = None) -> None:
-        """Arbiter ``track`` granted ``tid`` ``duration`` service cycles,
-        leaving ``pending`` of its entries queued.  With ``busy_track``
-        the grant also holds that resource busy for ``duration`` (an L2
-        bank resource; the L3 port keeps no busy series)."""
-        widx = self._widx(ts)
-        self._thread_row(self._service[track], widx)[tid] += duration
-        queue = self._queue_max[track]
-        if pending > queue.get(widx, 0):
-            queue[widx] = pending
-        self.events_seen += 1
-        if busy_track is not None:
-            busy = self._busy[busy_track]
-            busy[widx] = busy.get(widx, 0) + duration
-            self.events_seen += 1
-
-    def busy(self, track: str, ts: int, duration: int) -> None:
-        """Resource ``track`` is busy for ``duration`` cycles from ``ts``
-        (a DRAM data burst)."""
-        widx = self._widx(ts)
-        busy = self._busy[track]
-        busy[widx] = busy.get(widx, 0) + duration
-        self.events_seen += 1
-
-    def mshr(self, track: str, ts: int, outstanding: int) -> None:
-        """MSHR file ``track`` holds ``outstanding`` entries."""
-        widx = self._widx(ts)
-        mshrs = self._mshr_max[track]
-        if outstanding > mshrs.get(widx, 0):
-            mshrs[widx] = outstanding
-        self.events_seen += 1
-
-    def victimized(self, condition: str, tid: int, ts: int) -> None:
-        """A capacity manager evicted under ``condition`` for ``tid``:
-        two events, the condition and the set's way-occupancy sample."""
-        widx = self._widx(ts)
-        if 0 <= tid < self.n_threads:
-            self._thread_row(self._cond[condition], widx)[tid] += 1
-        self.events_seen += 2
-
-    def accepted(self) -> None:
-        """A request reached its bank (counted, not windowed)."""
-        self.events_seen += 1
-
-    def load_retired(self, tid: int, ts: int, latency: int) -> None:
-        """A load (demand or prefetch) retired at ``ts`` after
-        ``latency`` cycles from issue to critical word."""
-        widx = self._widx(ts)
-        self._thread_row(self._loads, widx)[tid] += 1
-        self._thread_row(self._load_latency, widx)[tid] += latency
-        self._loads_total[tid] += 1
-        self._latency_total[tid] += latency
-        self.events_seen += 1
-
-    def store_retired(self, ts: int) -> None:
-        """A store was acknowledged at ``ts``."""
-        self._widx(ts)
-        self.events_seen += 1
+        Every series is a sum or a maximum per window, so the result does
+        not depend on how the records are split between calls.
+        """
+        window = self.window
+        n_threads = self.n_threads
+        lo, hi = self._lo, self._hi
+        seen = 0
+        service = self._service
+        busy = self._busy
+        queue_max = self._queue_max
+        for record in records:
+            kind = record[0]
+            if kind == GRANTED:
+                _, track, tid, ts, pending, duration, busy_track = record
+                widx = ts // window
+                rows = service[track]
+                row = rows.get(widx)
+                if row is None:
+                    row = rows[widx] = [0] * n_threads
+                row[tid] += duration
+                queue = queue_max[track]
+                if pending > queue.get(widx, 0):
+                    queue[widx] = pending
+                seen += 1
+                if busy_track is not None:
+                    series = busy[busy_track]
+                    series[widx] = series.get(widx, 0) + duration
+                    seen += 1
+            elif kind == ENQUEUED:
+                track = record[1]
+                pending = record[4]
+                widx = record[3] // window
+                queue = queue_max[track]
+                if pending > queue.get(widx, 0):
+                    queue[widx] = pending
+                seen += 1
+            elif kind == ACCEPTED:
+                seen += 1
+                continue
+            elif kind == LOAD:
+                _, tid, ts, latency = record
+                widx = ts // window
+                row = self._loads.get(widx)
+                if row is None:
+                    row = self._loads[widx] = [0] * n_threads
+                row[tid] += 1
+                row = self._load_latency.get(widx)
+                if row is None:
+                    row = self._load_latency[widx] = [0] * n_threads
+                row[tid] += latency
+                self._loads_total[tid] += 1
+                self._latency_total[tid] += latency
+                seen += 1
+            elif kind == STORE:
+                widx = record[1] // window
+                seen += 1
+            elif kind == MSHRS:
+                _, track, ts, outstanding = record
+                widx = ts // window
+                mshrs = self._mshr_max[track]
+                if outstanding > mshrs.get(widx, 0):
+                    mshrs[widx] = outstanding
+                seen += 1
+            elif kind == BUSY:
+                _, track, ts, duration = record
+                widx = ts // window
+                series = busy[track]
+                series[widx] = series.get(widx, 0) + duration
+                seen += 1
+            elif kind == VICTIMIZED:
+                _, condition, tid, ts = record
+                widx = ts // window
+                if 0 <= tid < n_threads:
+                    counts = self._cond[condition]
+                    row = counts.get(widx)
+                    if row is None:
+                        row = counts[widx] = [0] * n_threads
+                    row[tid] += 1
+                seen += 2
+            else:
+                raise ValueError(f"not a metrics record: {record!r}")
+            if widx > hi:
+                if hi < 0:
+                    lo = widx
+                hi = widx
+            elif widx < lo:
+                lo = widx
+        self._lo, self._hi = lo, hi
+        self.events_seen += seen
 
     # ------------------------------------------------------------------ #
     # Pull-sampled series (window boundaries of the measurement phase).

@@ -1,14 +1,13 @@
-"""The lifecycle probe: one hook slot per component, one event stream.
+"""The lifecycle probe: one hook slot per component, one record log.
 
 Every hooked component — core, MSHR file, L2 bank, L3 port, DRAM
 channel, capacity manager, crossbar — holds one ``_probe`` attribute,
 ``None`` while no view is attached, so each hook site costs a single
 ``is not None`` test when disabled.  Components pass plain values
 (track, thread, cycle, duration, queue depth, the request or state
-machine at hand) and never build an event object; the probe fans each
-call out to whichever views are attached.  Hooks fire at component
-action sites shared verbatim by the cycle and batch kernels, so every
-view is kernel-identical by construction.
+machine at hand) and never build an event object.  Hooks fire at
+component action sites shared verbatim by the cycle and batch kernels,
+so every view is kernel-identical by construction.
 
 Three families of views ride the probe:
 
@@ -35,9 +34,30 @@ Three families of views ride the probe:
   histograms (``--histograms``) and the request log
   (``record_requests``) are handed each retired read.
 
+Record and fold.  The trace views are fed at hook time: the sink's
+event order is part of its output.  The lifecycle and counting views
+are not called per event.  A hook classifies its event once and
+appends one flat record (a tuple whose first field is its kind, below)
+to each log an attached view consumes: the *arbiter log* (metrics,
+attribution, the QoS monitor), the *counter log* (metrics), the *stage
+log* (CPI stacks) and the *journey log* (request tracing).  Each view's
+``fold(records)`` applies its per-event rule to a log in one loop;
+:meth:`LifecycleProbe.flush` hands every log to its consumers and
+empties it.  The probe flushes at every
+:meth:`~repro.system.cmp.CMPSystem.run` exit, before every
+:meth:`~LifecycleProbe.attach`, and whenever a log reaches
+:data:`LOG_LIMIT` records.  Everything that reads a view — window
+samples, ``rebase``, checkpoints, the live plane, QoS controller
+epochs, the documents — runs between ``run()`` calls, so it always
+sees every event folded.  A value that changes after the hook (a bank
+state, an arbiter's queue depth) is captured into the record; a
+request is recorded by reference, for its fields the folds read
+(``req_id``, ``seq``, ``line``, ``issued_cycle``, ``thread_id``) never
+change after it reaches its bank.
+
 The probe also keeps the run's per-thread load counters (loads retired
 and their latency sums), which the QoS control plane diffs at epoch
-boundaries.
+boundaries; they, like the trace views, are updated at hook time.
 """
 
 from __future__ import annotations
@@ -46,6 +66,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from repro.cache.bank import SMState
+from repro.common.records import AccessType
 from repro.core.vpc_arbiter import VPCArbiter
 from repro.telemetry.events import (
     CAT_ARBITER,
@@ -109,13 +130,63 @@ _SLICES = {
     SMState.BUS_WAIT: "bus",
 }
 
-#: The view attributes a probe fans out to.
+#: Records a log holds before the probe folds it into its views.  Any
+#: bound gives the same documents (every fold is exact at any record
+#: boundary).  A small one keeps a log's memory constant however long a
+#: ``run()`` call is, and folds records while they are young: logs of
+#: thousands of tuples outlive the garbage collector's first generation,
+#: and at 4096 a fig10_observed pass spent three times as long
+#: collecting.
+LOG_LIMIT = 512
+
+# Record kinds: the first field of every logged record.  The layouts,
+# by log and consumer:
+#
+# arbiter log (MetricsCollector, InterferenceAttributor, QoSMonitor):
+#   (ENQUEUED, track, tid, cycle, pending, 0, None)
+#   (GRANTED, track, tid, cycle, pending, duration, busy_track)
+#   ``pending`` is the thread's queue depth in ``track`` after the
+#   event; ``busy_track`` is the resource the grant holds busy (None:
+#   the L3 port keeps no busy series).
+# counter log (MetricsCollector):
+#   (ACCEPTED,)                         a request reached its bank
+#   (LOAD, tid, cycle, latency)         a load retired
+#   (STORE, cycle)                      a store was acknowledged
+#   (MSHRS, track, cycle, outstanding)  an MSHR file's occupancy
+#   (BUSY, track, start, duration)      a DRAM data burst
+#   (VICTIMIZED, condition, tid, cycle) a capacity-manager eviction
+# stage log (CycleAccounting):
+#   (PROGRESS, tid, cycle, reason, 0)   a core tick dispatched work
+#   (STALL, tid, cycle, reason, 0)      a core tick dispatched nothing
+#   (MOVE, tid, cycle, old, new)        a read changed stage
+#   (ALLOCATED, tid, cycle, 0, 0)       a read entered l1_transit
+#   (COMPLETED, tid, cycle, 0, 0)       a read's fill came back
+# journey log (RequestTracer):
+#   (OPENED, request, 0, cycle)         a demand load reached its bank
+#   (SHIFTED, req_id, stage, cycle)     its journey entered ``stage``
+#   (DONE, request, 0, cycle)           its critical word came back
+(ENQUEUED, GRANTED, ACCEPTED, LOAD, STORE, MSHRS, BUSY, VICTIMIZED,
+ PROGRESS, STALL, MOVE, ALLOCATED, COMPLETED,
+ OPENED, SHIFTED, DONE) = range(16)
+
+_ACCEPTED = (ACCEPTED,)
+_READ = AccessType.READ
+
+#: The view attributes a probe feeds.
 VIEWS = ("acct", "tracer", "metrics", "attributor", "monitor",
          "sink", "histograms", "log")
 
+#: The record logs, each with the view attributes that fold it.
+LOGS = {
+    "_arbiter_log": ("metrics", "attributor", "monitor"),
+    "_counter_log": ("metrics",),
+    "_stage_log": ("acct",),
+    "_journey_log": ("tracer",),
+}
+
 
 class LifecycleProbe:
-    """Classifies component events and fans them out to the views.
+    """Classifies component events into records for the views.
 
     One instance per :class:`~repro.system.cmp.CMPSystem`, created by
     the first view attached to it; the view attributes (``acct``,
@@ -123,7 +194,8 @@ class LifecycleProbe:
     ``histograms``, ``log``) are ``None`` when off, and :meth:`attach`
     sets them.  The system wires the probe only onto components whose
     events an attached view consumes.  Pickled with the system object
-    graph, so checkpoints carry it and every view on it.
+    graph, so checkpoints carry it and every view on it; a checkpoint
+    is written between ``run()`` calls, when every log is empty.
 
     ``dram_hooked`` is False when an L3 sits in front of memory: DRAM
     device service is then not a lifecycle stage, and all below-L2 time
@@ -142,8 +214,6 @@ class LifecycleProbe:
         self.sink = None
         self.histograms = None
         self.log = None
-        self.staged = False      # a lifecycle view is attached
-        self.arbitrated = False  # a view reads arbiter traffic
         # (thread, line) -> req_id of a traced read below the L2: DRAM
         # channels carry no request.  MSHR coalescing plus the bank's
         # active-line exclusion allow at most one read per key there.
@@ -152,34 +222,70 @@ class LifecycleProbe:
         # issue-to-critical-word latency sums since the probe existed.
         self.loads = [0] * n_threads
         self.load_latency = [0] * n_threads
+        for name in LOGS:
+            setattr(self, name, [])
+        self._wire()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        # A probe pickled before the record log existed has no logs.
+        for name in LOGS:
+            if name not in state:
+                setattr(self, name, [])
+        self._wire()
+
+    def _wire(self) -> None:
+        """Derive which record families the attached views consume."""
+        self.staged = self.acct is not None or self.tracer is not None
+        self.counting = (self.metrics is not None
+                         or self.attributor is not None
+                         or self.monitor is not None)
+        # Arbiter events matter to the counting views and the trace.
+        self.arbitrated = self.counting or self.sink is not None
 
     def attach(self, **views) -> None:
-        """Set view attributes (``acct=...``, ``sink=...``)."""
-        for name, view in views.items():
+        """Set view attributes (``acct=...``, ``sink=...``).  Records
+        logged so far fold into the views attached so far: a view sees
+        only events after its attach."""
+        for name in views:
             if name not in VIEWS:
                 raise ValueError(f"unknown probe view {name!r}")
+        self.flush()
+        for name, view in views.items():
             setattr(self, name, view)
-        self.staged = self.acct is not None or self.tracer is not None
-        self.arbitrated = (self.metrics is not None
-                           or self.attributor is not None
-                           or self.monitor is not None
-                           or self.sink is not None)
+        self._wire()
 
-    def _move(self, request, old: int, new: int, now: int) -> None:
-        if self.acct is not None:
-            self.acct.move(request.thread_id, old, new, now)
-        if self.tracer is not None and not request.is_prefetch:
-            self.tracer.shift(request.req_id, new, now)
+    def flush(self) -> None:
+        """Fold every log into the views that consume it, emptying it."""
+        for name in LOGS:
+            if getattr(self, name):
+                self._fold(name)
+
+    def _fold(self, name: str) -> None:
+        """Fold log ``name`` into its consumers and empty it.  Each view
+        folds its logs independently, so one log may fold alone."""
+        records = getattr(self, name)
+        for consumer in LOGS[name]:
+            view = getattr(self, consumer)
+            if view is not None:
+                view.fold(records)
+        records.clear()
 
     # ----------------- core side (wired with CPI stacks) -------------- #
 
     def progress(self, tid: int, now: int, reason: int) -> None:
         """A core tick at ``now`` dispatched work."""
-        self.acct.progress(tid, now, reason)
+        log = self._stage_log
+        log.append((PROGRESS, tid, now, reason, 0))
+        if len(log) >= LOG_LIMIT:
+            self._fold("_stage_log")
 
     def stall(self, tid: int, now: int, reason: int) -> None:
         """A core tick at ``now`` dispatched nothing."""
-        self.acct.stall(tid, now, reason)
+        log = self._stage_log
+        log.append((STALL, tid, now, reason, 0))
+        if len(log) >= LOG_LIMIT:
+            self._fold("_stage_log")
 
     def _occupancy(self, track: str, outstanding: int, now: int) -> None:
         # Counter events carry numeric series only (Perfetto renders each
@@ -190,26 +296,31 @@ class LifecycleProbe:
             track=track, args={"outstanding": outstanding},
         ))
 
+    def _mshr(self, kind: int, tid: int, track: str, outstanding: int,
+              now: int) -> None:
+        if self.sink is not None:
+            self._occupancy(track, outstanding, now)
+        if self.acct is not None:
+            log = self._stage_log
+            log.append((kind, tid, now, 0, 0))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
+        if self.metrics is not None:
+            log = self._counter_log
+            log.append((MSHRS, track, now, outstanding))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_counter_log")
+
     def mshr_allocated(self, tid: int, track: str, outstanding: int,
                        now: int) -> None:
         """A primary L2 read left the core: it enters l1_transit, and
         ``track``'s MSHR file now holds ``outstanding`` entries."""
-        if self.sink is not None:
-            self._occupancy(track, outstanding, now)
-        if self.acct is not None:
-            self.acct.mshr_allocated(tid, now)
-        if self.metrics is not None:
-            self.metrics.mshr(track, now, outstanding)
+        self._mshr(ALLOCATED, tid, track, outstanding, now)
 
     def mshr_completed(self, tid: int, track: str, outstanding: int,
                        now: int) -> None:
         """The fill came back; the read leaves the lifecycle."""
-        if self.sink is not None:
-            self._occupancy(track, outstanding, now)
-        if self.acct is not None:
-            self.acct.mshr_completed(tid, now)
-        if self.metrics is not None:
-            self.metrics.mshr(track, now, outstanding)
+        self._mshr(COMPLETED, tid, track, outstanding, now)
 
     # --------------------------- memory side -------------------------- #
 
@@ -244,13 +355,22 @@ class LifecycleProbe:
             self._span(PH_BEGIN, request, now,
                        {"line": request.line, "bank": bank_id})
         if self.metrics is not None:
-            self.metrics.accepted()
-        if not self.staged or not request.is_read:
+            log = self._counter_log
+            log.append(_ACCEPTED)
+            if len(log) >= LOG_LIMIT:
+                self._fold("_counter_log")
+        if not self.staged or request.access is not _READ:
             return
         if self.acct is not None:
-            self.acct.move(request.thread_id, S_XFER, S_BANKQ, now)
+            log = self._stage_log
+            log.append((MOVE, request.thread_id, now, S_XFER, S_BANKQ))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
         if self.tracer is not None and not request.is_prefetch:
-            self.tracer.open(request, now)
+            log = self._journey_log
+            log.append((OPENED, request, 0, now))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_journey_log")
 
     def gathered(self, bank_id: int, tid: int, line: int, now: int) -> None:
         """``tid``'s store to ``line`` merged into bank ``bank_id``'s
@@ -265,8 +385,18 @@ class LifecycleProbe:
         """A bank state machine entered ``resource``'s arbiter queue."""
         request = sm.request
         if self.arbitrated:
-            self.arbiter_enqueued(resource.arbiter, request.thread_id, now)
-        if not self.staged or not request.is_read:
+            arbiter = resource.arbiter
+            tid = request.thread_id
+            pending = arbiter.pending_for(tid)
+            if self.sink is not None:
+                self._enqueue_instant(arbiter, tid, now, pending)
+            if self.counting:
+                log = self._arbiter_log
+                log.append((ENQUEUED, arbiter.trace_name, tid, now, pending,
+                            0, None))
+                if len(log) >= LOG_LIMIT:
+                    self._fold("_arbiter_log")
+        if not self.staged or request.access is not _READ:
             return
         step = _QUEUED[resource.name].get(sm.state)
         if step is None:
@@ -274,7 +404,16 @@ class LifecycleProbe:
         old, new = step
         if old is None:
             old = S_L2SVC if sm.hit else self._memory_stage
-        self._move(request, old, new, now)
+        if self.acct is not None:
+            log = self._stage_log
+            log.append((MOVE, request.thread_id, now, old, new))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
+        if self.tracer is not None and not request.is_prefetch:
+            log = self._journey_log
+            log.append((SHIFTED, request.req_id, new, now))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_journey_log")
 
     def granted(self, resource, sm, duration: int, now: int) -> None:
         """A queued state machine won arbitration and holds ``resource``
@@ -282,8 +421,17 @@ class LifecycleProbe:
         arbiter's grant, then the resource's occupancy slice."""
         request = sm.request
         if self.arbitrated:
-            self.arbiter_granted(resource.arbiter, request.thread_id, now,
-                                 duration, resource.track)
+            arbiter = resource.arbiter
+            tid = request.thread_id
+            pending = arbiter.pending_for(tid)
+            if self.sink is not None:
+                self._grant_instant(arbiter, tid, now, duration, pending)
+            if self.counting:
+                log = self._arbiter_log
+                log.append((GRANTED, arbiter.trace_name, tid, now, pending,
+                            duration, resource.track))
+                if len(log) >= LOG_LIMIT:
+                    self._fold("_arbiter_log")
         if self.sink is not None:
             self.sink.emit(TraceEvent(
                 ts=now, phase=PH_COMPLETE, category=CAT_RESOURCE,
@@ -291,65 +439,90 @@ class LifecycleProbe:
                 tid=request.thread_id, dur=duration,
                 args={"req": request.req_id},
             ))
-        if not self.staged or not request.is_read:
+        if not self.staged or request.access is not _READ:
             return
         step = _QUEUED[resource.name].get(sm.state)
-        if step is not None:
-            self._move(request, step[1], S_L2SVC, now)
+        if step is None:
+            return
+        if self.acct is not None:
+            log = self._stage_log
+            log.append((MOVE, request.thread_id, now, step[1], S_L2SVC))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
+        if self.tracer is not None and not request.is_prefetch:
+            log = self._journey_log
+            log.append((SHIFTED, request.req_id, S_L2SVC, now))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_journey_log")
 
     def arbiter_enqueued(self, arbiter, tid: int, now: int) -> None:
-        """``tid`` entered ``arbiter``'s queue (a bank resource's or the
-        L3 port's).  A VPC arbiter's trace instant carries the thread's
+        """``tid`` entered the L3 port ``arbiter``'s queue; a bank
+        resource's enqueue arrives through :meth:`queued` and logs the
+        same record.  A VPC arbiter's trace instant carries the thread's
         virtual start time, ``R.S[tid]`` after Eq. 6."""
-        track = arbiter.trace_name
         pending = arbiter.pending_for(tid)
         if self.sink is not None:
-            args = {"pending": pending}
-            if isinstance(arbiter, VPCArbiter):
-                args["vstart"] = arbiter._r_s[tid]
-            self.sink.emit(TraceEvent(
-                ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
-                name="enqueue", track=track, tid=tid, args=args,
-            ))
-        if self.metrics is not None:
-            self.metrics.enqueued(track, now, pending)
-        if self.attributor is not None:
-            self.attributor.enqueued(track, tid, now)
-        if self.monitor is not None:
-            self.monitor.enqueued(track, tid, now, pending)
+            self._enqueue_instant(arbiter, tid, now, pending)
+        if self.counting:
+            log = self._arbiter_log
+            log.append((ENQUEUED, arbiter.trace_name, tid, now, pending, 0,
+                        None))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_arbiter_log")
+
+    def _enqueue_instant(self, arbiter, tid: int, now: int,
+                         pending: int) -> None:
+        args = {"pending": pending}
+        if isinstance(arbiter, VPCArbiter):
+            args["vstart"] = arbiter._r_s[tid]
+        self.sink.emit(TraceEvent(
+            ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
+            name="enqueue", track=arbiter.trace_name, tid=tid, args=args,
+        ))
 
     def arbiter_granted(self, arbiter, tid: int, now: int, duration: int,
                         busy_track: Optional[str] = None) -> None:
-        """``arbiter`` granted ``tid`` ``duration`` service cycles; the
-        grant holds resource ``busy_track`` (if any) busy meanwhile.  A
-        VPC arbiter's trace instant carries the granted entry's virtual
-        finish time: ``R.S[tid]`` after Eq. 5, or infinity for a
-        zero-share thread, whose grant leaves ``R.S`` alone."""
-        track = arbiter.trace_name
+        """The L3 port ``arbiter`` granted ``tid`` ``duration`` service
+        cycles; the grant holds resource ``busy_track`` (if any) busy
+        meanwhile.  A bank resource's grant arrives through
+        :meth:`granted` and logs the same record.  A VPC arbiter's trace
+        instant carries the granted entry's virtual finish time:
+        ``R.S[tid]`` after Eq. 5, or infinity for a zero-share thread,
+        whose grant leaves ``R.S`` alone."""
         pending = arbiter.pending_for(tid)
         if self.sink is not None:
-            args = {"pending": pending}
-            if isinstance(arbiter, VPCArbiter):
-                args["vfinish"] = (math.inf if arbiter._r_l[tid] == math.inf
-                                   else arbiter._r_s[tid])
-            self.sink.emit(TraceEvent(
-                ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
-                name="grant", track=track, tid=tid, dur=duration, args=args,
-            ))
-        if self.metrics is not None:
-            self.metrics.granted(track, tid, now, duration, pending,
-                                 busy_track)
-        if self.attributor is not None:
-            self.attributor.granted(track, tid, now, duration)
-        if self.monitor is not None:
-            self.monitor.granted(track, tid, now, duration, pending)
+            self._grant_instant(arbiter, tid, now, duration, pending)
+        if self.counting:
+            log = self._arbiter_log
+            log.append((GRANTED, arbiter.trace_name, tid, now, pending,
+                        duration, busy_track))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_arbiter_log")
+
+    def _grant_instant(self, arbiter, tid: int, now: int, duration: int,
+                       pending: int) -> None:
+        args = {"pending": pending}
+        if isinstance(arbiter, VPCArbiter):
+            args["vfinish"] = (math.inf if arbiter._r_l[tid] == math.inf
+                               else arbiter._r_s[tid])
+        self.sink.emit(TraceEvent(
+            ts=now, phase=PH_INSTANT, category=CAT_ARBITER,
+            name="grant", track=arbiter.trace_name, tid=tid, dur=duration,
+            args=args,
+        ))
 
     def mem_queued(self, request, now: int) -> None:
         """A read miss left the L2 for the below-L2 hierarchy."""
-        if not self.staged:
-            return
-        self._move(request, S_L2SVC, S_DRAMQ, now)
+        if self.acct is not None:
+            log = self._stage_log
+            log.append((MOVE, request.thread_id, now, S_L2SVC, S_DRAMQ))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
         if self.tracer is not None and not request.is_prefetch:
+            log = self._journey_log
+            log.append((SHIFTED, request.req_id, S_DRAMQ, now))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_journey_log")
             self._below[(request.thread_id, request.line)] = request.req_id
 
     def dram_issued(self, track: str, tid: int, line: int, is_write: bool,
@@ -370,15 +543,24 @@ class LifecycleProbe:
                 dur=duration, args=args,
             ))
         if self.metrics is not None:
-            self.metrics.busy(track, start, duration)
+            log = self._counter_log
+            log.append((BUSY, track, start, duration))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_counter_log")
         if not tracked or not self.staged:
             return
         if self.acct is not None:
-            self.acct.move(tid, S_DRAMQ, S_DRAMSVC, now)
+            log = self._stage_log
+            log.append((MOVE, tid, now, S_DRAMQ, S_DRAMSVC))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
         if self.tracer is not None:
             req_id = self._below.pop((tid, line), None)
             if req_id is not None:
-                self.tracer.shift(req_id, S_DRAMSVC, now)
+                log = self._journey_log
+                log.append((SHIFTED, req_id, S_DRAMSVC, now))
+                if len(log) >= LOG_LIMIT:
+                    self._fold("_journey_log")
 
     def victimized(self, condition: str, tid: int, now: int, track: str,
                    set_view, way: int, occupancy, excess: int) -> None:
@@ -401,7 +583,10 @@ class LifecycleProbe:
                       for owner, ways in enumerate(occupancy)},
             ))
         if self.metrics is not None:
-            self.metrics.victimized(condition, tid, now)
+            log = self._counter_log
+            log.append((VICTIMIZED, condition, tid, now))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_counter_log")
 
     def responded(self, request, now: int) -> None:
         """A request retired toward its core: a load's critical word
@@ -409,9 +594,12 @@ class LifecycleProbe:
         buffer.  Its trace span closes first, carrying the request."""
         if self.sink is not None:
             self._span(PH_END, request, now, {"request": request})
-        if not request.is_read:
+        if request.access is not _READ:
             if self.metrics is not None:
-                self.metrics.store_retired(now)
+                log = self._counter_log
+                log.append((STORE, now))
+                if len(log) >= LOG_LIMIT:
+                    self._fold("_counter_log")
             return
         tid = request.thread_id
         issued = request.issued_cycle
@@ -420,16 +608,25 @@ class LifecycleProbe:
         self.loads[tid] += 1
         self.load_latency[tid] += latency
         if self.metrics is not None:
-            self.metrics.load_retired(tid, now, latency)
+            log = self._counter_log
+            log.append((LOAD, tid, now, latency))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_counter_log")
         if self.acct is not None:
-            self.acct.move(tid, S_L2SVC, S_XFER, now)
+            log = self._stage_log
+            log.append((MOVE, tid, now, S_L2SVC, S_XFER))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_stage_log")
         if self.log is not None:
             self.log.record(request)
         if request.is_prefetch:
             return
         if self.tracer is not None:
             self._below.pop((tid, request.line), None)
-            self.tracer.complete(request, now)
+            log = self._journey_log
+            log.append((DONE, request, 0, now))
+            if len(log) >= LOG_LIMIT:
+                self._fold("_journey_log")
         if self.histograms is not None:
             self.histograms.record(tid, request)
 

@@ -22,11 +22,12 @@ Three consumers ride on the per-request journeys:
   fractions, plus a worst-case burn rate for the alert engine's
   ``slo_burn`` signal.
 
-Journeys are driven by the :class:`~repro.telemetry.probe.LifecycleProbe`:
-a journey opens when a demand load reaches its bank (back-dated to the
-load's issue cycle), shifts segment on every stage transition the probe
-classifies, and completes at the critical word.  This module never sees
-a component event directly.
+Journeys are driven by the :class:`~repro.telemetry.probe.LifecycleProbe`,
+which logs one record per journey event; :meth:`RequestTracer.fold`
+applies them in order.  A journey opens when a demand load reaches its
+bank (back-dated to the load's issue cycle), shifts segment on every
+stage transition the probe classifies, and completes at the critical
+word.  This module never sees a component event directly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.events import CAT_REQUEST, PH_COMPLETE, TraceEvent
-from repro.telemetry.probe import N_STAGES, S_BANKQ, S_XFER, STAGES
+from repro.telemetry.probe import (
+    DONE,
+    N_STAGES,
+    OPENED,
+    S_BANKQ,
+    S_XFER,
+    SHIFTED,
+    STAGES,
+)
 
 #: Schema tag of a request-tracing JSON document.
 REQUESTS_SCHEMA = "repro.requests/1"
@@ -246,13 +255,16 @@ class _Journey:
 
 
 class RequestTracer:
-    """Mutable request-scope tracing state fed by the lifecycle probe.
+    """Mutable request-scope tracing state folded from the lifecycle
+    probe's journey log.
 
     One instance per :class:`~repro.system.cmp.CMPSystem`, attached via
-    ``system.attach_request_tracing()``.  Pickled with the system object
-    graph, so checkpoint/resume keeps journeys and summaries exact.
+    ``system.attach_request_tracing()``.  The probe folds at every
+    ``run()`` exit, so the summaries are complete whenever a run is not
+    in progress.  Pickled with the system object graph, so
+    checkpoint/resume keeps journeys and summaries exact.
 
-    Each probe transition closes the journey's open segment at the
+    Each stage transition closes the journey's open segment at the
     component's action cycle and opens the next, so the segment sum
     equals the end-to-end latency by construction.
     """
@@ -270,34 +282,44 @@ class RequestTracer:
 
     # ---------------------------- journeys ---------------------------- #
 
-    def open(self, request, now: int) -> None:
-        """A demand load reached its bank at ``now``: the transit from
-        its issue cycle closes, and bank-conflict waiting begins."""
-        self._open[request.req_id] = _Journey(request, now)
+    def fold(self, records) -> None:
+        """Apply a run of journey-log records, in order:
 
-    def shift(self, req_id: int, stage: int, now: int) -> None:
-        """The journey of ``req_id`` (if traced) enters ``stage``."""
-        journey = self._open.get(req_id)
-        if journey is not None:
-            journey.segments[journey.seg] += now - journey.mark
-            journey.mark = now
-            journey.seg = stage
-
-    def complete(self, request, now: int) -> None:
-        """Critical word reached the core: the journey completes."""
-        journey = self._open.pop(request.req_id, None)
-        if journey is None:
-            return
-        journey.segments[journey.seg] += now - journey.mark
-        latency = now - journey.issued
-        self.stats.add(request.thread_id, latency, {
-            "req_id": journey.req_id,
-            "seq": journey.seq,
-            "line": journey.line,
-            "issued_cycle": journey.issued,
-            "latency": latency,
-            "segments": list(journey.segments),
-        })
+        * a demand load that reached its bank at ``now`` opens a
+          journey: the transit from its issue cycle closes, and
+          bank-conflict waiting begins;
+        * a shift closes the open segment of the journey of ``req_id``
+          (if traced) at ``now`` and opens ``stage``;
+        * the critical word's return closes the last segment and
+          completes the journey into the latency summaries, with its
+          waterfall offered to the worst-k exemplars.
+        """
+        journeys = self._open
+        for kind, subject, stage, now in records:
+            if kind == SHIFTED:
+                journey = journeys.get(subject)
+                if journey is not None:
+                    journey.segments[journey.seg] += now - journey.mark
+                    journey.mark = now
+                    journey.seg = stage
+            elif kind == OPENED:
+                journeys[subject.req_id] = _Journey(subject, now)
+            elif kind == DONE:
+                journey = journeys.pop(subject.req_id, None)
+                if journey is None:
+                    continue
+                journey.segments[journey.seg] += now - journey.mark
+                latency = now - journey.issued
+                self.stats.add(subject.thread_id, latency, {
+                    "req_id": journey.req_id,
+                    "seq": journey.seq,
+                    "line": journey.line,
+                    "issued_cycle": journey.issued,
+                    "latency": latency,
+                    "segments": list(journey.segments),
+                })
+            else:
+                raise ValueError(f"not a journey record: {kind!r}")
 
     # ----------------------- interval management --------------------- #
 

@@ -80,3 +80,53 @@ def test_single_run_bad_spec_is_a_usage_error(tmp_path, monkeypatch,
     assert ("error: metrics window must be >= 1 cycle"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_resumed_run_writes_the_view_documents_its_checkpoint_carries(
+        tmp_path, monkeypatch, capsys):
+    """``--cpi-stacks`` and ``--requests`` name outputs on resume, as
+    ``--metrics`` does: the resumed documents equal the uninterrupted
+    run's byte for byte.  A checkpoint written without the views says
+    so instead of printing nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert run_main(["art", "mcf", "--arbiter", "vpc", "--warmup", "2000",
+                     "--cycles", "3000", "--metrics", "m.json",
+                     "--metrics-window", "500", "--cpi-stacks", "c.json",
+                     "--requests", "r.json", "--checkpoint", "views.ckpt",
+                     "--checkpoint-every", "2000"]) == 0
+    capsys.readouterr()
+    assert run_main(["--resume-checkpoint", "views.ckpt",
+                     "--metrics", "m2.json", "--cpi-stacks", "c2.json",
+                     "--requests", "r2.json"]) == 0
+    out = capsys.readouterr().out
+    assert "cycle accounting (3000 cycles per thread" in out
+    assert "request latency (cycles since issue)" in out
+    for first, resumed in (("m.json", "m2.json"), ("c.json", "c2.json"),
+                           ("r.json", "r2.json")):
+        assert (tmp_path / resumed).read_bytes() == \
+            (tmp_path / first).read_bytes()
+
+    assert run_main(["loads", "stores", "--warmup", "2000", "--cycles",
+                     "3000", "--checkpoint", "bare.ckpt",
+                     "--checkpoint-every", "1500"]) == 0
+    capsys.readouterr()
+    assert run_main(["--resume-checkpoint", "bare.ckpt", "--cpi-stacks",
+                     "--requests", "r3.json"]) == 0
+    out = capsys.readouterr().out
+    assert ("cycle accounting: none collected (the resumed checkpoint was "
+            "written without cycle accounting)") in out
+    assert ("request latency: none collected (the resumed checkpoint was "
+            "written without request tracing)") in out
+    assert not (tmp_path / "r3.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--report"], ["--histograms"],
+                                  ["--slo", "400", "--requests"]],
+                         ids=["report", "histograms", "slo"])
+def test_resume_refuses_views_it_cannot_add(flag, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stopped:
+        run_main(["--resume-checkpoint", "views.ckpt"] + flag)
+    assert stopped.value.code == 2
+    assert "cannot be added mid-run" in capsys.readouterr().err

@@ -40,7 +40,7 @@ from repro.telemetry.metrics import (
     to_prometheus,
 )
 from repro.telemetry.perfetto import chrome_trace
-from repro.telemetry.probe import LifecycleProbe
+from repro.telemetry.probe import ENQUEUED, GRANTED, LifecycleProbe
 from repro.telemetry.report import (
     build_report_card,
     merge_report_cards,
@@ -70,11 +70,11 @@ def _observed_system(arbiter="vpc", n_threads=2, window=1_000):
 
 
 def _enqueue(attributor, ts, tid, track="bank0.data"):
-    attributor.enqueued(track, tid, ts)
+    attributor.fold([(ENQUEUED, track, tid, ts, 0, 0, None)])
 
 
 def _grant(attributor, ts, tid, dur=0, track="bank0.data"):
-    attributor.granted(track, tid, ts, dur)
+    attributor.fold([(GRANTED, track, tid, ts, 0, dur, None)])
 
 
 class TestJainIndex:
@@ -484,7 +484,9 @@ class TestCapacityTelemetry:
             assert all(isinstance(v, int) for v in event.args.values())
         assert counters[0].args == {"t0": 1, "t1": 3}  # pre-eviction
         assert validate_chrome_trace(chrome_trace(events)) == []
-        # The metrics layer aggregated the same victimizations.
+        # The metrics layer aggregated the same victimizations (no run()
+        # brackets these hooks, so fold the probe's log as its exit does).
+        policy._probe.flush()
         collector.finish(200)
         totals = collector.snapshot()["totals"]
         assert totals["cond1"] == [1, 0]

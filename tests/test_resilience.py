@@ -576,6 +576,51 @@ class TestCliCheckpointResume:
             cli.main([])
 
 
+#: A checkpoint with CPI stacks, request tracing, metrics (window 500),
+#: attribution and the QoS monitor attached, saved once mid-measurement
+#: (cycle 4000 of 5000) by the code before the lifecycle probe logged
+#: records, so its probe carries no record logs.
+HELD_CHECKPOINT = Path(__file__).parent / "golden" / "views.ckpt"
+
+
+class TestHeldCheckpoint:
+    def test_held_checkpoint_with_views_resumes_to_a_fresh_run(self):
+        """A checkpoint written by an earlier layout of the views resumes
+        on this code to the ``SimulationResult``, view documents and QoS
+        conformance of a fresh, uninterrupted run.  It was written by::
+
+            PYTHONPATH=src python -m repro art mcf --arbiter vpc \\
+                --warmup 2000 --cycles 3000 --metrics m.json \\
+                --metrics-window 500 --cpi-stacks c.json \\
+                --requests r.json --checkpoint tests/golden/views.ckpt \\
+                --checkpoint-every 2000
+
+        A layout change keeps it resuming; only a ``CACHE_VERSION`` bump
+        may re-record it, with the same command."""
+        from repro.experiments.parallel import PointRun
+        from repro.resilience import open_checkpoint
+        from repro.workloads import workload_spec
+
+        resumed = open_checkpoint(HELD_CHECKPOINT)
+        system = resumed.system
+        monitor = system._probe.monitor
+        result = PointRun.revive(resumed).run()
+        monitor.finish(system.cycle)
+
+        point = SimPoint(config=system.config,
+                         traces=(workload_spec("art"), workload_spec("mcf")),
+                         warmup=2_000, measure=3_000)
+        spec = parallel.RunSpec(metrics=500, kernel=system.kernel,
+                                cpi_stacks=True, requests=True)
+        fresh = PointRun.build(point, spec, resumable=True, monitor=True)
+        expected = fresh.run()
+        for view in ("metrics", "cpi_stacks", "requests"):
+            assert getattr(expected, view) is not None
+        assert "attribution" in expected.metrics
+        assert asdict(result) == asdict(expected)
+        assert monitor.conformance() == fresh.monitor.conformance()
+
+
 class TestPartialSalvage:
     """An interrupted or incomplete experiment salvages the metrics of
     its own finished points, and only those."""

@@ -459,3 +459,39 @@ def test_request_log_and_histograms_build_no_events(built_events):
     assert built_events == []
     assert system.request_log
     assert histograms.threads() == [0]
+
+
+def test_record_logs_never_hold_more_than_their_bound():
+    """The probe folds a record log into its views whenever it reaches
+    ``LOG_LIMIT`` records, so however long a ``run()`` is, no log ever
+    holds more: a warmup that logs at least ten times the bound folds
+    every log at or under it, and the run's exit leaves every log
+    empty."""
+    from repro.experiments.parallel import PointRun, RunSpec, SimPoint
+    from repro.telemetry.probe import LOG_LIMIT, LOGS
+    from repro.workloads import workload_spec
+    from repro.workloads.profiles import HETEROGENEOUS_MIXES
+
+    point = SimPoint(
+        config=baseline_config(n_threads=4, arbiter="vpc"),
+        traces=tuple(workload_spec(name)
+                     for name in HETEROGENEOUS_MIXES["mix1"]),
+        warmup=6_000, measure=1_000,
+    )
+    spec = RunSpec(metrics=1_000, cpi_stacks=True, requests=True)
+    point_run = PointRun.build(point, spec, monitor=True)
+    probe = point_run.system._probe
+    held = []
+    fold = probe._fold
+
+    def recording_fold(name):
+        held.append((name, len(getattr(probe, name))))
+        fold(name)
+
+    probe._fold = recording_fold
+    point_run.system.run(point.warmup)
+    logged = sum(size for _, size in held)
+    assert logged >= 10 * LOG_LIMIT
+    assert max(size for _, size in held) <= LOG_LIMIT
+    assert {name for name, _ in held} == set(LOGS)
+    assert all(not getattr(probe, name) for name in LOGS)

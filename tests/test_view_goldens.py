@@ -38,6 +38,7 @@ from repro.common.config import L2Config, MemoryConfig, baseline_config
 from repro.core.monitor import QoSMonitor
 from repro.system.cmp import CMPSystem
 from repro.system.simulator import run_simulation
+from repro.telemetry import probe
 from repro.telemetry.cycles import BUCKETS
 from repro.telemetry.metrics import MetricsCollector
 from repro.telemetry.requests import SEGMENTS
@@ -177,6 +178,27 @@ def test_views_match_golden(golden, name, kernel):
         alone = _documents(name, kernel, views=(view,))
         _assert_same(every, alone,
                      f"config {name}, kernel {kernel}, {view} attached alone")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name", ["vpc", "l3", "mix1-vpc-32k"])
+def test_documents_do_not_depend_on_the_fold_points(golden, name, kernel,
+                                                   monkeypatch):
+    """The views fold the probe's record logs at ``run()`` exits and
+    whenever a log reaches ``probe.LOG_LIMIT`` records.  Folding after
+    every record (a bound of 1) must give the same bytes as the real
+    bound, and both the golden's."""
+    bounded = _documents(name, kernel)
+    monkeypatch.setattr(probe, "LOG_LIMIT", 1)
+    every_record = _documents(name, kernel)
+    for view in _views(name):
+        assert json.dumps(every_record[view], sort_keys=True) == \
+            json.dumps(bounded[view], sort_keys=True), view
+    _assert_same(golden[name], every_record,
+                 f"config {name}, kernel {kernel}, folded per record")
+    _assert_same(golden[name], bounded,
+                 f"config {name}, kernel {kernel}, folded per "
+                 f"{probe.LOG_LIMIT} records")
 
 
 def test_small_l2_fires_both_capacity_conditions(golden):
